@@ -6,15 +6,13 @@ sets, cone membership, the iteration lemma, and cache inspection.
 
 Exit codes: 0 success, 1 domain error (bad values, unreachable targets,
 baseline mismatches), 2 usage error (argparse).  Output on stdout is
-deterministic: identical inputs and cache state produce identical bytes
-regardless of --workers.
+deterministic: identical inputs and cache state produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -28,7 +26,6 @@ from .kolmo import (
     cached_ks,
     default_cache_path,
     encode_pair,
-    ks,
 )
 from .laws import (
     BaselineMismatch,
@@ -99,40 +96,26 @@ def cmd_ks_compute(args) -> int:
     return 0
 
 
-def _table_row(job):
-    y, x, s, cap = job
-    result = ks(y, x, s, cap)
-    return result.value, result.witness
-
-
 def cmd_ks_table(args) -> int:
     cache = _open_cache(args)
     conditions = strings_up_to(args.conditions_to) if args.conditions_to >= 0 else [""]
-    jobs = [
-        (y, x, s, args.cap)
+    results = [
+        cached_ks(y, x, s, args.cap, cache)
         for y in strings_up_to(args.targets_to)
         for x in conditions
         for s in _parse_grid(args.s_grid)
     ]
-    if cache is None and args.workers > 1:
-        with multiprocessing.Pool(args.workers) as pool:
-            outcomes = list(pool.imap(_table_row, jobs, chunksize=64))
-    else:
-        outcomes = []
-        for y, x, s, cap in jobs:
-            result = cached_ks(y, x, s, cap, cache)
-            outcomes.append((result.value, result.witness))
     if args.format == "json":
         rows = [
-            {"y": y, "x": x, "s": s, "cap": cap, "value": value, "witness": witness}
-            for (y, x, s, cap), (value, witness) in zip(jobs, outcomes)
+            {"y": r.target, "x": r.condition, "s": r.s, "cap": r.cap, "value": r.value, "witness": r.witness}
+            for r in results
         ]
         print(json.dumps(rows, sort_keys=True))
         return 0
     print("y,x,s,cap,value,witness")
-    for (y, x, s, cap), (value, witness) in zip(jobs, outcomes):
-        value_text = "NotFound" if value is None else str(value)
-        print(f"{y},{x},{s},{cap},{value_text},{witness or ''}")
+    for r in results:
+        value_text = "NotFound" if r.value is None else str(r.value)
+        print(f"{r.target},{r.condition},{r.s},{r.cap},{value_text},{r.witness or ''}")
     return 0
 
 
@@ -358,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conditions-to", type=int, default=-1, help="max condition length")
     p.add_argument("--s-grid", required=True, help="comma-separated space bounds")
     p.add_argument("--cap", type=int, default=14)
-    p.add_argument("--workers", type=int, default=1)
     _add_format_flag(p, default="csv", choices=("csv", "json"))
     _add_cache_flag(p)
     p.set_defaults(func=cmd_ks_table)

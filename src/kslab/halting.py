@@ -1,30 +1,32 @@
 """Halting-within-space-s deciders for the two-stack machine model.
 
-Three independent deciders answer "does the machine, run on (p, x), execute a
-halt instruction before its combined stack length ever exceeds s?":
+Three deciders answer "does the machine, run on (p, x), execute a halt
+instruction before its combined stack length ever exceeds s?":
 
-* `decide_forward` simulates and keeps a set of visited configurations; a
-  repeat proves an infinite loop.
-* `decide_counter` simulates for at most `config_count` steps with nothing but
-  a step counter; by pigeonhole a longer run within space s must have repeated
-  a configuration and therefore loops forever.
+* `decide_forward` and `decide_counter` share the packed execution loop of
+  `kslab.machine` and differ only in how they detect a loop.  The forward
+  decider keeps a set of visited configurations, and a repeat proves an
+  infinite loop.  The counter decider keeps nothing but a step counter: by
+  pigeonhole, a run within space s longer than `config_count` steps has
+  repeated a configuration and therefore loops forever.
 * `decide_backward` explores, in constant auxiliary configuration storage, the
   tree of configurations that reach the unique final configuration of the
   canonicalized machine, and reports whether the initial configuration is in
   that tree.  The traversal is memoryless depth-first: the only moves are
-  parent (one forward step), first child and next sibling (predecessor
-  enumeration in a fixed canonical order), so at most three configurations are
-  held at any moment.
+  parent (one forward step, `kslab.machine.step_packed`), first child and next
+  sibling (the predecessor enumerator of this module, in a fixed canonical
+  order), so at most three configurations are held at any moment.
 
 All three agree on every input; the test suite checks this exhaustively over
-sampled machine families.
+sampled machine families, and checks the shared loop and the predecessor
+enumerator against the string-configuration oracle `kslab.machine.step`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Callable, Optional
 
 from .machine import (
     Configuration,
@@ -32,10 +34,14 @@ from .machine import (
     MachineSpec,
     Op,
     PackedConfig,
+    StepKind,
+    Verdict,
+    _execute,
     canonicalize,
     check_bits,
     compile_spec,
     pack_config,
+    step_packed,
     unpack_config,
 )
 
@@ -139,152 +145,23 @@ def _inverse_index(spec: MachineSpec) -> tuple[tuple[_Recipe, ...], ...]:
     return tuple(tuple(recipe for _, recipe in sorted(bucket)) for bucket in by_target)
 
 
-def _packed_predecessors(
+def _child_enumerator(
     recipes: tuple[tuple[_Recipe, ...], ...],
-    cfg: PackedConfig,
     p: str,
     x: str,
     s: int,
-) -> Iterator[PackedConfig]:
-    """Yield predecessors of `cfg` with space <= s in canonical order."""
+) -> Callable[[PackedConfig, int], tuple[Optional[PackedConfig], int]]:
+    """Build the resumable predecessor enumerator for one (recipes, p, x, s).
 
-    st, sl, sr, hp, hx = cfg
-    ta = sl & 1 if sl > 1 else 2
-    tb = sr & 1 if sr > 1 else 2
-    space = sl.bit_length() + sr.bit_length() - 2
-    for rkind, q, a, b, bit in recipes[st]:
-        if rkind == _RK_PUSH_L:
-            # Forward pushed `bit` onto L, so C's L-top must be that bit.
-            if ta != bit:
-                continue
-            psl = sl >> 1
-            if (psl & 1 if psl > 1 else 2) != a or tb != b:
-                continue
-            yield (q, psl, sr, hp, hx)
-        elif rkind == _RK_PUSH_R:
-            if tb != bit:
-                continue
-            psr = sr >> 1
-            if ta != a or (psr & 1 if psr > 1 else 2) != b:
-                continue
-            yield (q, sl, psr, hp, hx)
-        elif rkind == _RK_POP_L:
-            if tb != b or space + 1 > s:
-                continue
-            yield (q, sl * 2 + bit, sr, hp, hx)
-        elif rkind == _RK_POP_R:
-            if ta != a or space + 1 > s:
-                continue
-            yield (q, sl, sr * 2 + bit, hp, hx)
-        elif rkind == _RK_WRITE:
-            if ta != a or tb != b:
-                continue
-            yield (q, sl, sr, hp, hx)
-        elif rkind == _RK_READ_P0:
-            if hp >= 1 and p[hp - 1] == "0" and ta == a and tb == b:
-                yield (q, sl, sr, hp - 1, hx)
-        elif rkind == _RK_READ_P1:
-            if hp >= 1 and p[hp - 1] == "1" and ta == a and tb == b:
-                yield (q, sl, sr, hp - 1, hx)
-        elif rkind == _RK_READ_PE:
-            if hp == len(p) and ta == a and tb == b:
-                yield (q, sl, sr, hp, hx)
-        elif rkind == _RK_READ_X0:
-            if hx >= 1 and x[hx - 1] == "0" and ta == a and tb == b:
-                yield (q, sl, sr, hp, hx - 1)
-        elif rkind == _RK_READ_X1:
-            if hx >= 1 and x[hx - 1] == "1" and ta == a and tb == b:
-                yield (q, sl, sr, hp, hx - 1)
-        else:  # _RK_READ_XE
-            if hx == len(x) and ta == a and tb == b:
-                yield (q, sl, sr, hp, hx)
-
-
-def predecessors(spec: MachineSpec, p: str, x: str, cfg: Configuration, s: int) -> list[Configuration]:
-    """All configurations C' with space <= s that step to `cfg`, in canonical order."""
-
-    check_bits(p, "program tape")
-    check_bits(x, "condition tape")
-    recipes = _inverse_index(spec)
-    return [
-        unpack_config(pc)
-        for pc in _packed_predecessors(recipes, pack_config(cfg), p, x, s)
-    ]
-
-
-def _packed_forward(
-    prog: tuple[tuple[int, int, int, int, int], ...],
-    cfg: PackedConfig,
-    p: str,
-    x: str,
-) -> Optional[PackedConfig]:
-    """One forward step ignoring output; None when the instruction is halt.
-
-    Raises on an abnormal pop: tree vertices always have a well-defined step.
+    `child_after(cfg, from_idx)` returns the first predecessor of `cfg` with
+    space <= s produced by a recipe with index > from_idx, and that index;
+    (None, -1) when there is none.  Resuming from the returned index walks
+    the predecessors of `cfg` in canonical order.
     """
 
-    st, sl, sr, hp, hx = cfg
-    ta = sl & 1 if sl > 1 else 2
-    tb = sr & 1 if sr > 1 else 2
-    op, bit, t0, t1, t2 = prog[(st * 3 + ta) * 3 + tb]
-    if op == 0:
-        return None
-    if op == 1:
-        return (t0, sl * 2 + bit, sr, hp, hx)
-    if op == 2:
-        return (t0, sl, sr * 2 + bit, hp, hx)
-    if op == 3:
-        if sl == 1:
-            raise AssertionError("abnormal pop while walking the termination tree")
-        return (t0, sl >> 1, sr, hp, hx)
-    if op == 4:
-        if sr == 1:
-            raise AssertionError("abnormal pop while walking the termination tree")
-        return (t0, sl, sr >> 1, hp, hx)
-    if op == 5:
-        return (t0, sl, sr, hp, hx)
-    if op == 6:
-        if hp >= len(p):
-            return (t2, sl, sr, hp, hx)
-        return (t0 if p[hp] == "0" else t1, sl, sr, hp + 1, hx)
-    if hx >= len(x):
-        return (t2, sl, sr, hp, hx)
-    return (t0 if x[hx] == "0" else t1, sl, sr, hp, hx + 1)
-
-
-def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
-    """Sipser-style backward search over the termination tree.
-
-    The machine is canonicalized so that halting runs share one final
-    configuration, the root.  Children of a vertex are its predecessors in
-    canonical order; the traversal keeps only the current vertex, one
-    candidate neighbour, and the comparison target, recomputing parents by a
-    forward step and siblings by re-enumerating the parent's children.  The
-    index of the recipe that generated the current vertex is carried along
-    (an integer, not a configuration) so a sibling advance can resume the
-    enumeration instead of rescanning from the first recipe; after a move up
-    the index is unknown and one rescan re-locates the vertex.
-    """
-
-    check_bits(p, "program tape")
-    check_bits(x, "condition tape")
-    if s < 0:
-        raise ValueError("space bound must be >= 0")
-    canon = canonicalize(spec)
-    prog = compile_spec(canon)
-    recipes = _inverse_index(canon)
     lp, lx = len(p), len(x)
-    root: PackedConfig = (canon.state_count - 1, EMPTY_STACK, EMPTY_STACK, lp, lx)
-    start: PackedConfig = (0, EMPTY_STACK, EMPTY_STACK, 0, 0)
-
-    visited = 1
-    peak_live = 1
-    if root == start:
-        return HaltVerdict(True, ProbeStats(visited, peak_live))
 
     def child_after(cfg: PackedConfig, from_idx: int) -> tuple[Optional[PackedConfig], int]:
-        """First predecessor of cfg produced by a recipe with index > from_idx."""
-
         st, sl, sr, hp, hx = cfg
         ta = sl & 1 if sl > 1 else 2
         tb = sr & 1 if sr > 1 else 2
@@ -296,6 +173,7 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
                 if ta == a and tb == b:
                     return (q, sl, sr, hp, hx), i
             elif rkind == _RK_PUSH_L:
+                # Forward pushed `bit` onto L, so C's L-top must be that bit.
                 if ta == bit:
                     psl = sl >> 1
                     if (psl & 1 if psl > 1 else 2) == a and tb == b:
@@ -331,7 +209,59 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
                     return (q, sl, sr, hp, hx), i
         return None, -1
 
+    return child_after
+
+
+def predecessors(spec: MachineSpec, p: str, x: str, cfg: Configuration, s: int) -> list[Configuration]:
+    """All configurations C' with space <= s that step to `cfg`, in canonical order."""
+
+    check_bits(p, "program tape")
+    check_bits(x, "condition tape")
+    child_after = _child_enumerator(_inverse_index(spec), p, x, s)
+    packed = pack_config(cfg)
+    found = []
+    child, idx = child_after(packed, -1)
+    while child is not None:
+        found.append(unpack_config(child))
+        child, idx = child_after(packed, idx)
+    return found
+
+
+def _check_inputs(p: str, x: str, s: int) -> None:
+    check_bits(p, "program tape")
+    check_bits(x, "condition tape")
+    if s < 0:
+        raise ValueError("space bound must be >= 0")
+
+
+def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
+    """Sipser-style backward search over the termination tree.
+
+    The machine is canonicalized so that halting runs share one final
+    configuration, the root.  Children of a vertex are its predecessors in
+    canonical order; the traversal keeps only the current vertex, one
+    candidate neighbour, and the comparison target, recomputing parents by a
+    forward step and siblings by re-enumerating the parent's children.  The
+    index of the recipe that generated the current vertex is carried along
+    (an integer, not a configuration) so a sibling advance can resume the
+    enumeration instead of rescanning from the first recipe; after a move up
+    the index is unknown and one rescan re-locates the vertex.
+    """
+
+    _check_inputs(p, x, s)
+    canon = canonicalize(spec)
+    prog = compile_spec(canon)
+    child_after = _child_enumerator(_inverse_index(canon), p, x, s)
+    root: PackedConfig = (canon.state_count - 1, EMPTY_STACK, EMPTY_STACK, len(p), len(x))
+    start: PackedConfig = (0, EMPTY_STACK, EMPTY_STACK, 0, 0)
+
+    visited = 1
+    peak_live = 1
+    if root == start:
+        return HaltVerdict(True, ProbeStats(visited, peak_live))
+
     UNKNOWN = -2
+    NEXT = StepKind.NEXT  # a local: enum attribute lookups are slow in the loop
     current = root
     current_idx = UNKNOWN  # index of the recipe that generated current from its parent
     descending = True
@@ -350,9 +280,10 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
         else:
             if current == root:
                 return HaltVerdict(False, ProbeStats(visited, peak_live))
-            parent = _packed_forward(prog, current, p, x)
-            assert parent is not None
-            peak_live = max(peak_live, 3)
+            # Tree vertices reach the root, so their forward step is defined.
+            kind, parent, _ = step_packed(prog, current, p, x)
+            assert kind == NEXT, "tree vertex without a forward step"
+            peak_live = 3  # current, its parent and a sibling: the most ever held
             if current_idx == UNKNOWN:
                 # Relocate current among its parent's children.
                 idx = -1
@@ -379,58 +310,12 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
 def decide_forward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
     """Forward simulation with an explicit visited set for loop detection."""
 
-    check_bits(p, "program tape")
-    check_bits(x, "condition tape")
-    if s < 0:
-        raise ValueError("space bound must be >= 0")
-    prog = compile_spec(spec)
-    lp, lx = len(p), len(x)
-    st, sl, sr, hp, hx = 0, EMPTY_STACK, EMPTY_STACK, 0, 0
-    seen = {(st, sl, sr, hp, hx)}
-    while True:
-        ta = sl & 1 if sl > 1 else 2
-        tb = sr & 1 if sr > 1 else 2
-        op, bit, t0, t1, t2 = prog[(st * 3 + ta) * 3 + tb]
-        if op == 0:
-            return HaltVerdict(True, ProbeStats(len(seen), len(seen)))
-        if op == 1:
-            sl = sl * 2 + bit
-            st = t0
-            if sl.bit_length() + sr.bit_length() - 2 > s:
-                return HaltVerdict(False, ProbeStats(len(seen), len(seen)))
-        elif op == 2:
-            sr = sr * 2 + bit
-            st = t0
-            if sl.bit_length() + sr.bit_length() - 2 > s:
-                return HaltVerdict(False, ProbeStats(len(seen), len(seen)))
-        elif op == 3:
-            if sl == 1:
-                return HaltVerdict(False, ProbeStats(len(seen), len(seen)))
-            sl >>= 1
-            st = t0
-        elif op == 4:
-            if sr == 1:
-                return HaltVerdict(False, ProbeStats(len(seen), len(seen)))
-            sr >>= 1
-            st = t0
-        elif op == 5:
-            st = t0
-        elif op == 6:
-            if hp >= lp:
-                st = t2
-            else:
-                st = t0 if p[hp] == "0" else t1
-                hp += 1
-        else:
-            if hx >= lx:
-                st = t2
-            else:
-                st = t0 if x[hx] == "0" else t1
-                hx += 1
-        key = (st, sl, sr, hp, hx)
-        if key in seen:
-            return HaltVerdict(False, ProbeStats(len(seen), len(seen)))
-        seen.add(key)
+    _check_inputs(p, x, s)
+    # A run within space s repeats a configuration before config_count steps,
+    # so the step limit never ends this run; a repeat does, as STEP_LIMIT.
+    seen = {(0, EMPTY_STACK, EMPTY_STACK, 0, 0)}
+    verdict, _, _ = _execute(compile_spec(spec), p, x, s, config_count(spec, p, x, s), None, seen)
+    return HaltVerdict(verdict is Verdict.HALTED, ProbeStats(len(seen), len(seen)))
 
 
 def decide_counter(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
@@ -438,61 +323,15 @@ def decide_counter(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
 
     A run that neither halts nor leaves the space bound within that many steps
     has revisited a configuration and therefore never halts.  Keeps no visited
-    set; aborts early only on events (space overflow, abnormal pop) after
-    which halting is impossible.
+    set and no output; aborts early only on events (space overflow, abnormal
+    pop) after which halting is impossible.  The executed halt counts as a
+    visited configuration.
     """
 
-    check_bits(p, "program tape")
-    check_bits(x, "condition tape")
-    if s < 0:
-        raise ValueError("space bound must be >= 0")
-    limit = config_count(spec, p, x, s)
-    prog = compile_spec(spec)
-    lp, lx = len(p), len(x)
-    st, sl, sr, hp, hx = 0, EMPTY_STACK, EMPTY_STACK, 0, 0
-    steps = 0
-    while steps < limit:
-        ta = sl & 1 if sl > 1 else 2
-        tb = sr & 1 if sr > 1 else 2
-        op, bit, t0, t1, t2 = prog[(st * 3 + ta) * 3 + tb]
-        if op == 0:
-            return HaltVerdict(True, ProbeStats(steps + 1, 1))
-        steps += 1
-        if op == 1:
-            sl = sl * 2 + bit
-            st = t0
-            if sl.bit_length() + sr.bit_length() - 2 > s:
-                return HaltVerdict(False, ProbeStats(steps, 1))
-        elif op == 2:
-            sr = sr * 2 + bit
-            st = t0
-            if sl.bit_length() + sr.bit_length() - 2 > s:
-                return HaltVerdict(False, ProbeStats(steps, 1))
-        elif op == 3:
-            if sl == 1:
-                return HaltVerdict(False, ProbeStats(steps, 1))
-            sl >>= 1
-            st = t0
-        elif op == 4:
-            if sr == 1:
-                return HaltVerdict(False, ProbeStats(steps, 1))
-            sr >>= 1
-            st = t0
-        elif op == 5:
-            st = t0
-        elif op == 6:
-            if hp >= lp:
-                st = t2
-            else:
-                st = t0 if p[hp] == "0" else t1
-                hp += 1
-        else:
-            if hx >= lx:
-                st = t2
-            else:
-                st = t0 if x[hx] == "0" else t1
-                hx += 1
-    return HaltVerdict(False, ProbeStats(steps, 1))
+    _check_inputs(p, x, s)
+    verdict, _, steps = _execute(compile_spec(spec), p, x, s, config_count(spec, p, x, s), None, None)
+    halted = verdict is Verdict.HALTED
+    return HaltVerdict(halted, ProbeStats(steps + halted, 1))
 
 
 __all__ = [

@@ -405,7 +405,10 @@ def _bits_to_hex(bits: str | None) -> str:
 def _hex_to_bits(text: str) -> str | None:
     if text == "-":
         return None
-    return bin(int(text, 16))[3:]
+    value = int(text, 16)
+    if value < 1:
+        raise ValueError(f"hex bit string {text!r} lacks its sentinel bit")
+    return bin(value)[3:]
 
 
 _CACHE_HEADER = "kslab-cache 1"

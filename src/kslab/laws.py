@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -104,8 +103,8 @@ class LawReport:
     violations; violations_below is the violation count at minimal_c - 1
     (None when minimal_c is 0).  Vacuous points had some needed
     complexity NotFound at the cap and are excluded from the search but
-    reported.  baseline_payload() drops the runtime fields so stored
-    baselines compare the measurement, not the wall clock.
+    reported.  baseline_payload() leaves out the ks_evaluations count, so
+    stored baselines compare the measurement, not what it cost.
     """
 
     law: str
@@ -120,7 +119,6 @@ class LawReport:
     vacuous_points: tuple
     interpreter_tag: str
     caveat: str
-    runtime_seconds: float
     ks_evaluations: int
 
     @property
@@ -150,7 +148,6 @@ class LawReport:
 
     def to_json(self) -> str:
         payload = self.baseline_payload()
-        payload["runtime_seconds"] = round(self.runtime_seconds, 3)
         payload["ks_evaluations"] = self.ks_evaluations
         return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
@@ -224,7 +221,6 @@ def verify_law(
     excluded from the search, reported in the result.
     """
 
-    started = time.perf_counter()
     s_grid = tuple(sorted(set(int(s) for s in s_grid)))
     if not s_grid or s_grid[0] < 0:
         raise ValueError("s_grid must be nonempty with s >= 0")
@@ -399,7 +395,6 @@ def verify_law(
         vacuous_points=tuple((s, pt) for s, pt in vacuous0[:100]),
         interpreter_tag=INTERPRETER_TAG,
         caveat=CAVEAT,
-        runtime_seconds=time.perf_counter() - started,
         ks_evaluations=calls[0],
     )
 

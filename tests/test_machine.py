@@ -14,6 +14,7 @@ from conftest import (
     sample_machine_bits,
     sample_spec,
     seesaw_spec,
+    simulate,
 )
 from kslab.machine import (
     BitsParseError,
@@ -161,6 +162,21 @@ class TestRun:
         result = run(seesaw_spec(), "", "", 3, 57)
         assert result.verdict is Verdict.STEP_LIMIT
         assert result.max_space == 1
+
+    def test_matches_the_reference_step_simulation(self):
+        rng = random.Random(41)
+        verdicts = set()
+        for _ in range(150):
+            spec = sample_spec(rng, 3)
+            p = "".join(rng.choice("01") for _ in range(rng.randrange(4)))
+            x = "".join(rng.choice("01") for _ in range(rng.randrange(4)))
+            s = rng.randint(0, 4)
+            limit = rng.randint(0, 200)
+            result = run(spec, p, x, s, limit)
+            got = (result.verdict, result.output, result.max_space, result.steps)
+            assert got == simulate(spec, p, x, s, limit), (p, x, s, limit)
+            verdicts.add(result.verdict)
+        assert verdicts == set(Verdict)
 
     def test_rejects_negative_bounds(self):
         spec = MachineSpec(1, tuple([halt()] * 9))
