@@ -80,11 +80,15 @@ def config_count(spec: MachineSpec, p: str, x: str, s: int) -> int:
 # A recipe is a precompiled inversion of one transition-table entry.  Applied
 # to a configuration C it yields the unique C' with tops matching the entry's
 # guard such that executing the entry in C' produces C, if such a C' exists.
-# Recipes are grouped by the entry's target state and pre-sorted in the
-# canonical child order: ascending source state, then instruction kind, then
-# pushed/popped bit (read inversions break remaining ties by branch: 0, 1,
-# end).  Applying the recipes of recipes[C.state] in order therefore yields
-# the predecessors of C in canonical order.
+# Recipes are grouped into buckets keyed by (state, ta, tb): C's state and its
+# own stack tops, at index (state * 3 + ta) * 3 + tb.  A bucket holds only the
+# recipes whose guard C's tops already satisfy, so what is left to check per
+# recipe is the top below a push, the space bound for a pop and the tape bit
+# for a read.  Each bucket is sorted in the canonical child order: ascending
+# source state, then instruction kind, then pushed/popped bit (read
+# inversions break remaining ties by branch: 0, 1, end).  Applying the
+# recipes of C's bucket in order therefore yields the predecessors of C in
+# canonical order.
 
 _RK_PUSH_L = 0
 _RK_PUSH_R = 1
@@ -98,118 +102,171 @@ _RK_READ_X0 = 8
 _RK_READ_X1 = 9
 _RK_READ_XE = 10
 
-_Recipe = tuple[int, int, int, int, int]  # (rkind, source state, guard a, guard b, bit)
+# (rkind, source state, arg): arg is the guard on the top left after undoing
+# a push (a for PUSH_L, b for PUSH_R), the popped bit for a pop, else 0.
+_Recipe = tuple[int, int, int]
+_Buckets = tuple[tuple[_Recipe, ...], ...]
+
+_ANY_TOP = -1
 
 
 @lru_cache(maxsize=256)
-def _inverse_index(spec: MachineSpec) -> tuple[tuple[_Recipe, ...], ...]:
-    by_target: list[list[tuple[tuple[int, int, int, int, int, int], _Recipe]]] = [
+def _inverse_index(spec: MachineSpec) -> tuple[_Buckets, tuple[dict[int, int], ...]]:
+    """The recipe buckets of `spec`, and where each recipe sits in them.
+
+    The second part maps, per bucket, source entry * 3 + branch to the
+    recipe's index in the bucket, where entry = (q * 3 + a) * 3 + b is the
+    inverted table entry and branch is 0, 1 or 2 for a read's 0, 1 and end
+    branches and 0 for every other instruction.
+    """
+
+    # Per target state: (sort key, recipe, required L-top, required R-top, position key).
+    by_target: list[list[tuple[tuple[int, ...], _Recipe, int, int, int]]] = [
         [] for _ in range(spec.state_count)
     ]
+    for entry, ins in enumerate(spec.instructions):
+        q, a, b = entry // 9, entry // 3 % 3, entry % 3
+        op = ins.op
+        if op is Op.HALT:
+            continue
+        # (target state, rkind, arg, required L-top of C, required R-top of C, sort bit)
+        if op is Op.PUSH_L:
+            # Undoing the push leaves a top that must match the guard a.
+            inversions = [(ins.t0, _RK_PUSH_L, a, ins.bit, b, ins.bit)]
+        elif op is Op.PUSH_R:
+            inversions = [(ins.t0, _RK_PUSH_R, b, a, ins.bit, ins.bit)]
+        elif op is Op.POP_L:
+            # The predecessor's L-top is the popped bit, which must match the
+            # entry's guard; an empty-top guard cannot pop.
+            inversions = [(ins.t0, _RK_POP_L, a, _ANY_TOP, b, a)] if a != 2 else []
+        elif op is Op.POP_R:
+            inversions = [(ins.t0, _RK_POP_R, b, a, _ANY_TOP, b)] if b != 2 else []
+        elif op is Op.WRITE:
+            inversions = [(ins.t0, _RK_WRITE, 0, a, b, 0)]
+        elif op is Op.READ_P:
+            inversions = [
+                (ins.t0, _RK_READ_P0, 0, a, b, 0),
+                (ins.t1, _RK_READ_P1, 0, a, b, 0),
+                (ins.t2, _RK_READ_PE, 0, a, b, 0),
+            ]
+        else:
+            inversions = [
+                (ins.t0, _RK_READ_X0, 0, a, b, 0),
+                (ins.t1, _RK_READ_X1, 0, a, b, 0),
+                (ins.t2, _RK_READ_XE, 0, a, b, 0),
+            ]
+        for branch, (target, rkind, arg, need_l, need_r, bit) in enumerate(inversions):
+            sort_key = (q, int(op), bit, a, b, branch)
+            by_target[target].append((sort_key, (rkind, q, arg), need_l, need_r, entry * 3 + branch))
 
-    def add(target: int, rkind: int, q: int, a: int, b: int, bit: int, op: Op, branch: int) -> None:
-        sort_key = (q, int(op), bit, a, b, branch)
-        by_target[target].append((sort_key, (rkind, q, a, b, bit)))
-
-    idx = 0
-    for q in range(spec.state_count):
-        for a in range(3):
-            for b in range(3):
-                ins = spec.instructions[idx]
-                idx += 1
-                op = ins.op
-                if op is Op.HALT:
-                    continue
-                if op is Op.PUSH_L:
-                    add(ins.t0, _RK_PUSH_L, q, a, b, ins.bit, op, 0)
-                elif op is Op.PUSH_R:
-                    add(ins.t0, _RK_PUSH_R, q, a, b, ins.bit, op, 0)
-                elif op is Op.POP_L:
-                    # The predecessor's L-top is the popped bit, which must
-                    # match the entry's guard; an empty-top guard cannot pop.
-                    if a != 2:
-                        add(ins.t0, _RK_POP_L, q, a, b, a, op, 0)
-                elif op is Op.POP_R:
-                    if b != 2:
-                        add(ins.t0, _RK_POP_R, q, a, b, b, op, 0)
-                elif op is Op.WRITE:
-                    add(ins.t0, _RK_WRITE, q, a, b, 0, op, 0)
-                elif op is Op.READ_P:
-                    add(ins.t0, _RK_READ_P0, q, a, b, 0, op, 0)
-                    add(ins.t1, _RK_READ_P1, q, a, b, 0, op, 1)
-                    add(ins.t2, _RK_READ_PE, q, a, b, 0, op, 2)
-                else:
-                    add(ins.t0, _RK_READ_X0, q, a, b, 0, op, 0)
-                    add(ins.t1, _RK_READ_X1, q, a, b, 0, op, 1)
-                    add(ins.t2, _RK_READ_XE, q, a, b, 0, op, 2)
-    return tuple(tuple(recipe for _, recipe in sorted(bucket)) for bucket in by_target)
+    buckets: list[tuple[_Recipe, ...]] = []
+    positions: list[dict[int, int]] = []
+    for candidates in by_target:
+        candidates.sort()
+        for ta in range(3):
+            for tb in range(3):
+                fits = [
+                    (recipe, key)
+                    for _, recipe, need_l, need_r, key in candidates
+                    if need_l in (ta, _ANY_TOP) and need_r in (tb, _ANY_TOP)
+                ]
+                buckets.append(tuple(recipe for recipe, _ in fits))
+                positions.append({key: i for i, (_, key) in enumerate(fits)})
+    return tuple(buckets), tuple(positions)
 
 
 def _child_enumerator(
-    recipes: tuple[tuple[_Recipe, ...], ...],
+    buckets: _Buckets,
     p: str,
     x: str,
     s: int,
 ) -> Callable[[PackedConfig, int], tuple[Optional[PackedConfig], int]]:
-    """Build the resumable predecessor enumerator for one (recipes, p, x, s).
+    """Build the resumable predecessor enumerator for one (buckets, p, x, s).
 
     `child_after(cfg, from_idx)` returns the first predecessor of `cfg` with
-    space <= s produced by a recipe with index > from_idx, and that index;
-    (None, -1) when there is none.  Resuming from the returned index walks
-    the predecessors of `cfg` in canonical order.
+    space <= s produced by a recipe with index > from_idx in cfg's bucket,
+    and that index; (None, -1) when there is none.  Resuming from the
+    returned index walks the predecessors of `cfg` in canonical order.
     """
 
     lp, lx = len(p), len(x)
 
     def child_after(cfg: PackedConfig, from_idx: int) -> tuple[Optional[PackedConfig], int]:
         st, sl, sr, hp, hx = cfg
-        ta = sl & 1 if sl > 1 else 2
-        tb = sr & 1 if sr > 1 else 2
-        space = sl.bit_length() + sr.bit_length() - 2
-        bucket = recipes[st]
+        bucket = buckets[(st * 3 + (sl & 1 if sl > 1 else 2)) * 3 + (sr & 1 if sr > 1 else 2)]
         for i in range(from_idx + 1, len(bucket)):
-            rkind, q, a, b, bit = bucket[i]
-            if rkind == _RK_WRITE:
-                if ta == a and tb == b:
-                    return (q, sl, sr, hp, hx), i
-            elif rkind == _RK_PUSH_L:
-                # Forward pushed `bit` onto L, so C's L-top must be that bit.
-                if ta == bit:
-                    psl = sl >> 1
-                    if (psl & 1 if psl > 1 else 2) == a and tb == b:
-                        return (q, psl, sr, hp, hx), i
-            elif rkind == _RK_PUSH_R:
-                if tb == bit:
-                    psr = sr >> 1
-                    if ta == a and (psr & 1 if psr > 1 else 2) == b:
-                        return (q, sl, psr, hp, hx), i
-            elif rkind == _RK_POP_L:
-                if tb == b and space < s:
-                    return (q, sl * 2 + bit, sr, hp, hx), i
+            rkind, q, arg = bucket[i]
+            # Pops first: the drain states that canonicalize appends make
+            # them the kind tried most often, then the reads of its chain.
+            if rkind == _RK_POP_L:
+                if sl.bit_length() + sr.bit_length() - 2 < s:
+                    return (q, sl * 2 + arg, sr, hp, hx), i
             elif rkind == _RK_POP_R:
-                if ta == a and space < s:
-                    return (q, sl, sr * 2 + bit, hp, hx), i
+                if sl.bit_length() + sr.bit_length() - 2 < s:
+                    return (q, sl, sr * 2 + arg, hp, hx), i
             elif rkind == _RK_READ_P0:
-                if hp >= 1 and p[hp - 1] == "0" and ta == a and tb == b:
+                if hp >= 1 and p[hp - 1] == "0":
                     return (q, sl, sr, hp - 1, hx), i
             elif rkind == _RK_READ_P1:
-                if hp >= 1 and p[hp - 1] == "1" and ta == a and tb == b:
+                if hp >= 1 and p[hp - 1] == "1":
                     return (q, sl, sr, hp - 1, hx), i
             elif rkind == _RK_READ_PE:
-                if hp == lp and ta == a and tb == b:
+                if hp == lp:
                     return (q, sl, sr, hp, hx), i
+            elif rkind == _RK_WRITE:
+                return (q, sl, sr, hp, hx), i
+            elif rkind == _RK_PUSH_L:
+                psl = sl >> 1
+                if (psl & 1 if psl > 1 else 2) == arg:
+                    return (q, psl, sr, hp, hx), i
+            elif rkind == _RK_PUSH_R:
+                psr = sr >> 1
+                if (psr & 1 if psr > 1 else 2) == arg:
+                    return (q, sl, psr, hp, hx), i
             elif rkind == _RK_READ_X0:
-                if hx >= 1 and x[hx - 1] == "0" and ta == a and tb == b:
+                if hx >= 1 and x[hx - 1] == "0":
                     return (q, sl, sr, hp, hx - 1), i
             elif rkind == _RK_READ_X1:
-                if hx >= 1 and x[hx - 1] == "1" and ta == a and tb == b:
+                if hx >= 1 and x[hx - 1] == "1":
                     return (q, sl, sr, hp, hx - 1), i
             else:  # _RK_READ_XE
-                if hx == lx and ta == a and tb == b:
+                if hx == lx:
                     return (q, sl, sr, hp, hx), i
         return None, -1
 
     return child_after
+
+
+def _child_locator(
+    prog: tuple[tuple[int, int, int, int, int], ...],
+    positions: tuple[dict[int, int], ...],
+    p: str,
+    x: str,
+) -> Callable[[PackedConfig, PackedConfig], int]:
+    """Build `index_of(child, parent)` for one (compiled table, positions, p, x).
+
+    `parent` must be the forward step of `child`.  The result is the index
+    that `child_after(parent, ·)` returns with `child`: the entry `child`
+    executes, with the branch it takes if that entry is a read, names the
+    recipe that inverts the step.  A recipe missing from the parent's
+    bucket raises KeyError.
+    """
+
+    # The branch a read takes at each head position: the bit there, or 2 at the end.
+    p_branch = tuple(int(bit) for bit in p) + (2,)
+    x_branch = tuple(int(bit) for bit in x) + (2,)
+    read_p, read_x = int(Op.READ_P), int(Op.READ_X)
+
+    def index_of(child: PackedConfig, parent: PackedConfig) -> int:
+        st, sl, sr, hp, hx = child
+        entry = (st * 3 + (sl & 1 if sl > 1 else 2)) * 3 + (sr & 1 if sr > 1 else 2)
+        op = prog[entry][0]
+        branch = p_branch[hp] if op == read_p else x_branch[hx] if op == read_x else 0
+        pst, psl, psr, _, _ = parent
+        bucket = (pst * 3 + (psl & 1 if psl > 1 else 2)) * 3 + (psr & 1 if psr > 1 else 2)
+        return positions[bucket][entry * 3 + branch]
+
+    return index_of
 
 
 def predecessors(spec: MachineSpec, p: str, x: str, cfg: Configuration, s: int) -> list[Configuration]:
@@ -217,7 +274,7 @@ def predecessors(spec: MachineSpec, p: str, x: str, cfg: Configuration, s: int) 
 
     check_bits(p, "program tape")
     check_bits(x, "condition tape")
-    child_after = _child_enumerator(_inverse_index(spec), p, x, s)
+    child_after = _child_enumerator(_inverse_index(spec)[0], p, x, s)
     packed = pack_config(cfg)
     found = []
     child, idx = child_after(packed, -1)
@@ -241,17 +298,17 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
     configuration, the root.  Children of a vertex are its predecessors in
     canonical order; the traversal keeps only the current vertex, one
     candidate neighbour, and the comparison target, recomputing parents by a
-    forward step and siblings by re-enumerating the parent's children.  The
-    index of the recipe that generated the current vertex is carried along
-    (an integer, not a configuration) so a sibling advance can resume the
-    enumeration instead of rescanning from the first recipe; after a move up
-    the index is unknown and one rescan re-locates the vertex.
+    forward step and siblings by resuming the parent's child enumeration
+    just after the current vertex, whose position among the parent's
+    children is one table lookup (`_child_locator`).
     """
 
     _check_inputs(p, x, s)
     canon = canonicalize(spec)
     prog = compile_spec(canon)
-    child_after = _child_enumerator(_inverse_index(canon), p, x, s)
+    buckets, positions = _inverse_index(canon)
+    child_after = _child_enumerator(buckets, p, x, s)
+    index_of = _child_locator(prog, positions, p, x)
     root: PackedConfig = (canon.state_count - 1, EMPTY_STACK, EMPTY_STACK, len(p), len(x))
     start: PackedConfig = (0, EMPTY_STACK, EMPTY_STACK, 0, 0)
 
@@ -260,20 +317,17 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
     if root == start:
         return HaltVerdict(True, ProbeStats(visited, peak_live))
 
-    UNKNOWN = -2
     NEXT = StepKind.NEXT  # a local: enum attribute lookups are slow in the loop
     current = root
-    current_idx = UNKNOWN  # index of the recipe that generated current from its parent
     descending = True
     while True:
         if descending:
-            child, idx = child_after(current, -1)
+            child, _ = child_after(current, -1)
             if child is None:
                 descending = False
                 continue
             peak_live = max(peak_live, 2)
             current = child
-            current_idx = idx
             visited += 1
             if current == start:
                 return HaltVerdict(True, ProbeStats(visited, peak_live))
@@ -284,23 +338,11 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
             kind, parent, _ = step_packed(prog, current, p, x)
             assert kind == NEXT, "tree vertex without a forward step"
             peak_live = 3  # current, its parent and a sibling: the most ever held
-            if current_idx == UNKNOWN:
-                # Relocate current among its parent's children.
-                idx = -1
-                while True:
-                    cand, idx = child_after(parent, idx)
-                    if cand == current:
-                        current_idx = idx
-                        break
-                    if cand is None:
-                        raise AssertionError("vertex missing from its parent's child list")
-            sibling, idx = child_after(parent, current_idx)
+            sibling, _ = child_after(parent, index_of(current, parent))
             if sibling is None:
                 current = parent
-                current_idx = UNKNOWN
             else:
                 current = sibling
-                current_idx = idx
                 visited += 1
                 if current == start:
                     return HaltVerdict(True, ProbeStats(visited, peak_live))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
 
@@ -402,12 +403,18 @@ def _bits_to_hex(bits: str | None) -> str:
     return format(int("1" + bits, 2), "x")
 
 
+# Cached because a cache file repeats a few distinct fields many times (one
+# of 20,211 records written by `ks table` and `law verify` calls has at most
+# 1,480), and every load parses all of them.
+@lru_cache(maxsize=4096)
 def _hex_to_bits(text: str) -> str | None:
     if text == "-":
         return None
     value = int(text, 16)
-    if value < 1:
-        raise ValueError(f"hex bit string {text!r} lacks its sentinel bit")
+    # int() also takes "0x3", "+3", " 3", "1_1" and "A", and "0" has no
+    # sentinel bit: only the text _bits_to_hex writes is accepted.
+    if value < 1 or "%x" % value != text:
+        raise ValueError(f"hex bit string {text!r} is not in canonical form")
     return bin(value)[3:]
 
 
@@ -422,42 +429,48 @@ class ComplexityCache:
     takes the last record for a key, so rewriting an entry is just
     appending.  put() is idempotent and refuses to change the stored value
     for a key, because a (tag, target, condition, s, cap) search has
-    exactly one correct outcome.
+    exactly one correct outcome.  A last line without its newline, left by
+    a crash partway through an append, is skipped on load and cut off by
+    the next put.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._entries: dict = {}
         self.records_loaded = 0
+        self._torn_at: int | None = None  # length of the file without its torn last line
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        with open(self.path, "r", encoding="ascii") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != _CACHE_HEADER:
-                raise ValueError(f"{self.path}: not a complexity cache (header {header!r})")
+        # newline="\n": no translation, so lengths read are byte offsets.
+        with open(self.path, "r", encoding="ascii", newline="\n") as fh:
+            header = fh.readline()
+            if header != _CACHE_HEADER + "\n":
+                raise ValueError(f"{self.path}: not a complexity cache (header {header.rstrip()!r})")
+            offset = len(header)
             for line_no, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
+                if not line.endswith("\n"):
+                    # Torn by a crash.  Cut off, not newline-terminated, by
+                    # the next put: a terminated fragment would be a bad
+                    # record to every later load.
+                    self._torn_at = offset
+                    break
+                offset += len(line)
+                if line == "\n":
                     continue
                 try:
-                    tag, y_h, x_h, s_t, cap_t, value_t, wit_h = line.split("\t")
+                    tag, y_h, x_h, s_t, cap_t, value_t, wit_h = line[:-1].split("\t")
                     target = _hex_to_bits(y_h)
                     condition = _hex_to_bits(x_h)
                     if target is None or condition is None:
                         raise ValueError("target and condition are mandatory")
-                    result = ComplexityResult(
-                        target=target,
-                        condition=condition,
-                        s=int(s_t),
-                        cap=int(cap_t),
-                        value=None if value_t == "-" else int(value_t),
-                        witness=_hex_to_bits(wit_h),
-                    )
+                    s, cap = int(s_t), int(cap_t)
+                    value = None if value_t == "-" else int(value_t)
+                    result = ComplexityResult(target, condition, s, cap, value, _hex_to_bits(wit_h))
                 except ValueError as exc:
                     raise ValueError(f"{self.path}:{line_no}: bad cache record") from exc
-                self._entries[(tag, result.target, result.condition, result.s, result.cap)] = result
+                self._entries[(tag, target, condition, s, cap)] = result
                 self.records_loaded += 1
 
     def get(self, y: str, x: str, s: int, cap: int, tag: str = INTERPRETER_TAG):
@@ -487,6 +500,9 @@ class ComplexityCache:
         )
         fresh = not self.path.exists()
         with open(self.path, "a", encoding="ascii") as fh:
+            if self._torn_at is not None:
+                fh.truncate(self._torn_at)
+                self._torn_at = None
             if fresh:
                 fh.write(_CACHE_HEADER + "\n")
             fh.write(line + "\n")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 
@@ -675,6 +676,7 @@ def serialized_length(state_count: int) -> int:
 # ---------- canonicalization ----------
 
 
+@lru_cache(maxsize=256)
 def canonicalize(spec: MachineSpec) -> MachineSpec:
     """Give halting runs a unique final configuration.
 

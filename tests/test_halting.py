@@ -15,6 +15,9 @@ from conftest import (
     simulate,
 )
 from kslab.halting import (
+    _child_enumerator,
+    _child_locator,
+    _inverse_index,
     config_count,
     decide_backward,
     decide_counter,
@@ -25,13 +28,17 @@ from kslab.halting import (
 from kslab.machine import (
     Configuration,
     MachineSpec,
+    Op,
     StepKind,
     Verdict,
     canonicalize,
+    compile_spec,
     final_configuration,
     halt,
+    pack_config,
     parse_machine,
     step,
+    step_packed,
 )
 
 WRITE_LOOP = parse_machine("states: 1\n0 _ _ -> write 0 0\n")
@@ -123,6 +130,56 @@ class TestPredecessors:
         assert checked > 1000
 
 
+class TestRelocation:
+    def test_locator_returns_the_index_the_enumerator_pairs_with_each_child(self):
+        rng = random.Random(4141)
+        checked = end_branches = shared_targets = 0
+        for _ in range(40):
+            spec = canonicalize(sample_spec(rng, 3))
+            prog = compile_spec(spec)
+            buckets, positions = _inverse_index(spec)
+            p = "".join(rng.choice("01") for _ in range(rng.randrange(4)))
+            x = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
+            s = rng.randint(0, 4)
+            child_after = _child_enumerator(buckets, p, x, s)
+            index_of = _child_locator(prog, positions, p, x)
+            for _ in range(150):
+                l_len = rng.randint(0, s)
+                cfg = Configuration(
+                    rng.randrange(spec.state_count),
+                    "".join(rng.choice("01") for _ in range(l_len)),
+                    "".join(rng.choice("01") for _ in range(rng.randint(0, s - l_len))),
+                    rng.randint(0, len(p)),
+                    rng.randint(0, len(x)),
+                )
+                parent = pack_config(cfg)
+                child, idx = child_after(parent, -1)
+                while child is not None:
+                    assert step_packed(prog, child, p, x)[:2] == (StepKind.NEXT, parent)
+                    assert index_of(child, parent) == idx, (cfg, p, x, s)
+                    st, sl, sr, hp, hx = child
+                    top_l, top_r = sl & 1 if sl > 1 else 2, sr & 1 if sr > 1 else 2
+                    ins = spec.instruction(st, top_l, top_r)
+                    if ins.op in (Op.READ_P, Op.READ_X):
+                        at_end = hp == len(p) if ins.op is Op.READ_P else hx == len(x)
+                        end_branches += at_end
+                        shared_targets += not at_end and ins.t0 == ins.t1
+                    checked += 1
+                    child, idx = child_after(parent, idx)
+        assert checked > 2000
+        assert end_branches > 100 and shared_targets > 100
+
+    def test_locator_rejects_a_child_of_another_configuration(self):
+        spec = canonicalize(seesaw_spec())
+        prog = compile_spec(spec)
+        buckets, positions = _inverse_index(spec)
+        index_of = _child_locator(prog, positions, "", "")
+        # The push from (0, "", "") reaches (1, "1", ""); it cannot reach (1, "0", "").
+        child = pack_config(Configuration(0, "", "", 0, 0))
+        with pytest.raises(KeyError):
+            index_of(child, pack_config(Configuration(1, "0", "", 0, 0)))
+
+
 class TestBackward:
     def test_echo_machine_halts_with_zero_space(self):
         assert decide_backward(echo_x_spec(), "1", "", 0).terminates_within_s
@@ -136,6 +193,42 @@ class TestBackward:
 
     def test_seesaw_never_halts_despite_bounded_space(self):
         assert not decide_backward(seesaw_spec(), "", "", 3).terminates_within_s
+
+    # (terminates_within_s, configurations_visited, peak_live_configurations)
+    # at s = 0..4.  A search that finds the start stops there, so its count
+    # depends on the order in which children are visited: these pins fix the
+    # canonical child order.  Sampled machines are sample_spec(Random(seed), 3)
+    # on p = "10", x = "1".
+    PINNED_STATS = {
+        "echo": [(True, 9, 3), (True, 13, 3), (True, 21, 3), (True, 37, 3), (True, 69, 3)],
+        "push_forever": [(False, 5, 3), (False, 13, 3), (False, 36, 3), (False, 96, 3), (False, 244, 3)],
+        "write_loop": [(False, 5, 3), (False, 15, 3), (False, 43, 3), (False, 115, 3), (False, 291, 3)],
+        "seesaw": [(False, 6, 3), (False, 19, 3), (False, 59, 3), (False, 163, 3), (False, 419, 3)],
+        45: [(False, 21, 3), (False, 57, 3), (False, 165, 3), (False, 453, 3), (True, 487, 3)],
+        225: [(True, 28, 3), (True, 63, 3), (True, 149, 3), (True, 353, 3), (True, 825, 3)],
+        242: [(False, 27, 3), (True, 55, 3), (True, 128, 3), (True, 306, 3), (True, 726, 3)],
+    }
+
+    @pytest.mark.parametrize("machine", list(PINNED_STATS))
+    def test_probe_stats_are_pinned(self, machine):
+        named = {
+            "echo": (echo_x_spec(), "1", ""),
+            "push_forever": (push_forever_spec(), "", ""),
+            "write_loop": (WRITE_LOOP, "", ""),
+            "seesaw": (seesaw_spec(), "", ""),
+        }
+        if machine in named:
+            spec, p, x = named[machine]
+        else:
+            spec, p, x = sample_spec(random.Random(machine), 3), "10", "1"
+        got = []
+        for s in range(5):
+            verdict = decide_backward(spec, p, x, s)
+            stats = verdict.probe_stats
+            got.append(
+                (verdict.terminates_within_s, stats.configurations_visited, stats.peak_live_configurations)
+            )
+        assert got == self.PINNED_STATS[machine]
 
     def test_keeps_at_most_three_configurations_alive(self):
         rng = random.Random(9)

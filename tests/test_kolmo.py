@@ -293,6 +293,36 @@ class TestCache:
         with pytest.raises(ValueError, match=r"cache\.tsv:3: bad cache record"):
             ComplexityCache(path)
 
+    @pytest.mark.parametrize("field", ["0x3", "+3", " 3", "1_1", "A"])
+    def test_non_canonical_hex_field_is_rejected(self, tmp_path, field):
+        # int(field, 16) accepts each of these; put writes plain lowercase hex only.
+        path = tmp_path / "cache.tsv"
+        path.write_text(
+            "kslab-cache 1\n"
+            f"{INTERPRETER_TAG}\t3\t1\t0\t14\t2\t5\n"
+            f"{INTERPRETER_TAG}\t{field}\t1\t0\t14\t2\t5\n"
+        )
+        with pytest.raises(ValueError, match=r"cache\.tsv:3: bad cache record"):
+            ComplexityCache(path)
+
+    def test_torn_final_record_is_skipped_and_cut_off_by_the_next_put(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        cache = ComplexityCache(path)
+        first = cached_ks("101", "", 0, 14, cache)
+        second = cached_ks("0110", "1", 2, 14, cache)
+        cached_ks("11", "", 0, 14, cache)
+        intact = path.read_bytes()
+        path.write_bytes(intact[:-5])  # a crash partway through the last append
+        torn = ComplexityCache(path)
+        assert len(torn) == 2 and torn.records_loaded == 2
+        assert torn.get("101", "", 0, 14) == first and torn.get("0110", "1", 2, 14) == second
+        assert torn.get("11", "", 0, 14) is None
+        assert path.read_bytes() == intact[:-5]  # loading alone writes nothing
+        third = cached_ks("11", "", 0, 14, torn)
+        reloaded = ComplexityCache(path)
+        assert len(reloaded) == 3 and reloaded.get("11", "", 0, 14) == third
+        assert path.read_bytes() == intact
+
     def test_tag_separates_namespaces(self, tmp_path):
         cache = ComplexityCache(tmp_path / "cache.tsv")
         result = ComplexityResult("1", "", 0, 14, 2, "01")
