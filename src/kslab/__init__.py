@@ -53,7 +53,6 @@ from .kolmo import (
     complexity_profile,
     decode_pair,
     decode_tuple,
-    default_cache_path,
     encode_pair,
     encode_tuple,
     ks,

@@ -24,10 +24,10 @@ from .kolmo import (
     ComplexityCache,
     ComplexityResult,
     cached_ks,
-    default_cache_path,
     encode_pair,
 )
 from .laws import (
+    LAW_NAMES,
     BaselineMismatch,
     freeze_or_check,
     gap_report,
@@ -51,15 +51,17 @@ def _parse_grid(text: str) -> list:
         raise ValueError(f"bad s grid {text!r}, expected comma-separated integers")
 
 
-def _open_cache(args) -> ComplexityCache | None:
-    """File cache when requested via --cache-dir or KSLAB_CACHE_DIR."""
+def _cache_path(args) -> Path | None:
+    """The cache file in --cache-dir or else KSLAB_CACHE_DIR; None if neither is set."""
 
-    directory = getattr(args, "cache_dir", None)
-    if directory is None and os.environ.get("KSLAB_CACHE_DIR"):
-        directory = os.environ["KSLAB_CACHE_DIR"]
-    if directory is None:
+    directory = getattr(args, "cache_dir", None) or os.environ.get("KSLAB_CACHE_DIR")
+    return Path(directory) / "complexity.tsv" if directory else None
+
+
+def _open_cache(args) -> ComplexityCache | None:
+    path = _cache_path(args)
+    if path is None:
         return None
-    path = Path(directory) / "complexity.tsv"
     path.parent.mkdir(parents=True, exist_ok=True)
     return ComplexityCache(path)
 
@@ -293,8 +295,9 @@ def cmd_lemma_iterate(args) -> int:
 
 
 def cmd_cache_stats(args) -> int:
-    directory = args.cache_dir or os.environ.get("KSLAB_CACHE_DIR")
-    path = Path(directory) / "complexity.tsv" if directory else default_cache_path()
+    path = _cache_path(args)
+    if path is None:
+        raise ValueError("no cache: give --cache-dir or set KSLAB_CACHE_DIR")
     if not path.exists():
         print(f"path: {path}")
         print("entries: 0")
@@ -365,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True
     )
     p = law_group.add_parser("verify", help="minimal constant for a law on a grid")
-    p.add_argument("law", choices=("pair_swap", "chain_easy", "symmetry", "basic", "shannon"))
+    p.add_argument("law", choices=LAW_NAMES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s-grid", required=True)
     p.add_argument("--cap", type=int, default=14)

@@ -12,14 +12,16 @@ instruction before its combined stack length ever exceeds s?":
 * `decide_backward` explores, in constant auxiliary configuration storage, the
   tree of configurations that reach the unique final configuration of the
   canonicalized machine, and reports whether the initial configuration is in
-  that tree.  The traversal is memoryless depth-first: the only moves are
-  parent (one forward step, `kslab.machine.step_packed`), first child and next
-  sibling (the predecessor enumerator of this module, in a fixed canonical
-  order), so at most three configurations are held at any moment.
+  that tree.  The traversal is a memoryless Euler tour with three moves: to a
+  vertex's first child, to its next sibling (both by the predecessor
+  enumerator `child_after` of this module, in a fixed canonical order) and
+  up to its parent (`up`: one forward step, which also returns the vertex's
+  index among the parent's children), so at most three configurations are
+  held at any moment.
 
 All three agree on every input; the test suite checks this exhaustively over
-sampled machine families, and checks the shared loop and the predecessor
-enumerator against the string-configuration oracle `kslab.machine.step`.
+sampled machine families, and checks the shared loop and both tree moves
+against the string-configuration oracle `kslab.machine.step`.
 """
 
 from __future__ import annotations
@@ -34,14 +36,14 @@ from .machine import (
     MachineSpec,
     Op,
     PackedConfig,
-    StepKind,
     Verdict,
     _execute,
     canonicalize,
     check_bits,
     compile_spec,
+    final_configuration,
+    initial_configuration,
     pack_config,
-    step_packed,
     unpack_config,
 )
 
@@ -75,7 +77,7 @@ def config_count(spec: MachineSpec, p: str, x: str, s: int) -> int:
     return spec.state_count * (len(p) + 1) * (len(x) + 1) * stack_pair_count(s)
 
 
-# ---------- predecessor enumeration ----------
+# ---------- moves in the termination tree ----------
 #
 # A recipe is a precompiled inversion of one transition-table entry.  Applied
 # to a configuration C it yields the unique C' with tops matching the entry's
@@ -90,20 +92,9 @@ def config_count(spec: MachineSpec, p: str, x: str, s: int) -> int:
 # recipes of C's bucket in order therefore yields the predecessors of C in
 # canonical order.
 
-_RK_PUSH_L = 0
-_RK_PUSH_R = 1
-_RK_POP_L = 2
-_RK_POP_R = 3
-_RK_WRITE = 4
-_RK_READ_P0 = 5
-_RK_READ_P1 = 6
-_RK_READ_PE = 7
-_RK_READ_X0 = 8
-_RK_READ_X1 = 9
-_RK_READ_XE = 10
-
-# (rkind, source state, arg): arg is the guard on the top left after undoing
-# a push (a for PUSH_L, b for PUSH_R), the popped bit for a pop, else 0.
+# (opcode, source state, arg): arg is the guard on the top left after undoing
+# a push (a for PUSH_L, b for PUSH_R), the popped bit for a pop, the branch
+# for a read (0, 1, or 2 for the end marker), else 0.
 _Recipe = tuple[int, int, int]
 _Buckets = tuple[tuple[_Recipe, ...], ...]
 
@@ -117,7 +108,8 @@ def _inverse_index(spec: MachineSpec) -> tuple[_Buckets, tuple[dict[int, int], .
     The second part maps, per bucket, source entry * 3 + branch to the
     recipe's index in the bucket, where entry = (q * 3 + a) * 3 + b is the
     inverted table entry and branch is 0, 1 or 2 for a read's 0, 1 and end
-    branches and 0 for every other instruction.
+    branches and 0 for every other instruction.  No key inverts a halt or a
+    pop guarded by an empty top.
     """
 
     # Per target state: (sort key, recipe, required L-top, required R-top, position key).
@@ -129,35 +121,25 @@ def _inverse_index(spec: MachineSpec) -> tuple[_Buckets, tuple[dict[int, int], .
         op = ins.op
         if op is Op.HALT:
             continue
-        # (target state, rkind, arg, required L-top of C, required R-top of C, sort bit)
+        # (target state, arg, required L-top of C, required R-top of C, sort bit)
         if op is Op.PUSH_L:
             # Undoing the push leaves a top that must match the guard a.
-            inversions = [(ins.t0, _RK_PUSH_L, a, ins.bit, b, ins.bit)]
+            inversions = [(ins.t0, a, ins.bit, b, ins.bit)]
         elif op is Op.PUSH_R:
-            inversions = [(ins.t0, _RK_PUSH_R, b, a, ins.bit, ins.bit)]
+            inversions = [(ins.t0, b, a, ins.bit, ins.bit)]
         elif op is Op.POP_L:
             # The predecessor's L-top is the popped bit, which must match the
             # entry's guard; an empty-top guard cannot pop.
-            inversions = [(ins.t0, _RK_POP_L, a, _ANY_TOP, b, a)] if a != 2 else []
+            inversions = [(ins.t0, a, _ANY_TOP, b, a)] if a != 2 else []
         elif op is Op.POP_R:
-            inversions = [(ins.t0, _RK_POP_R, b, a, _ANY_TOP, b)] if b != 2 else []
+            inversions = [(ins.t0, b, a, _ANY_TOP, b)] if b != 2 else []
         elif op is Op.WRITE:
-            inversions = [(ins.t0, _RK_WRITE, 0, a, b, 0)]
-        elif op is Op.READ_P:
-            inversions = [
-                (ins.t0, _RK_READ_P0, 0, a, b, 0),
-                (ins.t1, _RK_READ_P1, 0, a, b, 0),
-                (ins.t2, _RK_READ_PE, 0, a, b, 0),
-            ]
-        else:
-            inversions = [
-                (ins.t0, _RK_READ_X0, 0, a, b, 0),
-                (ins.t1, _RK_READ_X1, 0, a, b, 0),
-                (ins.t2, _RK_READ_XE, 0, a, b, 0),
-            ]
-        for branch, (target, rkind, arg, need_l, need_r, bit) in enumerate(inversions):
+            inversions = [(ins.t0, 0, a, b, 0)]
+        else:  # READ_P, READ_X
+            inversions = [(t, branch, a, b, 0) for branch, t in enumerate((ins.t0, ins.t1, ins.t2))]
+        for branch, (target, arg, need_l, need_r, bit) in enumerate(inversions):
             sort_key = (q, int(op), bit, a, b, branch)
-            by_target[target].append((sort_key, (rkind, q, arg), need_l, need_r, entry * 3 + branch))
+            by_target[target].append((sort_key, (int(op), q, arg), need_l, need_r, entry * 3 + branch))
 
     buckets: list[tuple[_Recipe, ...]] = []
     positions: list[dict[int, int]] = []
@@ -175,98 +157,100 @@ def _inverse_index(spec: MachineSpec) -> tuple[_Buckets, tuple[dict[int, int], .
     return tuple(buckets), tuple(positions)
 
 
-def _child_enumerator(
-    buckets: _Buckets,
+def _tree_moves(
+    spec: MachineSpec,
     p: str,
     x: str,
     s: int,
-) -> Callable[[PackedConfig, int], tuple[Optional[PackedConfig], int]]:
-    """Build the resumable predecessor enumerator for one (buckets, p, x, s).
+) -> tuple[
+    Callable[[PackedConfig, int], tuple[Optional[PackedConfig], int]],
+    Callable[[PackedConfig], tuple[PackedConfig, int]],
+]:
+    """Build the two moves of the termination tree for one (spec, p, x, s).
 
     `child_after(cfg, from_idx)` returns the first predecessor of `cfg` with
     space <= s produced by a recipe with index > from_idx in cfg's bucket,
     and that index; (None, -1) when there is none.  Resuming from the
     returned index walks the predecessors of `cfg` in canonical order.
+
+    `up(child)` returns the configuration `child` steps to and the index
+    that `child_after` pairs with `child` there, so resuming the parent from
+    it yields `child`'s next sibling.  A halt, a pop of an empty stack, or a
+    step with no recipe in the parent's bucket raises KeyError.
     """
 
-    lp, lx = len(p), len(x)
+    prog = compile_spec(spec)
+    buckets, positions = _inverse_index(spec)
+    # The branch a read takes at each head position: the bit there, or 2 at
+    # the end marker.  Index -1 is the end marker too, which no bit matches.
+    p_branch = tuple(int(bit) for bit in p) + (2,)
+    x_branch = tuple(int(bit) for bit in x) + (2,)
 
     def child_after(cfg: PackedConfig, from_idx: int) -> tuple[Optional[PackedConfig], int]:
         st, sl, sr, hp, hx = cfg
         bucket = buckets[(st * 3 + (sl & 1 if sl > 1 else 2)) * 3 + (sr & 1 if sr > 1 else 2)]
         for i in range(from_idx + 1, len(bucket)):
-            rkind, q, arg = bucket[i]
+            op, q, arg = bucket[i]
             # Pops first: the drain states that canonicalize appends make
             # them the kind tried most often, then the reads of its chain.
-            if rkind == _RK_POP_L:
+            if op == 3:  # POP_L
                 if sl.bit_length() + sr.bit_length() - 2 < s:
                     return (q, sl * 2 + arg, sr, hp, hx), i
-            elif rkind == _RK_POP_R:
+            elif op == 4:  # POP_R
                 if sl.bit_length() + sr.bit_length() - 2 < s:
                     return (q, sl, sr * 2 + arg, hp, hx), i
-            elif rkind == _RK_READ_P0:
-                if hp >= 1 and p[hp - 1] == "0":
-                    return (q, sl, sr, hp - 1, hx), i
-            elif rkind == _RK_READ_P1:
-                if hp >= 1 and p[hp - 1] == "1":
-                    return (q, sl, sr, hp - 1, hx), i
-            elif rkind == _RK_READ_PE:
-                if hp == lp:
-                    return (q, sl, sr, hp, hx), i
-            elif rkind == _RK_WRITE:
+            elif op == 6:  # READ_P: the head sat before a read bit, or at the end
+                h = hp - 1 if arg < 2 else hp
+                if p_branch[h] == arg:
+                    return (q, sl, sr, h, hx), i
+            elif op == 5:  # WRITE
                 return (q, sl, sr, hp, hx), i
-            elif rkind == _RK_PUSH_L:
+            elif op == 1:  # PUSH_L
                 psl = sl >> 1
                 if (psl & 1 if psl > 1 else 2) == arg:
                     return (q, psl, sr, hp, hx), i
-            elif rkind == _RK_PUSH_R:
+            elif op == 2:  # PUSH_R
                 psr = sr >> 1
                 if (psr & 1 if psr > 1 else 2) == arg:
                     return (q, sl, psr, hp, hx), i
-            elif rkind == _RK_READ_X0:
-                if hx >= 1 and x[hx - 1] == "0":
-                    return (q, sl, sr, hp, hx - 1), i
-            elif rkind == _RK_READ_X1:
-                if hx >= 1 and x[hx - 1] == "1":
-                    return (q, sl, sr, hp, hx - 1), i
-            else:  # _RK_READ_XE
-                if hx == lx:
-                    return (q, sl, sr, hp, hx), i
+            else:  # READ_X
+                h = hx - 1 if arg < 2 else hx
+                if x_branch[h] == arg:
+                    return (q, sl, sr, hp, h), i
         return None, -1
 
-    return child_after
-
-
-def _child_locator(
-    prog: tuple[tuple[int, int, int, int, int], ...],
-    positions: tuple[dict[int, int], ...],
-    p: str,
-    x: str,
-) -> Callable[[PackedConfig, PackedConfig], int]:
-    """Build `index_of(child, parent)` for one (compiled table, positions, p, x).
-
-    `parent` must be the forward step of `child`.  The result is the index
-    that `child_after(parent, ·)` returns with `child`: the entry `child`
-    executes, with the branch it takes if that entry is a read, names the
-    recipe that inverts the step.  A recipe missing from the parent's
-    bucket raises KeyError.
-    """
-
-    # The branch a read takes at each head position: the bit there, or 2 at the end.
-    p_branch = tuple(int(bit) for bit in p) + (2,)
-    x_branch = tuple(int(bit) for bit in x) + (2,)
-    read_p, read_x = int(Op.READ_P), int(Op.READ_X)
-
-    def index_of(child: PackedConfig, parent: PackedConfig) -> int:
-        st, sl, sr, hp, hx = child
+    def up(cfg: PackedConfig) -> tuple[PackedConfig, int]:
+        st, sl, sr, hp, hx = cfg
         entry = (st * 3 + (sl & 1 if sl > 1 else 2)) * 3 + (sr & 1 if sr > 1 else 2)
-        op = prog[entry][0]
-        branch = p_branch[hp] if op == read_p else x_branch[hx] if op == read_x else 0
-        pst, psl, psr, _, _ = parent
-        bucket = (pst * 3 + (psl & 1 if psl > 1 else 2)) * 3 + (psr & 1 if psr > 1 else 2)
-        return positions[bucket][entry * 3 + branch]
+        op, bit, t0, t1, t2 = prog[entry]
+        branch = 0
+        if op == 3:  # POP_L; an empty stack leaves 0, and its entry has no key
+            sl >>= 1
+        elif op == 4:  # POP_R
+            sr >>= 1
+        elif op == 6:  # READ_P
+            branch = p_branch[hp]
+            if branch == 2:
+                t0 = t2
+            else:
+                t0 = t1 if branch else t0
+                hp += 1
+        elif op == 7:  # READ_X
+            branch = x_branch[hx]
+            if branch == 2:
+                t0 = t2
+            else:
+                t0 = t1 if branch else t0
+                hx += 1
+        elif op == 1:  # PUSH_L
+            sl = sl * 2 + bit
+        elif op == 2:  # PUSH_R
+            sr = sr * 2 + bit
+        # WRITE and HALT change only the state; a halt has no key either.
+        bucket = positions[(t0 * 3 + (sl & 1 if sl > 1 else 2)) * 3 + (sr & 1 if sr > 1 else 2)]
+        return (t0, sl, sr, hp, hx), bucket[entry * 3 + branch]
 
-    return index_of
+    return child_after, up
 
 
 def predecessors(spec: MachineSpec, p: str, x: str, cfg: Configuration, s: int) -> list[Configuration]:
@@ -274,7 +258,7 @@ def predecessors(spec: MachineSpec, p: str, x: str, cfg: Configuration, s: int) 
 
     check_bits(p, "program tape")
     check_bits(x, "condition tape")
-    child_after = _child_enumerator(_inverse_index(spec)[0], p, x, s)
+    child_after, _ = _tree_moves(spec, p, x, s)
     packed = pack_config(cfg)
     found = []
     child, idx = child_after(packed, -1)
@@ -296,57 +280,41 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
 
     The machine is canonicalized so that halting runs share one final
     configuration, the root.  Children of a vertex are its predecessors in
-    canonical order; the traversal keeps only the current vertex, one
-    candidate neighbour, and the comparison target, recomputing parents by a
-    forward step and siblings by resuming the parent's child enumeration
-    just after the current vertex, whose position among the parent's
-    children is one table lookup (`_child_locator`).
+    canonical order.  The search is an Euler tour with three moves: to the
+    child after index idx of the current vertex (`child_after`), and, when
+    there is none, up to the parent together with the current vertex's
+    index among the parent's children (`up`, one forward step and one table
+    lookup).  It holds only the current vertex, one neighbour and the
+    comparison target.
     """
 
     _check_inputs(p, x, s)
     canon = canonicalize(spec)
-    prog = compile_spec(canon)
-    buckets, positions = _inverse_index(canon)
-    child_after = _child_enumerator(buckets, p, x, s)
-    index_of = _child_locator(prog, positions, p, x)
-    root: PackedConfig = (canon.state_count - 1, EMPTY_STACK, EMPTY_STACK, len(p), len(x))
-    start: PackedConfig = (0, EMPTY_STACK, EMPTY_STACK, 0, 0)
+    child_after, up = _tree_moves(canon, p, x, s)
+    root = pack_config(final_configuration(canon, p, x))
+    start = pack_config(initial_configuration())
 
     visited = 1
     peak_live = 1
     if root == start:
         return HaltVerdict(True, ProbeStats(visited, peak_live))
 
-    NEXT = StepKind.NEXT  # a local: enum attribute lookups are slow in the loop
-    current = root
-    descending = True
+    node, idx = root, -1
     while True:
-        if descending:
-            child, _ = child_after(current, -1)
-            if child is None:
-                descending = False
-                continue
-            peak_live = max(peak_live, 2)
-            current = child
+        child, idx = child_after(node, idx)
+        if child is not None:
             visited += 1
-            if current == start:
+            if peak_live < 2:
+                peak_live = 2  # the vertex and its child
+            if child == start:
                 return HaltVerdict(True, ProbeStats(visited, peak_live))
+            node, idx = child, -1
+        elif node == root:
+            return HaltVerdict(False, ProbeStats(visited, peak_live))
         else:
-            if current == root:
-                return HaltVerdict(False, ProbeStats(visited, peak_live))
-            # Tree vertices reach the root, so their forward step is defined.
-            kind, parent, _ = step_packed(prog, current, p, x)
-            assert kind == NEXT, "tree vertex without a forward step"
-            peak_live = 3  # current, its parent and a sibling: the most ever held
-            sibling, _ = child_after(parent, index_of(current, parent))
-            if sibling is None:
-                current = parent
-            else:
-                current = sibling
-                visited += 1
-                if current == start:
-                    return HaltVerdict(True, ProbeStats(visited, peak_live))
-                descending = True
+            # Tree vertices reach the root, so `up` never raises here.
+            node, idx = up(node)
+            peak_live = 3  # a vertex, its parent and a sibling: the most ever held
 
 
 def decide_forward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:

@@ -28,7 +28,6 @@ every cache record and report carries INTERPRETER_TAG.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -431,7 +430,8 @@ class ComplexityCache:
     for a key, because a (tag, target, condition, s, cap) search has
     exactly one correct outcome.  A last line without its newline, left by
     a crash partway through an append, is skipped on load and cut off by
-    the next put.
+    the next put; a file that holds only part of the header, or nothing,
+    loads as empty and is rewritten from the start by the next put.
     """
 
     def __init__(self, path):
@@ -446,6 +446,11 @@ class ComplexityCache:
         # newline="\n": no translation, so lengths read are byte offsets.
         with open(self.path, "r", encoding="ascii", newline="\n") as fh:
             header = fh.readline()
+            if not header.endswith("\n") and (_CACHE_HEADER + "\n").startswith(header):
+                # Empty, or torn by a crash during the first put: the next
+                # put starts the file afresh.
+                self._torn_at = 0
+                return
             if header != _CACHE_HEADER + "\n":
                 raise ValueError(f"{self.path}: not a complexity cache (header {header.rstrip()!r})")
             offset = len(header)
@@ -498,7 +503,7 @@ class ComplexityCache:
                 _bits_to_hex(result.witness),
             ]
         )
-        fresh = not self.path.exists()
+        fresh = self._torn_at == 0 or not self.path.exists()
         with open(self.path, "a", encoding="ascii") as fh:
             if self._torn_at is not None:
                 fh.truncate(self._torn_at)
@@ -525,12 +530,6 @@ class ComplexityCache:
             "not_found": len(self._entries) - found,
             "by_tag": by_tag,
         }
-
-
-def default_cache_path() -> Path:
-    root = os.environ.get("KSLAB_CACHE_DIR")
-    base = Path(root) if root else Path.home() / ".cache" / "kslab"
-    return base / "complexity.tsv"
 
 
 def cached_ks(

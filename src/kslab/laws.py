@@ -163,11 +163,6 @@ class LawReport:
         )
 
 
-def _pair_points(n: int) -> list:
-    strings = strings_up_to(n)
-    return [(x, y) for x in strings for y in strings]
-
-
 def _tuple_points(k: int, n: int) -> list:
     strings = strings_up_to(n)
     return list(product(strings, repeat=k))
@@ -232,7 +227,7 @@ def verify_law(
     if law in ("pair_swap", "chain_easy", "symmetry"):
         if n > 3:
             raise ValueError("pair laws are limited to n <= 3")
-        points = _pair_points(n)
+        points = _tuple_points(2, n)
         label = law
     elif law == "basic":
         i_mask = sum(1 << (i - 1) for i in set(I or ()))

@@ -264,13 +264,13 @@ def step(spec: MachineSpec, cfg: Configuration, p: str, x: str) -> StepResult:
 # sentinel integers (1 = empty; push b => v*2+b; pop => v//2; top => v&1), and
 # configurations as 5-int tuples (state, sl, sr, hp, hx).
 #
-# Two functions execute this form: `_execute`, the loop behind `run` and the
-# forward and counter deciders, and `step_packed`, one step for callers that
-# move between arbitrary configurations (the backward decider).  The loop keeps
-# the configuration in locals instead of calling `step_packed` per step,
-# because a call and a tuple built and unpacked on every step more than
-# double its cost: 0.32 s against 0.80 s for 1.04 M steps of step-limit runs
-# of sampled machines (2-vCPU VM, CPython 3.11).
+# One loop executes this form: `_execute`, behind `run` and the forward and
+# counter deciders.  It keeps the configuration in locals rather than taking
+# one step per call, because a call and a tuple built and unpacked on every
+# step more than double its cost: 0.32 s against 0.80 s for 1.04 M steps of
+# step-limit runs of sampled machines (2-vCPU VM, CPython 3.11).  The one
+# single step, for the backward decider, which moves between arbitrary
+# configurations, is `up` in `kslab.halting`.
 
 EMPTY_STACK = 1
 
@@ -294,46 +294,6 @@ def pack_config(cfg: Configuration) -> PackedConfig:
 def unpack_config(packed: PackedConfig) -> Configuration:
     st, sl, sr, hp, hx = packed
     return Configuration(st, bin(sl)[3:], bin(sr)[3:], hp, hx)
-
-
-def step_packed(
-    prog: tuple[tuple[int, int, int, int, int], ...],
-    cfg: PackedConfig,
-    p: str,
-    x: str,
-) -> tuple[int, Optional[PackedConfig], Optional[str]]:
-    """Packed mirror of `step`; returns (StepKind value, config, emitted)."""
-
-    st, sl, sr, hp, hx = cfg
-    ta = sl & 1 if sl > 1 else 2
-    tb = sr & 1 if sr > 1 else 2
-    op, bit, t0, t1, t2 = prog[(st * 3 + ta) * 3 + tb]
-    if op == 0:  # HALT
-        return (1, None, None)
-    if op == 1:  # PUSH_L
-        return (0, (t0, sl * 2 + bit, sr, hp, hx), None)
-    if op == 2:  # PUSH_R
-        return (0, (t0, sl, sr * 2 + bit, hp, hx), None)
-    if op == 3:  # POP_L
-        if sl == 1:
-            return (2, None, None)
-        return (0, (t0, sl >> 1, sr, hp, hx), None)
-    if op == 4:  # POP_R
-        if sr == 1:
-            return (2, None, None)
-        return (0, (t0, sl, sr >> 1, hp, hx), None)
-    if op == 5:  # WRITE
-        return (0, (t0, sl, sr, hp, hx), "01"[bit])
-    if op == 6:  # READ_P
-        if hp >= len(p):
-            return (0, (t2, sl, sr, hp, hx), None)
-        nxt = t0 if p[hp] == "0" else t1
-        return (0, (nxt, sl, sr, hp + 1, hx), None)
-    # READ_X
-    if hx >= len(x):
-        return (0, (t2, sl, sr, hp, hx), None)
-    nxt = t0 if x[hx] == "0" else t1
-    return (0, (nxt, sl, sr, hp, hx + 1), None)
 
 
 def _execute(
@@ -778,7 +738,6 @@ __all__ = [
     "serialized_length",
     "state_width",
     "step",
-    "step_packed",
     "trace",
     "unpack_config",
     "write",

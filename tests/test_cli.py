@@ -84,6 +84,14 @@ class TestCache:
         code, out, _ = run(capsys, "cache", "stats")
         assert code == 0 and "entries: 1" in out
 
+    def test_cache_stats_without_a_directory_is_an_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("KSLAB_CACHE_DIR", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        code, out, err = run(capsys, "cache", "stats")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--cache-dir" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestHaltCommands:
     @pytest.fixture()

@@ -15,9 +15,7 @@ from conftest import (
     simulate,
 )
 from kslab.halting import (
-    _child_enumerator,
-    _child_locator,
-    _inverse_index,
+    _tree_moves,
     config_count,
     decide_backward,
     decide_counter,
@@ -32,13 +30,11 @@ from kslab.machine import (
     StepKind,
     Verdict,
     canonicalize,
-    compile_spec,
     final_configuration,
     halt,
     pack_config,
     parse_machine,
     step,
-    step_packed,
 )
 
 WRITE_LOOP = parse_machine("states: 1\n0 _ _ -> write 0 0\n")
@@ -130,33 +126,50 @@ class TestPredecessors:
         assert checked > 1000
 
 
+def random_configuration(rng, spec, p, x, s):
+    l_len = rng.randint(0, s)
+    return Configuration(
+        rng.randrange(spec.state_count),
+        "".join(rng.choice("01") for _ in range(l_len)),
+        "".join(rng.choice("01") for _ in range(rng.randint(0, s - l_len))),
+        rng.randint(0, len(p)),
+        rng.randint(0, len(x)),
+    )
+
+
 class TestRelocation:
-    def test_locator_returns_the_index_the_enumerator_pairs_with_each_child(self):
+    def test_up_matches_the_reference_step(self):
+        rng = random.Random(11)
+        kinds = set()
+        for _ in range(300):
+            spec = sample_spec(rng, 3)
+            p = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
+            x = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
+            cfg = random_configuration(rng, spec, p, x, 4)
+            _, up = _tree_moves(spec, p, x, 4)
+            ref = step(spec, cfg, p, x)
+            kinds.add(ref.kind)
+            if ref.kind is StepKind.NEXT:
+                assert up(pack_config(cfg))[0] == pack_config(ref.config), (cfg, p, x)
+            else:
+                with pytest.raises(KeyError):
+                    up(pack_config(cfg))
+        assert kinds == set(StepKind)
+
+    def test_up_returns_the_index_the_enumerator_pairs_with_each_child(self):
         rng = random.Random(4141)
         checked = end_branches = shared_targets = 0
         for _ in range(40):
             spec = canonicalize(sample_spec(rng, 3))
-            prog = compile_spec(spec)
-            buckets, positions = _inverse_index(spec)
             p = "".join(rng.choice("01") for _ in range(rng.randrange(4)))
             x = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
             s = rng.randint(0, 4)
-            child_after = _child_enumerator(buckets, p, x, s)
-            index_of = _child_locator(prog, positions, p, x)
+            child_after, up = _tree_moves(spec, p, x, s)
             for _ in range(150):
-                l_len = rng.randint(0, s)
-                cfg = Configuration(
-                    rng.randrange(spec.state_count),
-                    "".join(rng.choice("01") for _ in range(l_len)),
-                    "".join(rng.choice("01") for _ in range(rng.randint(0, s - l_len))),
-                    rng.randint(0, len(p)),
-                    rng.randint(0, len(x)),
-                )
-                parent = pack_config(cfg)
+                parent = pack_config(random_configuration(rng, spec, p, x, s))
                 child, idx = child_after(parent, -1)
                 while child is not None:
-                    assert step_packed(prog, child, p, x)[:2] == (StepKind.NEXT, parent)
-                    assert index_of(child, parent) == idx, (cfg, p, x, s)
+                    assert up(child) == (parent, idx), (parent, p, x, s)
                     st, sl, sr, hp, hx = child
                     top_l, top_r = sl & 1 if sl > 1 else 2, sr & 1 if sr > 1 else 2
                     ins = spec.instruction(st, top_l, top_r)
@@ -168,16 +181,6 @@ class TestRelocation:
                     child, idx = child_after(parent, idx)
         assert checked > 2000
         assert end_branches > 100 and shared_targets > 100
-
-    def test_locator_rejects_a_child_of_another_configuration(self):
-        spec = canonicalize(seesaw_spec())
-        prog = compile_spec(spec)
-        buckets, positions = _inverse_index(spec)
-        index_of = _child_locator(prog, positions, "", "")
-        # The push from (0, "", "") reaches (1, "1", ""); it cannot reach (1, "0", "").
-        child = pack_config(Configuration(0, "", "", 0, 0))
-        with pytest.raises(KeyError):
-            index_of(child, pack_config(Configuration(1, "0", "", 0, 0)))
 
 
 class TestBackward:

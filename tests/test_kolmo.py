@@ -323,6 +323,20 @@ class TestCache:
         assert len(reloaded) == 3 and reloaded.get("11", "", 0, 14) == third
         assert path.read_bytes() == intact
 
+    @pytest.mark.parametrize("content", [b"kslab-cac", b""])
+    def test_torn_or_empty_header_is_rewritten_by_the_next_put(self, tmp_path, content):
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(content)  # a crash during the first put
+        torn = ComplexityCache(path)
+        assert len(torn) == 0 and torn.records_loaded == 0
+        assert path.read_bytes() == content  # loading alone writes nothing
+        result = cached_ks("101", "", 0, 14, torn)
+        reloaded = ComplexityCache(path)
+        assert len(reloaded) == 1 and reloaded.get("101", "", 0, 14) == result
+        fresh = tmp_path / "fresh.tsv"
+        ComplexityCache(fresh).put(result)
+        assert path.read_bytes() == fresh.read_bytes()
+
     def test_tag_separates_namespaces(self, tmp_path):
         cache = ComplexityCache(tmp_path / "cache.tsv")
         result = ComplexityResult("1", "", 0, 14, 2, "01")

@@ -26,11 +26,9 @@ from kslab.machine import (
     Verdict,
     canonical_halt_state,
     canonicalize,
-    compile_spec,
     final_configuration,
     halt,
     initial_configuration,
-    pack_config,
     parse_bits,
     parse_machine,
     pop_l,
@@ -43,9 +41,7 @@ from kslab.machine import (
     serialized_length,
     state_width,
     step,
-    step_packed,
     trace,
-    unpack_config,
     write,
 )
 
@@ -116,27 +112,6 @@ class TestStep:
         result = run(spec, "", "", 4, 100)
         assert result.verdict is Verdict.HALTED
         assert result.steps == 2
-
-    def test_packed_step_matches_reference_step(self):
-        rng = random.Random(11)
-        for _ in range(300):
-            spec = sample_spec(rng, 3)
-            prog = compile_spec(spec)
-            p = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
-            x = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
-            cfg = Configuration(
-                rng.randrange(spec.state_count),
-                "".join(rng.choice("01") for _ in range(rng.randrange(3))),
-                "".join(rng.choice("01") for _ in range(rng.randrange(3))),
-                rng.randint(0, len(p)),
-                rng.randint(0, len(x)),
-            )
-            ref = step(spec, cfg, p, x)
-            kind, packed_cfg, emitted = step_packed(prog, pack_config(cfg), p, x)
-            assert kind == int(ref.kind)
-            if ref.kind.name == "NEXT":
-                assert unpack_config(packed_cfg) == ref.config
-                assert emitted == ref.emitted
 
 
 class TestRun:
