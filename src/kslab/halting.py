@@ -4,11 +4,13 @@ Three deciders answer "does the machine, run on (p, x), execute a halt
 instruction before its combined stack length ever exceeds s?":
 
 * `decide_forward` and `decide_counter` share the packed execution loop of
-  `kslab.machine` and differ only in how they detect a loop.  The forward
-  decider keeps a set of visited configurations, and a repeat proves an
-  infinite loop.  The counter decider keeps nothing but a step counter: by
-  pigeonhole, a run within space s longer than `config_count` steps has
-  repeated a configuration and therefore loops forever.
+  `kslab.machine` with `machine.run`, and the three differ only in how they
+  detect a loop.  The forward decider keeps a set of visited
+  configurations, and a repeat proves an infinite loop.  The counter
+  decider keeps nothing but a step counter: by pigeonhole, a run within
+  space s longer than `config_count` steps has repeated a configuration and
+  therefore loops forever.  (`run` keeps one saved configuration and stops
+  at the first repeat that Brent's check sees.)
 * `decide_backward` explores, in constant auxiliary configuration storage, the
   tree of configurations that reach the unique final configuration of the
   canonicalized machine, and reports whether the initial configuration is in

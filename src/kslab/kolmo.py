@@ -9,7 +9,10 @@ has three modes, dispatched on the leading bits:
   rr "01" p          general mode: the bits of a serialized two-stack
                      machine r, each doubled, then the separator "01", then
                      a program tape p.  V simulates M_r(p, x) with workspace
-                     s - (2|r| + C_SIM) and returns its output.
+                     s - (2|r| + C_SIM) and returns its output.  A run that
+                     repeats a configuration never halts; the simulation
+                     stops at the first repeat that Brent's check sees, so
+                     V is total, and `config_count` is only a backstop.
 
 Doubling r makes the machine header self-delimiting, so p can be arbitrary.
 Serialized machines start with "1" (the unary state-count block), hence
@@ -174,9 +177,10 @@ def reference_decode(prog: str, x: str, s: int) -> str:
 
     Raises ReferenceParseError for programs outside the grammar and
     ReferenceRunError when the decoded machine exceeds its workspace,
-    aborts, or fails to halt within the configuration-count step limit
-    (past that limit a run is provably periodic, so waiting longer
-    cannot help).
+    aborts, or never halts.  A run that never halts within its workspace
+    repeats a configuration; `run` stops at the first repeat that Brent's
+    check sees, and the configuration-count step limit, by which such a
+    run has repeated one, is only a backstop.
     """
 
     check_bits(prog)

@@ -265,12 +265,14 @@ def step(spec: MachineSpec, cfg: Configuration, p: str, x: str) -> StepResult:
 # configurations as 5-int tuples (state, sl, sr, hp, hx).
 #
 # One loop executes this form: `_execute`, behind `run` and the forward and
-# counter deciders.  It keeps the configuration in locals rather than taking
-# one step per call, because a call and a tuple built and unpacked on every
-# step more than double its cost: 0.32 s against 0.80 s for 1.04 M steps of
-# step-limit runs of sampled machines (2-vCPU VM, CPython 3.11).  The one
-# single step, for the backward decider, which moves between arbitrary
-# configurations, is `up` in `kslab.halting`.
+# counter deciders, which differ only in how the loop detects a repeated
+# configuration: Brent's check (`run`), a visited set (forward) or not at all
+# (counter, which relies on its step limit).  It keeps the configuration in
+# locals rather than taking one step per call, because a call and a tuple
+# built and unpacked on every step more than double its cost: 0.32 s against
+# 0.80 s for 1.04 M steps of step-limit runs of sampled machines (2-vCPU VM,
+# CPython 3.11).  The one single step, for the backward decider, which moves
+# between arbitrary configurations, is `up` in `kslab.halting`.
 
 EMPTY_STACK = 1
 
@@ -304,20 +306,32 @@ def _execute(
     limit: int,
     out: Optional[list[str]],
     seen: Optional[set[PackedConfig]],
+    brent: bool = False,
 ) -> tuple[Verdict, int, int]:
     """Run `prog` from the initial configuration; returns (verdict, max_space, steps).
 
     Stops as `run` describes, with `limit` as the step limit.  Written bits
-    are appended to `out` unless it is None.  When `seen` is a set, every
-    configuration reached is added to it, and reaching one already in it
-    ends the run as STEP_LIMIT: a deterministic machine that repeats a
-    configuration loops forever.
+    are appended to `out` unless it is None.  A deterministic machine that
+    repeats a configuration loops forever, and two modes end such a run
+    early, as STEP_LIMIT, at a repeat:
+
+    * `seen` a set: every configuration reached is added to it, and the
+      first one already in it ends the run.
+    * `brent` true: Brent's check (Brent 1980).  One configuration is
+      saved, first the initial one; each step's configuration is compared
+      with it, and after `power` comparisons the current configuration is
+      saved instead and `power` doubles.
     """
 
     lp, lx = len(p), len(x)
     st, sl, sr, hp, hx = 0, EMPTY_STACK, EMPTY_STACK, 0, 0
     max_space = 0
     steps = 0
+    detect = brent or seen is not None
+    # Brent's saved configuration, and the comparisons made against it (lam)
+    # out of the `power` it gets before it is replaced.
+    bst, bsl, bsr, bhp, bhx = st, sl, sr, hp, hx
+    power, lam = 1, 0
     while steps < limit:
         ta = sl & 1 if sl > 1 else 2
         tb = sr & 1 if sr > 1 else 2
@@ -367,11 +381,20 @@ def _execute(
             else:
                 st = t0 if x[hx] == "0" else t1
                 hx += 1
-        if seen is not None:
-            cfg = (st, sl, sr, hp, hx)
-            if cfg in seen:
-                return Verdict.STEP_LIMIT, max_space, steps
-            seen.add(cfg)
+        if detect:
+            if brent:
+                if st == bst and sl == bsl and sr == bsr and hp == bhp and hx == bhx:
+                    return Verdict.STEP_LIMIT, max_space, steps
+                lam += 1
+                if lam == power:
+                    bst, bsl, bsr, bhp, bhx = st, sl, sr, hp, hx
+                    power *= 2
+                    lam = 0
+            else:
+                cfg = (st, sl, sr, hp, hx)
+                if cfg in seen:
+                    return Verdict.STEP_LIMIT, max_space, steps
+                seen.add(cfg)
     return Verdict.STEP_LIMIT, max_space, steps
 
 
@@ -387,7 +410,15 @@ def run(
     The run stops at the first of: a Halt instruction (HALTED), the first
     moment the combined stack length exceeds `s` (SPACE_EXCEEDED, with the
     offending space reported in max_space), a pop on an empty stack
-    (ABNORMAL), or `step_limit` executed instructions (STEP_LIMIT).
+    (ABNORMAL), `step_limit` executed instructions (STEP_LIMIT), or the
+    first repeated configuration that Brent's check sees (STEP_LIMIT).
+
+    The last stop is exact: a run that repeats a configuration is periodic
+    from there on, so it can never halt, overflow or abort, and it reaches
+    no configuration it has not reached already.  Its verdict and max_space
+    are therefore those at `step_limit`; only `steps` and `output` are
+    those at the stopping point.  A run with tail length mu and cycle
+    length lam stops within 2 * max(mu + 1, lam) + lam steps.
     """
 
     check_bits(p, "program tape")
@@ -397,7 +428,7 @@ def run(
     if step_limit < 0:
         raise ValueError("step_limit must be >= 0")
     out: list[str] = []
-    verdict, max_space, steps = _execute(compile_spec(spec), p, x, s, step_limit, out, None)
+    verdict, max_space, steps = _execute(compile_spec(spec), p, x, s, step_limit, out, None, brent=True)
     return RunResult(verdict, "".join(out), max_space, steps)
 
 

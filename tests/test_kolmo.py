@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import copy_p_spec, echo_x_spec
+from conftest import copy_p_spec, echo_x_spec, seesaw_spec
 from kslab.kolmo import (
     C_SIM,
     INTERPRETER_TAG,
@@ -28,7 +30,7 @@ from kslab.kolmo import (
     reference_decode,
     scan_combine,
 )
-from kslab.machine import Verdict, serialize_machine, serialized_length
+from kslab.machine import Verdict, parse_machine, serialize_machine, serialized_length
 
 BITS = st.text(alphabet="01", max_size=8)
 
@@ -113,16 +115,38 @@ class TestReferenceDecode:
         assert reference_decode(prog, "", 2 * len(r) + C_SIM) == "0110"
 
     def test_looping_machine_reports_step_limit(self):
-        from conftest import seesaw_spec
-
+        # The seesaw loops in space 1, well inside s_eff = 5.
         r = serialize_machine(seesaw_spec())
         prog = doubled(r) + "01"
-        try:
+        with pytest.raises(ReferenceRunError) as info:
             reference_decode(prog, "", 2 * len(r) + C_SIM + 5)
-        except ReferenceRunError as exc:
-            assert exc.verdict in (Verdict.STEP_LIMIT, Verdict.SPACE_EXCEEDED)
-        else:
-            raise AssertionError("looping machine should not produce output")
+        assert info.value.verdict is Verdict.STEP_LIMIT
+
+    @pytest.mark.parametrize("x", ["", "1"])
+    def test_looping_machine_fails_fast_at_large_space(self, x):
+        # config_count is about 2^522 here: only the loop check ends the run.
+        prog = doubled(serialize_machine(seesaw_spec())) + "01"
+        start = time.perf_counter()
+        with pytest.raises(ReferenceRunError) as info:
+            reference_decode(prog, x, 512)
+        assert info.value.verdict is Verdict.STEP_LIMIT
+        assert time.perf_counter() - start < 1.0
+
+    def test_writing_loop_keeps_memory_bounded(self):
+        # A step-limited run would write config_count = 458,753 bits at
+        # s_eff = 14 (about 4 MiB of output list); the loop check stops it
+        # after a few steps.
+        r = serialize_machine(parse_machine("states: 1\n0 _ _ -> write 1 0\n"))
+        prog = doubled(r) + "01"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ReferenceRunError) as info:
+                reference_decode(prog, "", 2 * len(r) + C_SIM + 14)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.verdict is Verdict.STEP_LIMIT
+        assert peak < 64 * 1024
 
     def test_negative_space_rejected(self):
         with pytest.raises(ValueError):

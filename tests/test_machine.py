@@ -16,6 +16,7 @@ from conftest import (
     seesaw_spec,
     simulate,
 )
+from kslab.halting import config_count
 from kslab.machine import (
     BitsParseError,
     Configuration,
@@ -114,6 +115,21 @@ class TestStep:
         assert result.steps == 2
 
 
+def _tail_and_cycle(spec, p, x, s):
+    """(tail length, cycle length) of a run within space s, by the oracle `step`.
+
+    None when the run halts, aborts or exceeds s instead of repeating a
+    configuration.
+    """
+
+    first_seen = {}
+    for i, cfg in enumerate(trace(spec, p, x, s, config_count(spec, p, x, s))):
+        if cfg in first_seen:
+            return first_seen[cfg], i - first_seen[cfg]
+        first_seen[cfg] = i
+    return None
+
+
 class TestRun:
     def test_echo_machine_copies_condition_tape(self):
         result = run(echo_x_spec(), "", "101", 0, 1000)
@@ -139,8 +155,13 @@ class TestRun:
         assert result.max_space == 1
 
     def test_matches_the_reference_step_simulation(self):
+        # HALTED, SPACE_EXCEEDED and ABNORMAL runs equal the oracle's.  A
+        # STEP_LIMIT run stops at the limit or at a repeated configuration;
+        # its output and max space are the oracle's at that step, and the
+        # oracle run to the limit also ends STEP_LIMIT with that max space.
         rng = random.Random(41)
         verdicts = set()
+        cut_at_repeat = set()
         for _ in range(150):
             spec = sample_spec(rng, 3)
             p = "".join(rng.choice("01") for _ in range(rng.randrange(4)))
@@ -149,9 +170,38 @@ class TestRun:
             limit = rng.randint(0, 200)
             result = run(spec, p, x, s, limit)
             got = (result.verdict, result.output, result.max_space, result.steps)
-            assert got == simulate(spec, p, x, s, limit), (p, x, s, limit)
             verdicts.add(result.verdict)
+            if result.verdict is not Verdict.STEP_LIMIT:
+                assert got == simulate(spec, p, x, s, limit), (p, x, s, limit)
+                continue
+            assert got == simulate(spec, p, x, s, result.steps), (p, x, s, limit)
+            at_limit = simulate(spec, p, x, s, limit)
+            assert (at_limit[0], at_limit[2]) == (Verdict.STEP_LIMIT, result.max_space)
+            configs = list(trace(spec, p, x, s, result.steps))
+            assert len(configs) == result.steps + 1
+            if result.steps < limit:
+                assert configs[-1] in configs[:-1], (p, x, s, limit)
+            loop = _tail_and_cycle(spec, p, x, s)
+            if loop is not None:
+                mu, lam = loop
+                assert result.steps <= 2 * max(mu + 1, lam) + lam, (p, x, s, limit, loop)
+            cut_at_repeat.add(result.steps < limit)
         assert verdicts == set(Verdict)
+        assert cut_at_repeat == {False, True}
+
+    def test_a_repeat_is_seen_within_brents_bound(self):
+        # Reads k bits of p, then sits on the end marker: tail k + 1, cycle 1.
+        spec = parse_machine("states: 2\n0 _ _ -> readP 0 0 1\n1 _ _ -> readP 1 1 1\n")
+        stops = {}
+        for k in (0, 1, 2, 6, 30, 99):
+            p = "1" * k
+            assert _tail_and_cycle(spec, p, "", 0) == (k + 1, 1)
+            result = run(spec, p, "", 0, 10**6)
+            assert (result.verdict, result.output, result.max_space) == (Verdict.STEP_LIMIT, "", 0)
+            assert k + 2 <= result.steps <= 2 * (k + 2) + 1
+            stops[k] = result.steps
+        # The configuration saved at step 127 is the first one on the cycle.
+        assert stops[99] == 128
 
     def test_rejects_negative_bounds(self):
         spec = MachineSpec(1, tuple([halt()] * 9))
