@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator
 
 from .machine import (
     BitsParseError,
@@ -210,6 +209,31 @@ def reference_decode(prog: str, x: str, s: int) -> str:
     raise ReferenceRunError(f"machine run ended {result.verdict.name}", result.verdict)
 
 
+def _live(prog: str, x: str, y: str) -> bool:
+    """Whether some program extending prog (prog included) may decode to y.
+
+    Read from the grammar alone: a builtin-mode prefix already fixes the
+    start of its output, and a general-mode prefix is dead once its header
+    breaks the doubling or its separator ends a header that is not a
+    serialized machine.  Runs are not looked into.
+    """
+
+    if prog[:1] == "0":
+        return y.startswith(prog[1:])
+    if prog[:2] == "10":
+        return y.startswith(x + prog[2:])
+    for i in range(0, len(prog) - 1, 2):
+        if prog[i] != prog[i + 1]:
+            if prog[i] == "1":
+                return False
+            try:
+                parse_bits(prog[:i:2])
+            except BitsParseError:
+                return False
+            return True
+    return True
+
+
 @dataclass(frozen=True)
 class ComplexityResult:
     """Outcome of one shortest-program search.
@@ -236,6 +260,15 @@ class ComplexityResult:
         return str(self.value)
 
 
+def _check_query(y: str, x: str, s: int, cap: int) -> None:
+    check_bits(y)
+    check_bits(x)
+    if s < 0:
+        raise ValueError("workspace bound must be >= 0")
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+
+
 def ks(y: str, x: str = "", s: int = 0, cap: int = MAX_CLOSED_FORM_CAP) -> ComplexityResult:
     """Shortest-program length for target y given condition x, bound s.
 
@@ -246,16 +279,11 @@ def ks(y: str, x: str = "", s: int = 0, cap: int = MAX_CLOSED_FORM_CAP) -> Compl
       echo     "10"+w        length |y| - |x| + 2, only when y = x + w
 
     Both modes run in zero charged workspace, so within this cap range the
-    value does not depend on s.  The same range is covered bit-by-bit by
-    ks_scan, which this closed form is tested against.
+    value does not depend on s.  ks_scan, which this closed form is tested
+    against, finds the same values by running programs.
     """
 
-    check_bits(y)
-    check_bits(x)
-    if s < 0:
-        raise ValueError("workspace bound must be >= 0")
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
+    _check_query(y, x, s, cap)
     if cap > MAX_CLOSED_FORM_CAP:
         raise ValueError(
             f"cap {cap} admits general-mode programs (length >= "
@@ -276,17 +304,6 @@ def ks(y: str, x: str = "", s: int = 0, cap: int = MAX_CLOSED_FORM_CAP) -> Compl
     return ComplexityResult(y, x, s, cap, None, None)
 
 
-def _programs(cap: int, prefix: str) -> Iterator[str]:
-    """All bit strings of length <= cap extending prefix, shortest first."""
-
-    if len(prefix) <= cap:
-        yield prefix
-    for length in range(len(prefix) + 1, cap + 1):
-        tail = length - len(prefix)
-        for v in range(1 << tail):
-            yield prefix + format(v, f"0{tail}b")
-
-
 def ks_scan(
     y: str,
     x: str = "",
@@ -294,24 +311,40 @@ def ks_scan(
     cap: int = MAX_CLOSED_FORM_CAP,
     prefix: str = "",
 ) -> ComplexityResult:
-    """Brute-force shortest-program search by running every candidate.
+    """Shortest-program search by running candidates, pruned by prefix.
 
-    Independent of ks(): no closed form, just enumeration of programs in
-    (length, lexicographic) order through reference_decode.  The optional
-    prefix restricts the search to programs extending it, which lets a
-    caller shard the space ("0", "10", "11", ...) and combine shards with
-    scan_combine; sharding must not change the answer.
+    Independent of ks(): no closed form, just programs in (length,
+    lexicographic) order through reference_decode.  Programs are grown one
+    bit at a time from prefix, and a program is extended only while it is
+    live: "0"+w while w is a prefix of y, "10"+w while x+w is, and a
+    general-mode program until its doubled header breaks or ends in a
+    header that is not a serialized machine.  A dead program has no
+    extension that decodes to y, so the answer is that of running every
+    program, and the rule reads only the grammar, never ks's closed form or
+    MACHINE_MODE_MIN_LENGTH, so the scan stays a check of ks.  Each length
+    holds at most two live builtin-mode programs plus the live general-mode
+    ones: the unbroken doubled headers, about 2^(length/2), and every
+    extension of a header that is a serialized machine.
+
+    The optional prefix restricts the search to programs extending it,
+    which lets a caller shard the space ("0", "10", "11", ...) and combine
+    shards with scan_combine; sharding must not change the answer.
     """
 
-    check_bits(y)
+    _check_query(y, x, s, cap)
     check_bits(prefix)
-    for prog in _programs(cap, prefix):
-        try:
-            out = reference_decode(prog, x, s)
-        except (ReferenceParseError, ReferenceRunError):
-            continue
-        if out == y:
-            return ComplexityResult(y, x, s, cap, len(prog), prog)
+    level = [prefix] if _live(prefix, x, y) else []
+    for length in range(len(prefix), cap + 1):
+        for prog in level:
+            try:
+                out = reference_decode(prog, x, s)
+            except (ReferenceParseError, ReferenceRunError):
+                continue
+            if out == y:
+                return ComplexityResult(y, x, s, cap, length, prog)
+        if length == cap or not level:
+            break
+        level = [grown for prog in level for grown in (prog + "0", prog + "1") if _live(grown, x, y)]
     return ComplexityResult(y, x, s, cap, None, None)
 
 

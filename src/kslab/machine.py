@@ -90,10 +90,6 @@ def push_l(bit: int, nxt: int) -> Instruction:
     return Instruction(Op.PUSH_L, bit, nxt)
 
 
-def push_r(bit: int, nxt: int) -> Instruction:
-    return Instruction(Op.PUSH_R, bit, nxt)
-
-
 def pop_l(nxt: int) -> Instruction:
     return Instruction(Op.POP_L, 0, nxt)
 
@@ -760,7 +756,6 @@ __all__ = [
     "pop_l",
     "pop_r",
     "push_l",
-    "push_r",
     "read_p",
     "read_x",
     "record_width",

@@ -1,10 +1,11 @@
-"""Shared helpers: canned machines and uniform sampling of serializations."""
+"""Shared helpers: canned machines, uniform sampling of serializations, oracles."""
 
 from __future__ import annotations
 
 import random
 from itertools import product
 
+from kslab.kolmo import ComplexityResult, ReferenceParseError, ReferenceRunError, reference_decode
 from kslab.machine import (
     MachineSpec,
     Op,
@@ -135,3 +136,18 @@ def simulate(spec: MachineSpec, p: str, x: str, s: int, step_limit: int) -> tupl
         if cfg.space > s:
             return Verdict.SPACE_EXCEEDED, output, max_space, steps + 1
     return Verdict.STEP_LIMIT, output, max_space, step_limit
+
+
+def brute_scan(y: str, x: str, s: int, cap: int, prefix: str = "") -> ComplexityResult:
+    """`kolmo.ks_scan` without pruning: runs every program of length <= cap extending prefix."""
+
+    for length in range(len(prefix), cap + 1):
+        for tail in product("01", repeat=length - len(prefix)):
+            prog = prefix + "".join(tail)
+            try:
+                out = reference_decode(prog, x, s)
+            except (ReferenceParseError, ReferenceRunError):
+                continue
+            if out == y:
+                return ComplexityResult(y, x, s, cap, length, prog)
+    return ComplexityResult(y, x, s, cap, None, None)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import copy_p_spec, echo_x_spec, seesaw_spec
+from conftest import all_bits, brute_scan, copy_p_spec, echo_x_spec, sample_machine_bits, seesaw_spec
 from kslab.kolmo import (
     C_SIM,
     INTERPRETER_TAG,
@@ -30,6 +30,7 @@ from kslab.kolmo import (
     reference_decode,
     scan_combine,
 )
+from kslab.kolmo import _live
 from kslab.machine import Verdict, parse_machine, serialize_machine, serialized_length
 
 BITS = st.text(alphabet="01", max_size=8)
@@ -226,6 +227,57 @@ class TestScanOracle:
         # be unparsable for sharding to be safe.
         with pytest.raises(ReferenceParseError):
             reference_decode("", "", 100)
+
+    @pytest.mark.parametrize("prefix", ["", "0", "1", "10", "11"])
+    def test_pruned_scan_equals_brute_force_scan(self, prefix):
+        # One brute-force scan to cap 10 answers every smaller cap too: its
+        # first match, when that is no longer than the cap.
+        for y in all_bits(4):
+            for x in all_bits(4):
+                whole = brute_scan(y, x, 3, 10, prefix)
+                for cap in range(11):
+                    scan = ks_scan(y, x, 3, cap, prefix)
+                    found = whole.value is not None and whole.value <= cap
+                    expected = (whole.value, whole.witness) if found else (None, None)
+                    assert (scan.value, scan.witness) == expected, (y, x, cap)
+
+    @pytest.mark.parametrize("y, x", [("1" * 16, ""), ("0" * 16, "1"), ("1" * 20, "111")])
+    def test_not_found_after_every_program_up_to_cap_16(self, y, x):
+        scan = ks_scan(y, x, 600, 16)
+        brute = brute_scan(y, x, 600, 16)
+        assert (scan.value, scan.witness) == (brute.value, brute.witness) == (None, None)
+
+    def test_general_mode_programs_are_never_pruned(self):
+        rng = random.Random(7)
+        checked = 0
+        while checked < 40:
+            r = sample_machine_bits(rng, rng.randint(1, 2))
+            header = doubled(r) + "01"
+            prog = header + "".join(rng.choice("01") for _ in range(rng.randrange(4)))
+            x = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
+            s = 2 * len(r) + C_SIM + 6
+            try:
+                y = reference_decode(prog, x, s)
+            except ReferenceRunError:
+                continue
+            assert all(_live(prog[:i], x, y) for i in range(len(prog) + 1))
+            scan = ks_scan(y, x, s, len(header) + 3, prefix=header)
+            brute = brute_scan(y, x, s, len(header) + 3, prefix=header)
+            assert (scan.value, scan.witness) == (brute.value, brute.witness)
+            assert scan.value <= len(prog)
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "y, x, s, cap, prefix",
+        [("1", "2", 0, 0, "11"), ("1", "", 0, -3, ""), ("1", "", -1, 1, "11")],
+        ids=["bad-condition", "negative-cap", "negative-space"],
+    )
+    def test_arguments_are_checked_before_searching(self, y, x, s, cap, prefix):
+        with pytest.raises(ValueError) as from_ks:
+            ks(y, x, s, cap)
+        with pytest.raises(ValueError) as from_scan:
+            ks_scan(y, x, s, cap, prefix=prefix)
+        assert str(from_scan.value) == str(from_ks.value)
 
 
 class TestProfile:
