@@ -52,7 +52,6 @@ from .kolmo import (
     cached_ks,
     complexity_profile,
     decode_pair,
-    decode_tuple,
     encode_pair,
     encode_tuple,
     ks,
@@ -69,7 +68,6 @@ from .entropy import (
     entropy_vector,
     evaluate,
     is_shannon,
-    parse_distribution,
     parse_inequality,
 )
 from .laws import (
@@ -83,9 +81,7 @@ from .laws import (
     gap_report,
     iterate_f,
     lemma_bound,
-    lemma_search,
     mutual_info_profile,
-    profile_level_vector,
     staged_enumeration,
     staged_sets,
     strings_up_to,

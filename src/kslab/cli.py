@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto library operations: complexity queries
 and tables, the halting decider, law grids, staged enumeration, typical
-sets, cone membership, the iteration lemma, and cache inspection.
+sets, cone membership and the iteration lemma.
 
 Exit codes: 0 success, 1 domain error (bad values, unreachable targets,
 baseline mismatches), 2 usage error (argparse).  Output on stdout is
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -51,17 +50,12 @@ def _parse_grid(text: str) -> list:
         raise ValueError(f"bad s grid {text!r}, expected comma-separated integers")
 
 
-def _cache_path(args) -> Path | None:
-    """The cache file in --cache-dir or else KSLAB_CACHE_DIR; None if neither is set."""
-
-    directory = getattr(args, "cache_dir", None) or os.environ.get("KSLAB_CACHE_DIR")
-    return Path(directory) / "complexity.tsv" if directory else None
-
-
 def _open_cache(args) -> ComplexityCache | None:
-    path = _cache_path(args)
-    if path is None:
+    """The cache file in --cache-dir, or None without one."""
+
+    if not args.cache_dir:
         return None
+    path = Path(args.cache_dir) / "complexity.tsv"
     path.parent.mkdir(parents=True, exist_ok=True)
     return ComplexityCache(path)
 
@@ -294,24 +288,6 @@ def cmd_lemma_iterate(args) -> int:
     return 0
 
 
-def cmd_cache_stats(args) -> int:
-    path = _cache_path(args)
-    if path is None:
-        raise ValueError("no cache: give --cache-dir or set KSLAB_CACHE_DIR")
-    if not path.exists():
-        print(f"path: {path}")
-        print("entries: 0")
-        return 0
-    stats = ComplexityCache(path).stats()
-    print(f"path: {stats['path']}")
-    print(f"entries: {stats['entries']}")
-    print(f"found: {stats['found']}")
-    print(f"not_found: {stats['not_found']}")
-    for tag in sorted(stats["by_tag"]):
-        print(f"tag {tag}: {stats['by_tag'][tag]}")
-    return 0
-
-
 def _add_cache_flag(parser) -> None:
     parser.add_argument("--cache-dir", help="directory for the complexity cache file")
 
@@ -435,13 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", type=float)
     p.add_argument("--c2", type=float)
     p.set_defaults(func=cmd_lemma_iterate)
-
-    cache_group = top.add_parser("cache", help="cache inspection").add_subparsers(
-        dest="command", required=True
-    )
-    p = cache_group.add_parser("stats", help="entries by tag")
-    _add_cache_flag(p)
-    p.set_defaults(func=cmd_cache_stats)
 
     return parser
 

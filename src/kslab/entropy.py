@@ -25,7 +25,6 @@ from ._masks import indices_of, mask_label, mask_of, nonempty_masks
 
 __all__ = [
     "JointDistribution",
-    "parse_distribution",
     "entropy_vector",
     "LinearInequality",
     "parse_inequality",
@@ -107,38 +106,6 @@ class JointDistribution:
             out[key] = out.get(key, Fraction(0)) + prob
         return out
 
-    def to_text(self) -> str:
-        lines = [f"k={self.k}"]
-        for outcome in sorted(self.pmf):
-            lines.append(" ".join(outcome) + " : " + str(self.pmf[outcome]))
-        return "\n".join(lines) + "\n"
-
-
-def parse_distribution(text: str) -> JointDistribution:
-    """Inverse of JointDistribution.to_text; `#` starts a comment."""
-
-    k = None
-    pmf: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if k is None:
-            if not line.startswith("k="):
-                raise ValueError(f"line {line_no}: expected k=<count> first, got {line!r}")
-            k = int(line[2:])
-            continue
-        if ":" not in line:
-            raise ValueError(f"line {line_no}: expected 'symbols... : probability'")
-        left, right = line.rsplit(":", 1)
-        outcome = tuple(left.split())
-        prob = Fraction(right.strip())
-        if outcome in pmf:
-            raise ValueError(f"line {line_no}: duplicate outcome {outcome}")
-        pmf[outcome] = prob
-    if k is None:
-        raise ValueError("empty distribution text")
-    return JointDistribution(k, pmf)
 
 
 def _entropy_bits(pmf_values) -> float:

@@ -37,7 +37,6 @@ from pathlib import Path
 
 from .machine import (
     BitsParseError,
-    MachineSpec,
     Verdict,
     check_bits,
     parse_bits,
@@ -57,7 +56,6 @@ __all__ = [
     "encode_pair",
     "decode_pair",
     "encode_tuple",
-    "decode_tuple",
     "reference_decode",
     "ComplexityResult",
     "ks",
@@ -107,19 +105,15 @@ def encode_pair(x: str, y: str) -> str:
 
 
 def decode_pair(bits: str) -> tuple[str, str]:
+    """Inverse of encode_pair; raises ValueError off the encoding."""
+
     check_bits(bits)
-    i = 0
-    first = []
-    while True:
-        pair = bits[i : i + 2]
-        if len(pair) < 2:
-            raise ValueError("pair encoding ended before the 01 separator")
-        if pair == "01":
-            return "".join(first), bits[i + 2 :]
-        if pair == "10":
-            raise ValueError(f"invalid doubled pair at offset {i}")
-        first.append(pair[0])
-        i += 2
+    for i in range(0, len(bits) - 1, 2):
+        if bits[i] != bits[i + 1]:
+            if bits[i] == "1":
+                raise ValueError(f"invalid doubled pair at offset {i}")
+            return bits[:i:2], bits[i + 2 :]
+    raise ValueError("pair encoding ended before the 01 separator")
 
 
 def encode_tuple(items) -> str:
@@ -133,42 +127,6 @@ def encode_tuple(items) -> str:
     for item in items[1:]:
         acc = encode_pair(acc, item)
     return acc
-
-
-def decode_tuple(bits: str, count: int) -> tuple[str, ...]:
-    if count < 1:
-        raise ValueError("tuple arity must be >= 1")
-    parts: list[str] = []
-    rest = bits
-    for _ in range(count - 1):
-        rest, last = decode_pair(rest)
-        parts.append(last)
-    check_bits(rest)
-    parts.append(rest)
-    return tuple(reversed(parts))
-
-
-def _parse_general(prog: str) -> tuple[MachineSpec, str, int]:
-    """Split rr"01"p, returning (machine, p, |r|)."""
-
-    i = 0
-    header = []
-    while True:
-        pair = prog[i : i + 2]
-        if len(pair) < 2:
-            raise ReferenceParseError("program ended inside the doubled header")
-        if pair == "01":
-            break
-        if pair == "10":
-            raise ReferenceParseError(f"broken doubling at offset {i}")
-        header.append(pair[0])
-        i += 2
-    r = "".join(header)
-    try:
-        spec = parse_bits(r)
-    except BitsParseError as exc:
-        raise ReferenceParseError(f"header is not a serialized machine: {exc}") from exc
-    return spec, prog[i + 2 :], len(r)
 
 
 def reference_decode(prog: str, x: str, s: int) -> str:
@@ -192,11 +150,18 @@ def reference_decode(prog: str, x: str, s: int) -> str:
         return prog[1:]
     if prog.startswith("10"):
         return x + prog[2:]
-    spec, p, header_len = _parse_general(prog)
-    s_eff = s - (2 * header_len + C_SIM)
+    # A general-mode program rr"01"p is encode_pair(r, p).
+    try:
+        r, p = decode_pair(prog)
+        spec = parse_bits(r)
+    except ValueError as exc:
+        # The message is exc's own: formatting a new one costs more than the
+        # rest of a failed decode, and most scanned programs fail here.
+        raise ReferenceParseError(exc) from exc
+    s_eff = s - (2 * len(r) + C_SIM)
     if s_eff < 0:
         raise ReferenceRunError(
-            f"workspace {s} cannot cover the decoding overhead {2 * header_len + C_SIM}"
+            f"workspace {s} cannot cover the decoding overhead {2 * len(r) + C_SIM}"
         )
     limit = config_count(spec, p, x, s_eff)
     result = run(spec, p, x, s_eff, step_limit=limit)
@@ -552,21 +517,6 @@ class ComplexityCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def stats(self) -> dict:
-        by_tag: dict = {}
-        found = 0
-        for (tag, *_rest), result in self._entries.items():
-            by_tag[tag] = by_tag.get(tag, 0) + 1
-            if result.value is not None:
-                found += 1
-        return {
-            "path": str(self.path),
-            "entries": len(self._entries),
-            "found": found,
-            "not_found": len(self._entries) - found,
-            "by_tag": by_tag,
-        }
 
 
 def cached_ks(

@@ -57,11 +57,9 @@ __all__ = [
     "TypicalSet",
     "typical_set",
     "gap_report",
-    "profile_level_vector",
     "find_stable_level",
     "iterate_f",
     "lemma_bound",
-    "lemma_search",
     "mutual_info_profile",
     "strings_up_to",
     "freeze_or_check",
@@ -76,6 +74,9 @@ CAVEAT = "n ≤ 3 cannot separate O(n) from O(n²)"
 LAW_NAMES = ("pair_swap", "chain_easy", "symmetry", "basic", "shannon")
 
 _MAX_GRID_POINTS = 500_000
+
+# verify_law gives up on a point that still fails at this constant.
+_MAX_C = 1 << 20
 
 
 def _clog2(v: int) -> int:
@@ -163,9 +164,40 @@ class LawReport:
         )
 
 
-def _tuple_points(k: int, n: int) -> list:
-    strings = strings_up_to(n)
-    return list(product(strings, repeat=k))
+def _grid_points(arity: int, n: int, s_count: int) -> list:
+    """All arity-tuples of strings of length <= n, refused past the limit.
+
+    The grid is counted before it is built.  A component is one of the
+    2^(n+1) - 1 strings of length <= n, so arity * n > 64 means over 2^64
+    points, and a 0-tuple grid has one point per s whatever n is.
+    """
+
+    if arity * n > 64:
+        raise ValueError(f"grid has over 2^64 points, limit {_MAX_GRID_POINTS}")
+    total = (2 ** (n + 1) - 1 if arity else 1) ** arity * s_count
+    if total > _MAX_GRID_POINTS:
+        raise ValueError(f"grid has {total} points, limit {_MAX_GRID_POINTS}")
+    return list(product(strings_up_to(n) if arity else (), repeat=arity))
+
+
+def _least_constant(holds, lo: int, label: str) -> int:
+    """Smallest c > lo with holds(c), for holds false at lo and monotone in c.
+
+    Doubles from lo, then bisects; raises if holds(_MAX_C) is false.
+    """
+
+    hi = min(max(1, 2 * lo), _MAX_C)
+    while not holds(hi):
+        if hi == _MAX_C:
+            raise RuntimeError(f"{label}: no constant up to 2^20 satisfies the grid")
+        lo, hi = hi, min(2 * hi, _MAX_C)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _subtuple(point, mask: int) -> str:
@@ -211,9 +243,12 @@ def verify_law(
     pair laws, k-tuples for basic/shannon) crossed with every s in
     s_grid.  The constant enters twice: as the additive slack and in the
     inflated space bound s' on the inequality's left side, so larger c
-    only helps and the minimal c is found by doubling plus binary
-    search.  Points with a NotFound complexity at c = 0 are vacuous:
-    excluded from the search, reported in the result.
+    only helps: a point that holds at c holds at every larger c.  One
+    pass at c = 0 finds the failing points; each gets its own doubling
+    and binary search, and the grid's minimal c is the largest of
+    theirs.  The whole grid is then re-checked at minimal c and counted
+    at minimal c - 1.  Points with a NotFound complexity at c = 0 are
+    vacuous: excluded from the search, reported in the result.
     """
 
     s_grid = tuple(sorted(set(int(s) for s in s_grid)))
@@ -227,7 +262,7 @@ def verify_law(
     if law in ("pair_swap", "chain_easy", "symmetry"):
         if n > 3:
             raise ValueError("pair laws are limited to n <= 3")
-        points = _tuple_points(2, n)
+        arity = 2
         label = law
     elif law == "basic":
         i_mask = sum(1 << (i - 1) for i in set(I or ()))
@@ -238,7 +273,7 @@ def verify_law(
             raise ValueError("I and J must be subsets of {1..k}")
         if k >= 2 and n > 3:
             raise ValueError("tuple laws are limited to n <= 3 for k >= 2")
-        points = _tuple_points(k, n)
+        arity = k
         label = f"basic(I={mask_label(i_mask)},J={mask_label(j_mask)},k={k})"
     elif law == "shannon":
         if inequality is None:
@@ -247,15 +282,14 @@ def verify_law(
         k = inequality.k
         if k >= 2 and n > 3:
             raise ValueError("tuple laws are limited to n <= 3 for k >= 2")
-        points = _tuple_points(k, n)
+        arity = k
         neg_masks = [(m, -c) for m, c in inequality.coeffs if c < 0]
         pos_masks = [(m, c) for m, c in inequality.coeffs if c > 0]
         label = f"shannon({inequality.format()})"
     else:
         raise ValueError(f"unknown law {law!r}, expected one of {LAW_NAMES}")
 
-    if len(points) * len(s_grid) > _MAX_GRID_POINTS:
-        raise ValueError(f"grid has {len(points) * len(s_grid)} points, limit {_MAX_GRID_POINTS}")
+    points = _grid_points(arity, n, len(s_grid))
 
     calls = [0]
 
@@ -321,59 +355,45 @@ def verify_law(
             rhs += coeff * v
         return lhs, rhs
 
-    def sweep(c: int, skip: set, collect_vacuous: bool):
-        violations = []
-        vacuous = []
-        for s in s_grid:
-            sp = s_prime(s, c)
-            for point in points:
-                if (s, point) in skip:
-                    continue
-                result = evaluate(point, s, sp, c)
-                if result is None:
-                    if not collect_vacuous:
-                        raise AssertionError("point turned vacuous away from c=0")
-                    vacuous.append((s, point))
-                    continue
-                lhs, rhs = result
-                if lhs > rhs:
-                    violations.append(
-                        {
-                            "s": s,
-                            "point": list(point),
-                            "lhs": str(lhs),
-                            "rhs": str(rhs),
-                            "c": c,
-                        }
-                    )
-        return violations, vacuous
+    def holds(point, s: int, c: int) -> bool:
+        result = evaluate(point, s, s_prime(s, c), c)
+        if result is None:
+            raise AssertionError("point turned vacuous away from c=0")
+        lhs, rhs = result
+        return lhs <= rhs
 
-    base_violations, vacuous0 = sweep(0, set(), True)
-    skip = set(vacuous0)
-    if not base_violations:
-        minimal_c = 0
-    else:
-        hi = 1
-        while sweep(hi, skip, False)[0]:
-            hi *= 2
-            if hi > (1 << 20):
-                raise RuntimeError(f"{label}: no constant up to 2^20 satisfies the grid")
-        lo = hi // 2  # lo fails (or is 0, which failed above); hi passes
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if sweep(mid, skip, False)[0]:
-                lo = mid
-            else:
-                hi = mid
-        minimal_c = hi
+    # One pass at c = 0 sorts every point into vacuous, failing or holding.
+    vacuous: list = []
+    failing: list = []
+    for s in s_grid:
+        for point in points:
+            result = evaluate(point, s, s_prime(s, 0), 0)
+            if result is None:
+                vacuous.append((s, point))
+            elif result[0] > result[1]:
+                failing.append((s, point))
 
-    final_violations, _ = sweep(minimal_c, skip, False)
-    if final_violations:
-        raise AssertionError("minimal c re-check produced violations")
+    # A point that holds at c holds at every larger c, so the grid's least
+    # constant is the largest of its points' least constants.  A failing
+    # point is searched only when it still fails at the largest constant
+    # found so far: doubling from there, then bisecting.
+    minimal_c = 0
+    for s, point in failing:
+        if minimal_c == 0 or not holds(point, s, minimal_c):
+            minimal_c = _least_constant(lambda c: holds(point, s, c), minimal_c, label)
+
+    # Re-check the whole grid at minimal_c (the c = 0 pass already did when
+    # it is 0) and count the violations one below it.
     violations_below: int | None = None
     if minimal_c > 0:
-        below, _ = sweep(minimal_c - 1, skip, False)
-        violations_below = len(below)
+        skip = set(vacuous)
+
+        def violations(c: int) -> int:
+            return sum(not holds(pt, s, c) for s in s_grid for pt in points if (s, pt) not in skip)
+
+        if violations(minimal_c):
+            raise AssertionError("minimal c re-check produced violations")
+        violations_below = violations(minimal_c - 1)
         if violations_below == 0:
             raise AssertionError("c - 1 unexpectedly satisfies the grid")
 
@@ -386,8 +406,8 @@ def verify_law(
         violations=tuple(),
         violations_below=violations_below,
         points_total=len(points) * len(s_grid),
-        points_vacuous=len(vacuous0),
-        vacuous_points=tuple((s, pt) for s, pt in vacuous0[:100]),
+        points_vacuous=len(vacuous),
+        vacuous_points=tuple(vacuous[:100]),
         interpreter_tag=INTERPRETER_TAG,
         caveat=CAVEAT,
         ks_evaluations=calls[0],
@@ -531,15 +551,6 @@ def typical_set(
     return TypicalSet(xs, u, u_star, n, cap, tuple(members), base)
 
 
-def profile_level_vector(profile: ComplexityProfile) -> tuple:
-    """Profile as a nonincreasing-in-s integer vector; NotFound maps to cap+1."""
-
-    return tuple(
-        profile.entries[key].value if profile.entries[key].value is not None else profile.cap + 1
-        for key in sorted(profile.entries)
-    )
-
-
 def gap_report(ts: TypicalSet) -> str:
     """Entropy of the uniform distribution on the set vs the base profile.
 
@@ -612,44 +623,6 @@ def lemma_bound(s: float, k: float, n: int, c1: float, c2: float) -> float:
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be > 0")
     return s + n * math.log2(s) + c1 * (k + 1) * (n + c2) * math.log(n + c2)
-
-
-def lemma_search(s_values, k_values, n_max: int, candidates=None) -> tuple:
-    """Smallest (c1, c2) in lexicographic order covering the whole grid.
-
-    Checks iterate_f(s, 1, k, n) <= lemma_bound(s, k, n, c1, c2) for all
-    s in s_values, k in k_values, n in 1..n_max.  Iterations are shared
-    across n for speed.  Raises if no candidate pair works.
-    """
-
-    if candidates is None:
-        candidates = [(c1, c2) for c1 in range(1, 9) for c2 in range(1, 9)]
-    log2 = math.log2
-    ln = math.log
-    for c1, c2 in candidates:
-        ok = True
-        for s in s_values:
-            if not ok:
-                break
-            base = float(s)
-            ls = log2(base)
-            for k in k_values:
-                v = base
-                head = base  # s + n*log2(s) accumulates incrementally
-                factor = c1 * (k + 1)
-                bad = False
-                for n in range(1, n_max + 1):
-                    v = v + log2(v) + k
-                    head += ls
-                    if v > head + factor * (n + c2) * ln(n + c2):
-                        bad = True
-                        break
-                if bad:
-                    ok = False
-                    break
-        if ok:
-            return (c1, c2)
-    raise ValueError("no candidate (c1, c2) covers the grid")
 
 
 def mutual_info_profile(a: str, b: str, s_grid, cap: int, cache: ComplexityCache | None = None):

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 
 class MachineFormatError(ValueError):
@@ -84,10 +84,6 @@ class Instruction(NamedTuple):
 
 def halt() -> Instruction:
     return Instruction(Op.HALT)
-
-
-def push_l(bit: int, nxt: int) -> Instruction:
-    return Instruction(Op.PUSH_L, bit, nxt)
 
 
 def pop_l(nxt: int) -> Instruction:
@@ -708,25 +704,6 @@ def final_configuration(canonical: MachineSpec, p: str, x: str) -> Configuration
     return Configuration(canonical_halt_state(canonical), "", "", len(p), len(x))
 
 
-def trace(spec: MachineSpec, p: str, x: str, s: int, step_limit: int) -> Iterator[Configuration]:
-    """Yield the configurations of a bounded run, starting at the initial one.
-
-    Stops yielding after the configuration in which the run halts, aborts,
-    exceeds `s`, or hits the step limit.  Mostly a test aid.
-    """
-
-    cfg = initial_configuration()
-    yield cfg
-    for _ in range(step_limit):
-        res = step(spec, cfg, p, x)
-        if res.kind is not StepKind.NEXT:
-            return
-        cfg = res.config
-        if cfg.space > s:
-            return
-        yield cfg
-
-
 __all__ = [
     "BitsParseError",
     "Configuration",
@@ -755,7 +732,6 @@ __all__ = [
     "parse_machine",
     "pop_l",
     "pop_r",
-    "push_l",
     "read_p",
     "read_x",
     "record_width",
@@ -764,7 +740,6 @@ __all__ = [
     "serialized_length",
     "state_width",
     "step",
-    "trace",
     "unpack_config",
     "write",
 ]

@@ -1,16 +1,34 @@
-"""Shared helpers: canned machines, uniform sampling of serializations, oracles."""
+"""Shared helpers: canned machines, uniform sampling of serializations, oracles.
+
+Also the helpers only tests call: an instruction builder, a configuration
+trace, a tuple decoder, a distribution text format, profile level vectors
+and the iteration lemma's constant search.
+"""
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 from itertools import product
 
-from kslab.kolmo import ComplexityResult, ReferenceParseError, ReferenceRunError, reference_decode
+from kslab.entropy import JointDistribution
+from kslab.kolmo import (
+    ComplexityProfile,
+    ComplexityResult,
+    ReferenceParseError,
+    ReferenceRunError,
+    decode_pair,
+    reference_decode,
+)
 from kslab.machine import (
+    Configuration,
+    Instruction,
     MachineSpec,
     Op,
     StepKind,
     Verdict,
+    check_bits,
     initial_configuration,
     parse_bits,
     parse_machine,
@@ -151,3 +169,122 @@ def brute_scan(y: str, x: str, s: int, cap: int, prefix: str = "") -> Complexity
             if out == y:
                 return ComplexityResult(y, x, s, cap, length, prog)
     return ComplexityResult(y, x, s, cap, None, None)
+
+
+def push_l(bit: int, nxt: int) -> Instruction:
+    return Instruction(Op.PUSH_L, bit, nxt)
+
+
+def trace(spec: MachineSpec, p: str, x: str, s: int, step_limit: int):
+    """Yield the configurations of a bounded run, starting at the initial one.
+
+    Stops yielding after the configuration in which the run halts, aborts,
+    exceeds `s`, or hits the step limit.
+    """
+
+    cfg: Configuration = initial_configuration()
+    yield cfg
+    for _ in range(step_limit):
+        res = step(spec, cfg, p, x)
+        if res.kind is not StepKind.NEXT:
+            return
+        cfg = res.config
+        if cfg.space > s:
+            return
+        yield cfg
+
+
+def decode_tuple(bits: str, count: int) -> tuple[str, ...]:
+    """Inverse of `kolmo.encode_tuple` for a tuple of `count` strings."""
+
+    if count < 1:
+        raise ValueError("tuple arity must be >= 1")
+    parts: list[str] = []
+    rest = bits
+    for _ in range(count - 1):
+        rest, last = decode_pair(rest)
+        parts.append(last)
+    check_bits(rest)
+    parts.append(rest)
+    return tuple(reversed(parts))
+
+
+def distribution_text(dist: JointDistribution) -> str:
+    lines = [f"k={dist.k}"]
+    for outcome in sorted(dist.pmf):
+        lines.append(" ".join(outcome) + " : " + str(dist.pmf[outcome]))
+    return "\n".join(lines) + "\n"
+
+
+def parse_distribution(text: str) -> JointDistribution:
+    """Inverse of distribution_text; `#` starts a comment."""
+
+    k = None
+    pmf: dict = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if k is None:
+            if not line.startswith("k="):
+                raise ValueError(f"line {line_no}: expected k=<count> first, got {line!r}")
+            k = int(line[2:])
+            continue
+        if ":" not in line:
+            raise ValueError(f"line {line_no}: expected 'symbols... : probability'")
+        left, right = line.rsplit(":", 1)
+        outcome = tuple(left.split())
+        prob = Fraction(right.strip())
+        if outcome in pmf:
+            raise ValueError(f"line {line_no}: duplicate outcome {outcome}")
+        pmf[outcome] = prob
+    if k is None:
+        raise ValueError("empty distribution text")
+    return JointDistribution(k, pmf)
+
+
+def profile_level_vector(profile: ComplexityProfile) -> tuple:
+    """Profile as a nonincreasing-in-s integer vector; NotFound maps to cap+1."""
+
+    return tuple(
+        profile.entries[key].value if profile.entries[key].value is not None else profile.cap + 1
+        for key in sorted(profile.entries)
+    )
+
+
+def lemma_search(s_values, k_values, n_max: int, candidates=None) -> tuple:
+    """Smallest (c1, c2) in lexicographic order covering the whole grid.
+
+    Checks iterate_f(s, 1, k, n) <= lemma_bound(s, k, n, c1, c2) for all
+    s in s_values, k in k_values, n in 1..n_max.  Iterations are shared
+    across n for speed.  Raises if no candidate pair works.
+    """
+
+    if candidates is None:
+        candidates = [(c1, c2) for c1 in range(1, 9) for c2 in range(1, 9)]
+    log2 = math.log2
+    ln = math.log
+    for c1, c2 in candidates:
+        ok = True
+        for s in s_values:
+            if not ok:
+                break
+            base = float(s)
+            ls = log2(base)
+            for k in k_values:
+                v = base
+                head = base  # s + n*log2(s) accumulates incrementally
+                factor = c1 * (k + 1)
+                bad = False
+                for n in range(1, n_max + 1):
+                    v = v + log2(v) + k
+                    head += ls
+                    if v > head + factor * (n + c2) * ln(n + c2):
+                        bad = True
+                        break
+                if bad:
+                    ok = False
+                    break
+        if ok:
+            return (c1, c2)
+    raise ValueError("no candidate (c1, c2) covers the grid")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import copy_p_spec, echo_x_spec, sample_machine_bits
+from conftest import copy_p_spec, echo_x_spec, lemma_search, sample_machine_bits
 from kslab.entropy import (
     JointDistribution,
     LinearInequality,
@@ -43,7 +43,6 @@ from kslab.laws import (
     gap_report,
     iterate_f,
     lemma_bound,
-    lemma_search,
     staged_sets,
     strings_up_to,
     typical_set,

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -68,28 +69,12 @@ class TestCache:
         _, warm, _ = run(capsys, *argv)
         assert warm == cold
 
-    def test_cache_stats_reports_entries(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(tmp_path))
-        assert code == 0 and "entries: 0" in out
-        run(capsys, "ks", "compute", "101", "--cache-dir", str(tmp_path))
-        code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(tmp_path))
-        assert code == 0
-        assert "entries: 1" in out and "found: 1" in out and "tag kslab-v1: 1" in out
-
-    def test_cache_dir_environment_variable(self, capsys, tmp_path, monkeypatch):
+    def test_cache_dir_environment_variable_is_ignored(self, capsys, tmp_path, monkeypatch):
+        # Only --cache-dir opens a cache: an inherited variable must not
+        # turn an uncached run into a cached one.
         monkeypatch.setenv("KSLAB_CACHE_DIR", str(tmp_path))
-        code, _, _ = run(capsys, "ks", "compute", "11")
-        assert code == 0
-        assert (tmp_path / "complexity.tsv").exists()
-        code, out, _ = run(capsys, "cache", "stats")
-        assert code == 0 and "entries: 1" in out
-
-    def test_cache_stats_without_a_directory_is_an_error(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("KSLAB_CACHE_DIR", raising=False)
-        monkeypatch.setenv("HOME", str(tmp_path))
-        code, out, err = run(capsys, "cache", "stats")
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and "--cache-dir" in err
+        code, out, _ = run(capsys, "ks", "compute", "11")
+        assert code == 0 and out == "value: 3\nwitness: 011\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -160,6 +145,15 @@ class TestLawCommands:
         )
         assert code == 0
         assert out.startswith("law,n,cap,s_grid,minimal_c,")
+
+    def test_verify_refuses_an_oversized_grid_before_building_it(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "law", "verify", "basic", "--n", "3", "--k", "6", "--i", "1", "--j", "2",
+            "--s-grid", "8",
+        )
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert time.perf_counter() - start < 1
 
     def test_verify_basic_law_flags(self, capsys):
         code, out, _ = run(

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import distribution_text, parse_distribution
 from kslab._masks import mask_of, nonempty_masks
 from kslab.entropy import (
     JointDistribution,
@@ -14,7 +15,6 @@ from kslab.entropy import (
     entropy_vector,
     evaluate,
     is_shannon,
-    parse_distribution,
     parse_inequality,
 )
 
@@ -78,7 +78,7 @@ class TestDistributions:
 
     def test_text_round_trip(self):
         d = JointDistribution.random_rational(2, (2, 3), 32, seed=1)
-        again = parse_distribution(d.to_text())
+        again = parse_distribution(distribution_text(d))
         assert again.k == d.k and again.pmf == d.pmf
 
     def test_parse_accepts_comments_and_blank_lines(self):

@@ -1,13 +1,16 @@
 """Law grids, staged enumeration, typical sets, iteration lemma, baselines."""
 
+import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
+from conftest import lemma_search, profile_level_vector
 from kslab.entropy import LinearInequality, is_shannon, parse_inequality
-from kslab.kolmo import INTERPRETER_TAG, ComplexityCache, encode_pair, ks
+from kslab.kolmo import INTERPRETER_TAG, ComplexityCache, encode_pair, encode_tuple, ks
 from kslab.laws import (
     CAVEAT,
     BaselineMismatch,
@@ -17,15 +20,14 @@ from kslab.laws import (
     gap_report,
     iterate_f,
     lemma_bound,
-    lemma_search,
     mutual_info_profile,
-    profile_level_vector,
     staged_enumeration,
     staged_sets,
     strings_up_to,
     typical_set,
     verify_law,
 )
+from kslab.laws import _least_constant
 from kslab.kolmo import complexity_profile
 
 
@@ -234,10 +236,150 @@ class TestVerifyLaw:
             verify_law("shannon", inequality=ineq, certificate=other, **kwargs)
 
     def test_oversized_grids_are_rejected_up_front(self, cache):
+        start = time.perf_counter()
         with pytest.raises(ValueError):
             verify_law(
                 "basic", n=3, s_grid=range(1, 200), cap=14, I={1}, J={2}, k=3, cache=cache
             )
+        # Counted, not built: 15^6 tuples at n = 3, k = 6, and 2^(10^9 + 1) - 1
+        # strings at n = 10^9; a 0-tuple grid has one point per s whatever n is.
+        with pytest.raises(ValueError, match="grid has 11390625 points, limit 500000"):
+            verify_law("basic", n=3, s_grid=(8,), cap=14, I={1}, J={2}, k=6)
+        with pytest.raises(ValueError, match=r"grid has over 2\^64 points"):
+            verify_law("basic", n=10**9, s_grid=(8,), cap=14, I={1}, k=1)
+        report = verify_law("basic", n=10**12, s_grid=(8, 9), cap=14, k=0)
+        assert (report.points_total, report.minimal_c) == (2, 0)
+        assert time.perf_counter() - start < 1
+
+
+class TestLeastConstant:
+    def test_doubles_from_the_failing_constant_then_bisects(self):
+        tried = []
+
+        def holds(c):
+            tried.append(c)
+            return c >= 13
+
+        assert _least_constant(holds, 3, "law") == 13
+        assert tried == [6, 12, 24, 18, 15, 13]
+        for least in range(1, 130):
+            for lo in range(least):
+                assert _least_constant(lambda c: c >= least, lo, "law") == least
+
+    def test_gives_up_only_past_two_to_the_twenty(self):
+        assert _least_constant(lambda c: c >= 1 << 20, 0, "law") == 1 << 20
+        assert _least_constant(lambda c: c >= 1 << 20, 3 << 18, "law") == 1 << 20
+        with pytest.raises(RuntimeError, match=r"law: no constant up to 2\^20"):
+            _least_constant(lambda c: False, 0, "law")
+
+
+def _clog(v: int) -> int:
+    return math.ceil(math.log2(v + 2))
+
+
+def sweep_oracle(law, n, s_grid, cap, I=frozenset(), J=frozenset(), k=None, inequality=None):
+    """(minimal_c, violations_below, vacuous points) of a law, by full sweeps.
+
+    Independent of verify_law: the laws are restated from their formulas,
+    every value comes from ks directly, and the whole grid is swept at
+    c = 0, 1, 2, ... until no point fails.
+    """
+
+    def K(target, s):
+        return ks(target, "", s, cap).value
+
+    def sub(t, indices):
+        return encode_tuple([t[i - 1] for i in sorted(indices)]) if indices else ""
+
+    if law == "shannon":
+        k = inequality.k
+        terms = [({i for i in range(1, k + 1) if m >> (i - 1) & 1}, a) for m, a in inequality.coeffs]
+    arity = 2 if k is None else k
+
+    def sides(t, s, c):
+        """(lhs, rhs) at point t, bound s and constant c; None if a value is NotFound."""
+
+        if law == "shannon":
+            s2 = s + c * n * n * _clog(n) + c * n * _clog(s)
+            neg = [(-a, K(sub(t, idx), s2)) for idx, a in terms if a < 0]
+            pos = [(a, K(sub(t, idx), s)) for idx, a in terms if a > 0]
+            if any(v is None for _, v in neg + pos):
+                return None
+            return sum(a * v for a, v in neg), sum(a * v for a, v in pos) + c * _clog(n)
+        s2 = s + c * _clog(s) + c * n
+        if law == "basic":
+            vals = [K(sub(t, I | J), s2), K(sub(t, I & J), s2), K(sub(t, I), s), K(sub(t, J), s)]
+            if None in vals:
+                return None
+            return vals[0] + vals[1], vals[2] + vals[3] + c * _clog(n)
+        x, y = t
+        if law == "pair_swap":
+            vals = [K(encode_pair(y, x), s2), K(encode_pair(x, y), s)]
+            return None if None in vals else (vals[0], vals[1] + c)
+        if law == "chain_easy":
+            vals = [K(encode_pair(x, y), s2), K(x, s), ks(y, x, s, cap).value]
+            return None if None in vals else (vals[0], vals[1] + vals[2] + c * _clog(vals[1]))
+        vals = [K(x, s2), ks(y, x, s2, cap).value, K(encode_pair(x, y), s)]  # symmetry
+        return None if None in vals else (vals[0] + vals[1], vals[2] + c * _clog(vals[2]))
+
+    grid = [(s, t) for s in sorted(s_grid) for t in itertools.product(strings_up_to(n), repeat=arity)]
+    vacuous = [(s, t) for s, t in grid if sides(t, s, 0) is None]
+    live = [(s, t) for s, t in grid if (s, t) not in vacuous]
+    c, failed = 0, None
+    while True:
+        count = sum(lhs > rhs for lhs, rhs in (sides(t, s, c) for s, t in live))
+        if count == 0:
+            return c, failed, vacuous
+        c, failed = c + 1, count
+
+
+ORACLE_CASES = [
+    ("pair_swap", 2, (0, 64), 14, {}),
+    ("pair_swap", 3, (5, 300), 6, {}),
+    ("chain_easy", 2, (3, 100), 14, {}),
+    ("chain_easy", 2, (0, 9), 6, {}),
+    ("symmetry", 2, (64, 500), 14, {}),
+    ("symmetry", 2, (64,), 6, {}),
+    ("basic", 1, (8, 200), 14, dict(I={1}, J={2}, k=3)),
+    ("basic", 2, (1, 40), 8, dict(I={1, 2}, J={2, 3}, k=3)),
+    ("basic", 3, (16,), 8, dict(I={1}, J={2}, k=2)),
+    ("shannon", 1, (64, 128), 14, dict(inequality="k=3; {1,2}:1 {2,3}:1 {2}:-1 {1,2,3}:-1")),
+    ("shannon", 2, (0, 77), 6, dict(inequality="k=2; {1}:1 {2}:1 {1,2}:-1")),
+]
+
+
+def _oracle_kwargs(extra: dict) -> dict:
+    return {
+        key: parse_inequality(v) if key == "inequality" else frozenset(v) if key in ("I", "J") else v
+        for key, v in extra.items()
+    }
+
+
+class TestVerifyLawOracle:
+    @pytest.mark.parametrize(
+        "law,n,s_grid,cap,extra",
+        ORACLE_CASES,
+        ids=[f"{law}-n{n}-cap{cap}-{i}" for i, (law, n, _, cap, _) in enumerate(ORACLE_CASES)],
+    )
+    def test_report_equals_full_sweeps(self, law, n, s_grid, cap, extra):
+        kwargs = _oracle_kwargs(extra)
+        if law == "shannon":
+            kwargs["certificate"] = is_shannon(kwargs["inequality"])
+        report = verify_law(law, n=n, s_grid=s_grid, cap=cap, **kwargs)
+        minimal_c, below, vacuous = sweep_oracle(law, n, s_grid, cap, **_oracle_kwargs(extra))
+        assert (report.minimal_c, report.violations_below) == (minimal_c, below)
+        assert report.points_vacuous == len(vacuous)
+        assert report.vacuous_points == tuple(vacuous[:100])
+
+    def test_the_cases_cover_vacuous_points_and_nonzero_constants(self):
+        found = [
+            sweep_oracle(law, n, s_grid, cap, **_oracle_kwargs(extra))
+            for law, n, s_grid, cap, extra in ORACLE_CASES
+        ]
+        # Under the literal and echo programs K(<x,y>) >= K(x) + K(y|x), so
+        # symmetry holds at c = 0 on every grid.
+        assert all((c > 0) == (case[0] != "symmetry") for (c, _, _), case in zip(found, ORACLE_CASES))
+        assert sum(bool(vacuous) for _, _, vacuous in found) == 6
 
 
 class TestStagedEnumeration:

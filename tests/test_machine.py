@@ -11,10 +11,12 @@ from conftest import (
     all_bits,
     echo_x_spec,
     push_forever_spec,
+    push_l,
     sample_machine_bits,
     sample_spec,
     seesaw_spec,
     simulate,
+    trace,
 )
 from kslab.halting import config_count
 from kslab.machine import (
@@ -33,7 +35,6 @@ from kslab.machine import (
     parse_bits,
     parse_machine,
     pop_l,
-    push_l,
     read_p,
     read_x,
     record_width,
@@ -42,7 +43,6 @@ from kslab.machine import (
     serialized_length,
     state_width,
     step,
-    trace,
     write,
 )
 
