@@ -31,6 +31,7 @@ every cache record and report carries INTERPRETER_TAG.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -420,6 +421,7 @@ def _hex_to_bits(text: str) -> str | None:
 
 
 _CACHE_HEADER = "kslab-cache 1"
+_CACHE_HEADER_BYTES = (_CACHE_HEADER + "\n").encode("ascii")
 
 
 class ComplexityCache:
@@ -430,8 +432,11 @@ class ComplexityCache:
     takes the last record for a key, so rewriting an entry is just
     appending.  put() is idempotent and refuses to change the stored value
     for a key, because a (tag, target, condition, s, cap) search has
-    exactly one correct outcome.  A last line without its newline, left by
-    a crash partway through an append, is skipped on load and cut off by
+    exactly one correct outcome.  Each record is one O_APPEND write on a
+    descriptor opened and closed by that put, so writers sharing a file
+    never split each other's lines, and only the writer that creates the
+    file (O_EXCL) writes the header.  A last line without its newline, left
+    by a crash partway through an append, is skipped on load and cut off by
     the next put; a file that holds only part of the header, or nothing,
     loads as empty and is rewritten from the start by the next put.
     """
@@ -494,25 +499,31 @@ class ComplexityCache:
                     f"cache conflict for {key}: stored {known.value}, new {result.value}"
                 )
             return
-        line = "\t".join(
-            [
-                tag,
-                _bits_to_hex(result.target),
-                _bits_to_hex(result.condition),
-                str(result.s),
-                str(result.cap),
-                "-" if result.value is None else str(result.value),
-                _bits_to_hex(result.witness),
-            ]
-        )
-        fresh = self._torn_at == 0 or not self.path.exists()
-        with open(self.path, "a", encoding="ascii") as fh:
+        value = "-" if result.value is None else result.value
+        record = (
+            f"{tag}\t{_bits_to_hex(result.target)}\t{_bits_to_hex(result.condition)}\t"
+            f"{result.s}\t{result.cap}\t{value}\t{_bits_to_hex(result.witness)}\n"
+        ).encode("ascii")
+        try:
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        except FileNotFoundError:  # the first put, or the file was removed since the load
+            self._torn_at = None
+            try:
+                fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o666)
+                record = _CACHE_HEADER_BYTES + record
+            except FileExistsError:  # another writer created it meanwhile
+                fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
             if self._torn_at is not None:
-                fh.truncate(self._torn_at)
+                os.ftruncate(fd, self._torn_at)
+                if self._torn_at == 0:
+                    record = _CACHE_HEADER_BYTES + record
                 self._torn_at = None
-            if fresh:
-                fh.write(_CACHE_HEADER + "\n")
-            fh.write(line + "\n")
+            written = os.write(fd, record)
+            while written < len(record):  # a regular file takes it whole unless the disk is full
+                written += os.write(fd, record[written:])
+        finally:
+            os.close(fd)
         self._entries[key] = result
 
     def __len__(self) -> int:

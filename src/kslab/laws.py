@@ -75,6 +75,11 @@ LAW_NAMES = ("pair_swap", "chain_easy", "symmetry", "basic", "shannon")
 
 _MAX_GRID_POINTS = 500_000
 
+# Largest tuple arity of basic, checked before any 1 << k is formed.  With
+# n >= 1 the point limit already refuses k >= 12; at n = 0 every k has one
+# point per s, so only this bound keeps k (and the tuple built) small.
+_MAX_ARITY = 16
+
 # verify_law gives up on a point that still fails at this constant.
 _MAX_C = 1 << 20
 
@@ -265,12 +270,14 @@ def verify_law(
         arity = 2
         label = law
     elif law == "basic":
-        i_mask = sum(1 << (i - 1) for i in set(I or ()))
-        j_mask = sum(1 << (j - 1) for j in set(J or ()))
         if k is None:
             raise ValueError("basic law needs k")
-        if (i_mask | j_mask) >= (1 << k):
+        if not 0 <= k <= _MAX_ARITY:
+            raise ValueError(f"basic law needs 0 <= k <= {_MAX_ARITY}, got {k}")
+        if not set(I or ()) | set(J or ()) <= set(range(1, k + 1)):
             raise ValueError("I and J must be subsets of {1..k}")
+        i_mask = sum(1 << (i - 1) for i in set(I or ()))
+        j_mask = sum(1 << (j - 1) for j in set(J or ()))
         if k >= 2 and n > 3:
             raise ValueError("tuple laws are limited to n <= 3 for k >= 2")
         arity = k

@@ -1,8 +1,9 @@
 """Shared helpers: canned machines, uniform sampling of serializations, oracles.
 
 Also the helpers only tests call: an instruction builder, a configuration
-trace, a tuple decoder, a distribution text format, profile level vectors
-and the iteration lemma's constant search.
+trace, a tuple decoder, a distribution text format, profile level vectors,
+the iteration lemma's constant search, and a dense phase-1 simplex that
+the cone decision is checked against.
 """
 
 from __future__ import annotations
@@ -288,3 +289,70 @@ def lemma_search(s_values, k_values, n_max: int, candidates=None) -> tuple:
         if ok:
             return (c1, c2)
     raise ValueError("no candidate (c1, c2) covers the grid")
+
+
+def dense_bland_phase1(columns, rhs):
+    """entropy._bland_phase1 as it was before its pivots went sparse.
+
+    Every pivot divides the whole pivot row and rebuilds every row that
+    has a nonzero in the entering column, and the reduced costs, over the
+    full tableau width.  Same contract: (solution, None) or (None, Farkas y).
+    """
+
+    m = len(rhs)
+    n = len(columns)
+    signs = [1] * m
+    rhs = list(rhs)
+    cols = [list(c) for c in columns]
+    for i in range(m):
+        if rhs[i] < 0:
+            signs[i] = -1
+            rhs[i] = -rhs[i]
+            for col in cols:
+                col[i] = -col[i]
+    width = n + m + 1
+    rows = []
+    for i in range(m):
+        row = [cols[j][i] for j in range(n)]
+        row += [Fraction(1) if t == i else Fraction(0) for t in range(m)]
+        row.append(rhs[i])
+        rows.append(row)
+    basis = [n + i for i in range(m)]
+    red = [Fraction(0)] * width
+    for j in range(width):
+        red[j] = (Fraction(1) if n <= j < n + m else Fraction(0)) - sum(
+            rows[i][j] for i in range(m)
+        )
+    while True:
+        enter = next((j for j in range(n + m) if red[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if rows[i][enter] > 0:
+                ratio = rows[i][width - 1] / rows[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise AssertionError("phase-1 objective is bounded, no unbounded ray exists")
+        pivot = rows[leave][enter]
+        rows[leave] = [v / pivot for v in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[leave])]
+        if red[enter] != 0:
+            f = red[enter]
+            red = [a - f * b for a, b in zip(red, rows[leave])]
+        basis[leave] = enter
+    objective = sum(rows[i][width - 1] for i in range(m) if basis[i] >= n)
+    if objective == 0:
+        solution: dict = {}
+        for i in range(m):
+            if basis[i] < n and rows[i][width - 1] != 0:
+                solution[basis[i]] = rows[i][width - 1]
+        return solution, None
+    y = [(Fraction(1) - red[n + i]) * signs[i] for i in range(m)]
+    return None, y

@@ -155,6 +155,26 @@ class TestLawCommands:
         assert code == 1 and out == "" and err.startswith("error:")
         assert time.perf_counter() - start < 1
 
+    def test_verify_refuses_basic_arity_above_the_bound(self, capsys):
+        # At n = 0 the grid has one point whatever k is; only the arity bound refuses.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "law", "verify", "basic", "--n", "0", "--k", "3000000", "--i", "1",
+            "--j", "2", "--s-grid", "8", "--format", "csv",
+        )
+        assert code == 1 and out == "" and err.startswith("error:")
+        code, out, err = run(
+            capsys, "law", "verify", "basic", "--n", "0", "--k", "3", "--i", "1000000000",
+            "--s-grid", "8",
+        )
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert time.perf_counter() - start < 1
+        code, out, _ = run(
+            capsys, "law", "verify", "basic", "--n", "0", "--k", "16", "--i", "1", "--j", "2",
+            "--s-grid", "8", "--format", "csv",
+        )
+        assert code == 0 and "k=16" in out
+
     def test_verify_basic_law_flags(self, capsys):
         code, out, _ = run(
             capsys, "law", "verify", "basic", "--n", "1", "--s-grid", "32",
@@ -262,6 +282,16 @@ class TestConeCommands:
         path.write_text("k=2; {1}:1\n")
         code, out, _ = run(capsys, "cone", "check", "--file", str(path))
         assert code == 0 and "member: true" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "k=1000000000; {1}:1"], ["elemental", "--k", "40"], ["check", "k=7; {1}:1"]],
+    )
+    def test_k_above_the_bound_is_refused(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cone", *argv)
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert time.perf_counter() - start < 1
 
     def test_check_requires_an_inequality(self, capsys):
         code, _, err = run(capsys, "cone", "check")

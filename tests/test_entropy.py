@@ -1,10 +1,13 @@
 """Exact joint distributions, entropy vectors, and the polymatroid cone."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import distribution_text, parse_distribution
+from conftest import dense_bland_phase1, distribution_text, parse_distribution
+from kslab import entropy
 from kslab._masks import mask_of, nonempty_masks
 from kslab.entropy import (
     JointDistribution,
@@ -16,6 +19,19 @@ from kslab.entropy import (
     evaluate,
     is_shannon,
     parse_inequality,
+)
+
+# Zhang-Yeung 1998 with A, B, C, D = X1..X4, as rhs - lhs >= 0:
+# 2I(C;D) <= I(A;B) + I(A;CD) + 3I(C;D|A) + I(C;D|B).  Valid, not Shannon.
+ZHANG_YEUNG = (
+    "k=4; {1}:-1 {1,2}:-1 {3}:-2 {1,3}:3 {2,3}:1 {4}:-2 {1,4}:3 {2,4}:1"
+    " {3,4}:3 {1,3,4}:-4 {2,3,4}:-1"
+)
+# A k = 5 member that takes many pivots: 2, 1, 3 and 1 times four elemental
+# inequalities (the benchmark's fixed cone member).
+MEMBER_K5 = (
+    "k=5; {4}:1 {1,4}:-3 {1,2,4}:3 {1,3,4}:3 {1,2,3,4}:-3 {1,5}:1 {3,5}:1"
+    " {1,3,5}:-1 {1,2,3,5}:-2 {4,5}:-1 {1,2,3,4,5}:2"
 )
 
 FAIR_COPY = JointDistribution(2, {("0", "0"): Fraction(1, 2), ("1", "1"): Fraction(1, 2)})
@@ -202,6 +218,20 @@ class TestElementalFamily:
         with pytest.raises(ValueError):
             elemental_inequalities(0)
 
+    def test_k_above_the_bound_is_refused_before_anything_is_built(self):
+        assert len(elemental_inequalities(6)) == 246
+        start = time.perf_counter()
+        for k in (7, 40, 10**9):
+            with pytest.raises(ValueError, match="k must be between 1 and 6"):
+                elemental_inequalities(k)
+            with pytest.raises(ValueError, match="k must be between 1 and 6"):
+                parse_inequality(f"k={k}; {{1}}:1")
+            with pytest.raises(ValueError, match="k must be between 1 and 6"):
+                LinearInequality(k, {1: 1})
+        with pytest.raises(ValueError, match="variable out of range"):
+            parse_inequality("k=3; {1000000000}:1")
+        assert time.perf_counter() - start < 1
+
 
 class TestConeMembership:
     def assert_member(self, ineq: LinearInequality) -> ShannonDecision:
@@ -277,3 +307,41 @@ class TestConeMembership:
 
     def test_masks_helper_agrees_with_labels(self):
         assert mask_of([1, 3]) == 0b101
+
+
+class TestSparsePivots:
+    """is_shannon against the same decision built on the dense reference pivots."""
+
+    @staticmethod
+    def assert_same_decision(ineq: LinearInequality, monkeypatch) -> ShannonDecision:
+        sparse = is_shannon(ineq)
+        with monkeypatch.context() as patched:
+            patched.setattr(entropy, "_bland_phase1", dense_bland_phase1)
+            dense = is_shannon(ineq)
+        assert (sparse.member, sparse.weights, sparse.witness) == (
+            dense.member,
+            dense.weights,
+            dense.witness,
+        )
+        return sparse
+
+    def test_random_inequalities(self, monkeypatch):
+        rng = random.Random(20261018)
+        members = 0
+        for trial in range(160):
+            k = 2 + trial % 3
+            if trial % 2:
+                family = elemental_inequalities(k)
+                picks = [(rng.randrange(1, 5), rng.choice(family)) for _ in range(rng.randrange(1, 5))]
+                ineq = combine(k, picks)
+            else:
+                masks = rng.sample(list(nonempty_masks(k)), rng.randrange(2, 4))
+                ineq = LinearInequality(k, {m: rng.randrange(-3, 4) for m in masks})
+            members += self.assert_same_decision(ineq, monkeypatch).member
+        assert 80 <= members <= 120  # every combination, and some of the random ones
+
+    def test_zhang_yeung(self, monkeypatch):
+        assert not self.assert_same_decision(parse_inequality(ZHANG_YEUNG), monkeypatch).member
+
+    def test_many_pivot_member_at_k5(self, monkeypatch):
+        assert self.assert_same_decision(parse_inequality(MEMBER_K5), monkeypatch).member

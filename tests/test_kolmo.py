@@ -1,6 +1,7 @@
 """Reference interpreter, pair codecs, shortest-program search, cache."""
 
 import itertools
+import os
 import random
 import time
 import tracemalloc
@@ -417,6 +418,73 @@ class TestCache:
         fresh = tmp_path / "fresh.tsv"
         ComplexityCache(fresh).put(result)
         assert path.read_bytes() == fresh.read_bytes()
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # Written by the buffered-text put this one replaced; the format is unchanged.
+        path = tmp_path / "cache.tsv"
+        cache = ComplexityCache(path)
+        cache.put(ComplexityResult("10110", "101", 4, 14, 7, "0010110"))
+        cache.put(ComplexityResult("1" * 30, "", 0, 14, None, None))
+        cache.put(ComplexityResult("", "", 0, 14, 1, "0"))
+        cache.put(ComplexityResult("01", "1", 512, 9, 3, "001"), tag="other-tag")
+        cache.put(ComplexityResult("10110", "101", 4, 14, 7, "0010110"))
+        ComplexityCache(path).put(ComplexityResult("0", "0000", 3, 14, 2, "00"))
+        assert path.read_bytes() == (
+            b"kslab-cache 1\n"
+            b"kslab-v1\t36\td\t4\t14\t7\t96\n"
+            b"kslab-v1\t7fffffff\t1\t0\t14\t-\t-\n"
+            b"kslab-v1\t1\t1\t0\t14\t1\t2\n"
+            b"other-tag\t5\t3\t512\t9\t3\t9\n"
+            b"kslab-v1\t2\t10\t3\t14\t2\t4\n"
+        )
+
+    def test_writers_sharing_a_file_interleave_whole_records(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        first, second = ComplexityCache(path), ComplexityCache(path)  # neither found a file
+        results = [ks(y, "", 0, 14) for y in ("", "0", "1", "01", "110", "0110")]
+        for i, result in enumerate(results):
+            (first if i % 2 else second).put(result)
+        third = ComplexityCache(path)  # found the file: appends without a header
+        third.put(ks("1010", "1", 2, 14))
+        reloaded = ComplexityCache(path)
+        assert reloaded.records_loaded == 7
+        assert all(reloaded.get(r.target, "", 0, 14) == r for r in results)
+        assert path.read_bytes().count(b"kslab-cache 1\n") == 1
+
+    def test_a_writer_that_found_no_file_adds_no_second_header(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        late = ComplexityCache(path)
+        ComplexityCache(path).put(ks("101", "", 0, 14))  # creates the file after late's load
+        late.put(ks("11", "", 0, 14))
+        lines = path.read_bytes().split(b"\n")
+        assert lines[0] == b"kslab-cache 1" and b"kslab-cache 1" not in lines[1:]
+        assert ComplexityCache(path).records_loaded == 2
+
+    def test_a_writer_that_loses_the_race_to_create_the_file_adds_no_header(
+        self, tmp_path, monkeypatch
+    ):
+        # Another writer creates the file between this put's failed append
+        # open and its O_EXCL create.
+        path = tmp_path / "cache.tsv"
+        real_open = os.open
+        raced = []
+
+        def racing_open(file, flags, mode=0o777):
+            try:
+                return real_open(file, flags, mode)
+            except FileNotFoundError:
+                if not raced:
+                    raced.append(file)
+                    ComplexityCache(path).put(ks("101", "", 0, 14))
+                raise
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "open", racing_open)
+            ComplexityCache(path).put(ks("11", "", 0, 14))
+        assert raced == [path]
+        lines = path.read_bytes().split(b"\n")
+        assert lines[0] == b"kslab-cache 1" and b"kslab-cache 1" not in lines[1:]
+        assert ComplexityCache(path).records_loaded == 2
 
     def test_tag_separates_namespaces(self, tmp_path):
         cache = ComplexityCache(tmp_path / "cache.tsv")
