@@ -28,6 +28,8 @@ from .kolmo import (
 from .laws import (
     LAW_NAMES,
     BaselineMismatch,
+    baseline_name,
+    count_strings_up_to,
     freeze_or_check,
     gap_report,
     iterate_f,
@@ -38,9 +40,19 @@ from .laws import (
     typical_set,
     verify_law,
 )
-from .machine import check_bits, parse_bits, parse_machine
+from .machine import parse_bits, parse_machine
 
-__all__ = ["main", "build_parser"]
+__all__ = [
+    "cmd_cone_check",
+    "cmd_cone_elemental",
+    "cmd_ks_table",
+    "cmd_law_typical_set",
+    "cmd_law_verify",
+    "main",
+]
+
+# Largest ks table, counted before any row is built, as the law grids are.
+_MAX_TABLE_ROWS = 500_000
 
 
 def _parse_grid(text: str) -> list:
@@ -93,13 +105,17 @@ def cmd_ks_compute(args) -> int:
 
 
 def cmd_ks_table(args) -> int:
+    s_grid = _parse_grid(args.s_grid)
+    rows = len(s_grid) * count_strings_up_to(args.targets_to) * count_strings_up_to(args.conditions_to)
+    if rows > _MAX_TABLE_ROWS:
+        raise ValueError(f"table has over {_MAX_TABLE_ROWS} rows (targets x conditions x s values)")
     cache = _open_cache(args)
     conditions = strings_up_to(args.conditions_to) if args.conditions_to >= 0 else [""]
     results = [
         cached_ks(y, x, s, args.cap, cache)
         for y in strings_up_to(args.targets_to)
         for x in conditions
-        for s in _parse_grid(args.s_grid)
+        for s in s_grid
     ]
     if args.format == "json":
         rows = [
@@ -122,8 +138,6 @@ def cmd_ks_pair_encode(args) -> int:
 
 def cmd_halt_decide(args) -> int:
     spec = _load_machine(args.machine)
-    check_bits(args.p)
-    check_bits(args.x)
     decider = {
         "backward": decide_backward,
         "forward": decide_forward,
@@ -161,8 +175,6 @@ def cmd_law_verify(args) -> int:
     else:
         sys.stdout.write(report.to_json())
     if args.baseline_dir:
-        from .laws import baseline_name
-
         status = freeze_or_check(args.baseline_dir, baseline_name("law", report), report.baseline_text())
         print(f"baseline: {status}", file=sys.stderr)
     return 0

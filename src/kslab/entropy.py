@@ -17,7 +17,6 @@ satisfying every generator while violating the inequality.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,9 +27,7 @@ __all__ = [
     "entropy_vector",
     "LinearInequality",
     "parse_inequality",
-    "basic_inequality",
     "elemental_inequalities",
-    "evaluate",
     "ShannonDecision",
     "is_shannon",
 ]
@@ -69,30 +66,6 @@ class JointDistribution:
             raise ValueError("duplicate outcomes")
         p = Fraction(1, len(outcomes))
         return cls(k, {o: p for o in outcomes})
-
-    @classmethod
-    def random_rational(
-        cls, k: int, alphabet_sizes, denominator: int, seed: int
-    ) -> "JointDistribution":
-        """Empirical pmf of `denominator` uniform draws over the product space.
-
-        Every probability is a multiple of 1/denominator, so downstream
-        arithmetic stays exact and runs are reproducible from the seed.
-        """
-
-        if isinstance(alphabet_sizes, int):
-            alphabet_sizes = (alphabet_sizes,) * k
-        alphabet_sizes = tuple(alphabet_sizes)
-        if len(alphabet_sizes) != k or any(a < 1 for a in alphabet_sizes):
-            raise ValueError("need one positive alphabet size per variable")
-        if denominator < 1:
-            raise ValueError("denominator must be >= 1")
-        rng = random.Random(seed)
-        counts: dict = {}
-        for _ in range(denominator):
-            outcome = tuple(str(rng.randrange(a)) for a in alphabet_sizes)
-            counts[outcome] = counts.get(outcome, 0) + 1
-        return cls(k, {o: Fraction(c, denominator) for o, c in counts.items()})
 
     def marginal(self, mask: int) -> dict:
         """Projected pmf onto the variables in mask (1-based bit positions)."""
@@ -244,12 +217,6 @@ def elemental_inequalities(k: int) -> tuple:
                     break
                 sub = (sub - free) & free
     return tuple(out)
-
-
-def evaluate(inequality: LinearInequality, vector: dict) -> float:
-    """Value of the inequality's left side on an entropy vector (floats)."""
-
-    return sum(float(c) * vector[m] for m, c in inequality.coeffs)
 
 
 @dataclass(frozen=True)

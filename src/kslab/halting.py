@@ -33,7 +33,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .machine import (
-    Configuration,
     EMPTY_STACK,
     MachineSpec,
     Op,
@@ -46,7 +45,6 @@ from .machine import (
     final_configuration,
     initial_configuration,
     pack_config,
-    unpack_config,
 )
 
 
@@ -255,21 +253,6 @@ def _tree_moves(
     return child_after, up
 
 
-def predecessors(spec: MachineSpec, p: str, x: str, cfg: Configuration, s: int) -> list[Configuration]:
-    """All configurations C' with space <= s that step to `cfg`, in canonical order."""
-
-    check_bits(p, "program tape")
-    check_bits(x, "condition tape")
-    child_after, _ = _tree_moves(spec, p, x, s)
-    packed = pack_config(cfg)
-    found = []
-    child, idx = child_after(packed, -1)
-    while child is not None:
-        found.append(unpack_config(child))
-        child, idx = child_after(packed, idx)
-    return found
-
-
 def _check_inputs(p: str, x: str, s: int) -> None:
     check_bits(p, "program tape")
     check_bits(x, "condition tape")
@@ -347,12 +330,8 @@ def decide_counter(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
 
 
 __all__ = [
-    "HaltVerdict",
-    "ProbeStats",
     "config_count",
     "decide_backward",
     "decide_counter",
     "decide_forward",
-    "predecessors",
-    "stack_pair_count",
 ]

@@ -50,13 +50,11 @@ from ._masks import indices_of, nonempty_masks
 __all__ = [
     "INTERPRETER_TAG",
     "C_SIM",
-    "MACHINE_MODE_MIN_LENGTH",
-    "MAX_CLOSED_FORM_CAP",
     "ReferenceParseError",
     "ReferenceRunError",
     "encode_pair",
-    "decode_pair",
     "encode_tuple",
+    "encode_subtuple",
     "reference_decode",
     "ComplexityResult",
     "ks",
@@ -128,6 +126,14 @@ def encode_tuple(items) -> str:
     for item in items[1:]:
         acc = encode_pair(acc, item)
     return acc
+
+
+def encode_subtuple(strings, mask: int) -> str:
+    """encode_tuple of the components picked by mask (bit i-1 for component i); mask 0 is ε."""
+
+    if mask == 0:
+        return ""
+    return encode_tuple([strings[i - 1] for i in indices_of(mask)])
 
 
 def reference_decode(prog: str, x: str, s: int) -> str:
@@ -215,10 +221,6 @@ class ComplexityResult:
     cap: int
     value: int | None
     witness: str | None
-
-    @property
-    def found(self) -> bool:
-        return self.value is not None
 
     def describe(self) -> str:
         if self.value is None:
@@ -356,14 +358,6 @@ class ComplexityProfile:
     cap: int
     entries: dict
 
-    def value(self, target_mask: int, condition_mask: int) -> int | None:
-        return self.entries[(target_mask, condition_mask)].value
-
-
-def _subtuple_encoding(strings: tuple[str, ...], mask: int) -> str:
-    picked = [strings[i - 1] for i in indices_of(mask)]
-    return encode_tuple(picked)
-
 
 def complexity_profile(
     strings,
@@ -385,12 +379,12 @@ def complexity_profile(
     k = len(strings)
     entries: dict = {}
     for target_mask in nonempty_masks(k):
-        target = _subtuple_encoding(strings, target_mask)
+        target = encode_subtuple(strings, target_mask)
         free = ((1 << k) - 1) ^ target_mask
         # Disjoint condition masks are exactly the submasks of the complement.
         cond_mask = 0
         while True:
-            condition = "" if cond_mask == 0 else _subtuple_encoding(strings, cond_mask)
+            condition = encode_subtuple(strings, cond_mask)
             entries[(target_mask, cond_mask)] = cached_ks(target, condition, s, cap, cache)
             if cond_mask == free:
                 break

@@ -94,10 +94,6 @@ def pop_r(nxt: int) -> Instruction:
     return Instruction(Op.POP_R, 0, nxt)
 
 
-def write(bit: int, nxt: int) -> Instruction:
-    return Instruction(Op.WRITE, bit, nxt)
-
-
 def read_p(on0: int, on1: int, on_end: int) -> Instruction:
     return Instruction(Op.READ_P, 0, on0, on1, on_end)
 
@@ -283,11 +279,6 @@ def pack_config(cfg: Configuration) -> PackedConfig:
         cfg.head_p,
         cfg.head_x,
     )
-
-
-def unpack_config(packed: PackedConfig) -> Configuration:
-    st, sl, sr, hp, hx = packed
-    return Configuration(st, bin(sl)[3:], bin(sr)[3:], hp, hx)
 
 
 def _execute(
@@ -706,40 +697,24 @@ def final_configuration(canonical: MachineSpec, p: str, x: str) -> Configuration
 
 __all__ = [
     "BitsParseError",
-    "Configuration",
     "EMPTY_STACK",
-    "Instruction",
-    "MachineFormatError",
     "MachineSpec",
     "Op",
-    "RunResult",
+    "PackedConfig",
     "StepKind",
-    "StepResult",
-    "TOP_0",
-    "TOP_1",
-    "TOP_CHARS",
-    "TOP_EMPTY",
     "Verdict",
-    "canonical_halt_state",
     "canonicalize",
     "check_bits",
     "compile_spec",
     "final_configuration",
-    "halt",
     "initial_configuration",
     "pack_config",
     "parse_bits",
     "parse_machine",
-    "pop_l",
-    "pop_r",
-    "read_p",
-    "read_x",
     "record_width",
     "run",
     "serialize_machine",
     "serialized_length",
     "state_width",
     "step",
-    "unpack_config",
-    "write",
 ]

@@ -1,9 +1,11 @@
 """Shared helpers: canned machines, uniform sampling of serializations, oracles.
 
 Also the helpers only tests call: an instruction builder, a configuration
-trace, a tuple decoder, a distribution text format, profile level vectors,
-the iteration lemma's constant search, and a dense phase-1 simplex that
-the cone decision is checked against.
+trace, the predecessor list of the backward decider's tree move,
+a tuple decoder, seeded random distributions and a distribution text
+format, an inequality's value on an entropy vector, profile level vectors
+and their stable level, the iteration lemma's constant search, and a dense
+phase-1 simplex that the cone decision is checked against.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from kslab.entropy import JointDistribution
+from kslab.entropy import JointDistribution, LinearInequality
+from kslab.halting import _tree_moves
 from kslab.kolmo import (
     ComplexityProfile,
     ComplexityResult,
@@ -31,6 +34,7 @@ from kslab.machine import (
     Verdict,
     check_bits,
     initial_configuration,
+    pack_config,
     parse_bits,
     parse_machine,
     record_width,
@@ -195,6 +199,23 @@ def trace(spec: MachineSpec, p: str, x: str, s: int, step_limit: int):
         yield cfg
 
 
+def predecessors(spec: MachineSpec, p: str, x: str, cfg: Configuration, s: int) -> list:
+    """All configurations with space <= s that step to `cfg`, in canonical order.
+
+    Walks `child_after`, the backward decider's move to the next child.
+    """
+
+    child_after, _ = _tree_moves(spec, p, x, s)
+    packed = pack_config(cfg)
+    found = []
+    child, idx = child_after(packed, -1)
+    while child is not None:
+        st, sl, sr, hp, hx = child
+        found.append(Configuration(st, bin(sl)[3:], bin(sr)[3:], hp, hx))
+        child, idx = child_after(packed, idx)
+    return found
+
+
 def decode_tuple(bits: str, count: int) -> tuple[str, ...]:
     """Inverse of `kolmo.encode_tuple` for a tuple of `count` strings."""
 
@@ -208,6 +229,34 @@ def decode_tuple(bits: str, count: int) -> tuple[str, ...]:
     check_bits(rest)
     parts.append(rest)
     return tuple(reversed(parts))
+
+
+def random_rational(k: int, alphabet_sizes, denominator: int, seed: int) -> JointDistribution:
+    """Empirical pmf of `denominator` uniform draws over the product space.
+
+    Every probability is a multiple of 1/denominator, so downstream
+    arithmetic stays exact and runs are reproducible from the seed.
+    """
+
+    if isinstance(alphabet_sizes, int):
+        alphabet_sizes = (alphabet_sizes,) * k
+    alphabet_sizes = tuple(alphabet_sizes)
+    if len(alphabet_sizes) != k or any(a < 1 for a in alphabet_sizes):
+        raise ValueError("need one positive alphabet size per variable")
+    if denominator < 1:
+        raise ValueError("denominator must be >= 1")
+    rng = random.Random(seed)
+    counts: dict = {}
+    for _ in range(denominator):
+        outcome = tuple(str(rng.randrange(a)) for a in alphabet_sizes)
+        counts[outcome] = counts.get(outcome, 0) + 1
+    return JointDistribution(k, {o: Fraction(c, denominator) for o, c in counts.items()})
+
+
+def evaluate(inequality: LinearInequality, vector: dict) -> float:
+    """Value of the inequality's left side on an entropy vector (floats)."""
+
+    return sum(float(c) * vector[m] for m, c in inequality.coeffs)
 
 
 def distribution_text(dist: JointDistribution) -> str:
@@ -251,6 +300,26 @@ def profile_level_vector(profile: ComplexityProfile) -> tuple:
         profile.entries[key].value if profile.entries[key].value is not None else profile.cap + 1
         for key in sorted(profile.entries)
     )
+
+
+def find_stable_level(levels) -> int:
+    """Smallest index k with levels[k] equal to levels[k+1].
+
+    Input must be coordinatewise nonincreasing; then a list longer than
+    1 + total decrease always contains an equal adjacent pair
+    (pigeonhole), which is how profile sequences are shown to stabilize.
+    """
+
+    levels = [tuple(v) for v in levels]
+    for idx in range(len(levels) - 1):
+        cur, nxt = levels[idx], levels[idx + 1]
+        if len(cur) != len(nxt):
+            raise ValueError("level vectors must share a length")
+        if any(b > a for a, b in zip(cur, nxt)):
+            raise ValueError(f"levels increase at index {idx}")
+        if cur == nxt:
+            return idx
+    raise ValueError("no stable adjacent pair; sequence too short")
 
 
 def lemma_search(s_values, k_values, n_max: int, candidates=None) -> tuple:

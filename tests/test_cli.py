@@ -57,6 +57,20 @@ class TestKsCommands:
         rows = json.loads(out)
         assert len(rows) == 3 and {"y", "x", "s", "cap", "value", "witness"} <= set(rows[0])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--targets-to", "24", "--s-grid", "1"],
+            ["--targets-to", "17", "--s-grid", "1,2"],
+            ["--targets-to", "1000000000", "--conditions-to", "1000000000", "--s-grid", "1"],
+        ],
+    )
+    def test_table_above_the_row_limit_is_refused(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ks", "table", *argv)
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert time.perf_counter() - start < 1
+
 
 class TestCache:
     def test_cache_is_transparent_and_persistent(self, capsys, tmp_path):
@@ -115,6 +129,17 @@ class TestHaltCommands:
             capsys, "halt", "decide", "--machine", str(path), "--x", "0", "--s", "4"
         )
         assert (code, out) == (0, "terminates: true\n")
+
+    @pytest.mark.parametrize(
+        "tapes, message",
+        [
+            (["--p", "2"], "program tape must consist of '0'/'1' characters, got '2'"),
+            (["--p", "1", "--x", "x"], "condition tape must consist of '0'/'1' characters, got 'x'"),
+        ],
+    )
+    def test_non_bit_tapes_are_a_domain_error(self, capsys, machine_file, tapes, message):
+        code, out, err = run(capsys, "halt", "decide", "--machine", machine_file, "--s", "1", *tapes)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_missing_machine_file_is_a_domain_error(self, capsys, tmp_path):
         code, _, err = run(
@@ -221,6 +246,23 @@ class TestLawCommands:
         )
         assert json.loads(out)["ordinal"] == 0
 
+    def test_staged_stops_at_the_target_stage(self, capsys):
+        argv = ("law", "staged", "--x", "", "--target-y", "", "--m", "3", "--n", "1")
+        code, capped, _ = run(capsys, *argv, "--stage-cap", "8")
+        assert (code, capped) == (0, "ordinal: 0\nstage: 0\ntotal: 1\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv, "--stage-cap", "10000000")
+        assert (code, out) == (0, capped)
+        assert time.perf_counter() - start < 1
+
+    def test_staged_refuses_a_stage_above_the_point_limit(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "law", "staged", "--x", "", "--target-y", "", "--m", "3", "--n", "24"
+        )
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert time.perf_counter() - start < 1
+
     def test_staged_unreachable_is_a_domain_error(self, capsys):
         code, _, err = run(
             capsys, "law", "staged", "--x", "", "--target-y", "1", "--m", "1", "--n", "1"
@@ -314,6 +356,15 @@ class TestLemmaCommand:
         lines = out.splitlines()
         assert lines[0].startswith("iterate: ") and lines[1].startswith("bound: ")
         assert lines[2] == "within: true"
+
+    @pytest.mark.parametrize("n", ["1000001", "100000000000"])
+    def test_iterations_above_the_bound_are_refused(self, capsys, n):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "lemma", "iterate", "--s", "4", "--c", "1", "--k", "0", "--n", n
+        )
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert time.perf_counter() - start < 1
 
     def test_half_specified_bound_is_an_error(self, capsys):
         code, _, err = run(

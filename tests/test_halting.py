@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     all_bits,
     echo_x_spec,
+    predecessors,
     push_forever_spec,
     sample_spec,
     seesaw_spec,
@@ -20,7 +21,6 @@ from kslab.halting import (
     decide_backward,
     decide_counter,
     decide_forward,
-    predecessors,
     stack_pair_count,
 )
 from kslab.machine import (

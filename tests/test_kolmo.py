@@ -185,7 +185,6 @@ class TestKs:
     def test_not_found_reports_the_cap(self):
         result = ks("1" * 20, "", 0, 14)
         assert result.value is None and result.witness is None
-        assert not result.found
         assert result.describe() == "NotFound(cap=14)"
 
     def test_caps_beyond_the_builtin_range_are_rejected(self):
@@ -202,7 +201,7 @@ class TestKs:
             y = "".join(rng.choice("01") for _ in range(rng.randrange(6)))
             x = "".join(rng.choice("01") for _ in range(rng.randrange(4)))
             result = ks(y, x, 5, 14)
-            if result.found:
+            if result.value is not None:
                 assert reference_decode(result.witness, x, 5) == y
                 assert len(result.witness) == result.value
 
@@ -297,9 +296,9 @@ class TestProfile:
 
     def test_entries_match_direct_queries(self):
         profile = complexity_profile(["0", "1", "1"], 6, 14)
-        assert profile.value(0b001, 0) == ks("0", "", 6, 14).value
-        assert profile.value(0b011, 0b100) == ks(encode_pair("0", "1"), "1", 6, 14).value
-        assert profile.value(0b111, 0) == ks(encode_tuple(["0", "1", "1"]), "", 6, 14).value
+        assert profile.entries[(0b001, 0)].value == ks("0", "", 6, 14).value
+        assert profile.entries[(0b011, 0b100)].value == ks(encode_pair("0", "1"), "1", 6, 14).value
+        assert profile.entries[(0b111, 0)].value == ks(encode_tuple(["0", "1", "1"]), "", 6, 14).value
 
     def test_condition_mask_zero_means_empty_condition(self):
         profile = complexity_profile(["01"], 4, 14)

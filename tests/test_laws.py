@@ -8,14 +8,14 @@ import time
 
 import pytest
 
-from conftest import lemma_search, profile_level_vector
+from conftest import find_stable_level, lemma_search, profile_level_vector
+from kslab import laws
 from kslab.entropy import LinearInequality, is_shannon, parse_inequality
 from kslab.kolmo import INTERPRETER_TAG, ComplexityCache, encode_pair, encode_tuple, ks
 from kslab.laws import (
     CAVEAT,
     BaselineMismatch,
     baseline_name,
-    find_stable_level,
     freeze_or_check,
     gap_report,
     iterate_f,
@@ -55,6 +55,9 @@ class TestIteration:
             iterate_f(2, 1, -1, 1)
         with pytest.raises(ValueError):
             iterate_f(2, 1, 1, 0)
+        assert iterate_f(2, 0, 1, 10**6) == 2 + 10**6
+        with pytest.raises(ValueError):
+            iterate_f(2, 1, 1, 10**6 + 1)
 
     def test_bound_closed_form(self):
         expected = 4 + 2 * math.log2(4) + 1 * (0 + 1) * (2 + 1) * math.log(2 + 1)
@@ -143,7 +146,7 @@ class TestVerifyLaw:
         report = verify_law("pair_swap", n=2, s_grid=(32, 64), cap=14, cache=cache)
         assert report.law == "pair_swap"
         assert report.minimal_c >= 0
-        assert report.violations == ()
+        assert report.baseline_payload()["violations"] == []
         assert report.caveat == CAVEAT
         assert report.points_total == 49 * 2
         assert report.interpreter_tag == INTERPRETER_TAG
@@ -160,7 +163,7 @@ class TestVerifyLaw:
     @pytest.mark.parametrize("law", ["chain_easy", "symmetry"])
     def test_other_pair_laws_close(self, law, cache):
         report = verify_law(law, n=1, s_grid=(32, 64), cap=14, cache=cache)
-        assert report.violations == () and report.minimal_c >= 0
+        assert report.minimal_c >= 0
         assert report.points_total == 9 * 2
 
     def test_basic_law(self, cache):
@@ -168,7 +171,6 @@ class TestVerifyLaw:
             "basic", n=1, s_grid=(32, 64), cap=14, I={1}, J={2}, k=2, cache=cache
         )
         assert report.law == "basic(I={1},J={2},k=2)"
-        assert report.violations == ()
 
     def test_shannon_law_with_certificate(self, cache):
         ineq = parse_inequality("k=2; {1}:1 {2}:1 {1,2}:-1")
@@ -178,7 +180,6 @@ class TestVerifyLaw:
             inequality=ineq, certificate=cert, cache=cache,
         )
         assert report.law.startswith("shannon(")
-        assert report.violations == ()
 
     def test_runs_are_deterministic(self, cache):
         a = verify_law("symmetry", n=1, s_grid=(32,), cap=14, cache=cache)
@@ -189,9 +190,8 @@ class TestVerifyLaw:
     def test_low_cap_marks_points_vacuous_but_still_closes(self, cache):
         report = verify_law("symmetry", n=2, s_grid=(64,), cap=6, cache=cache)
         assert report.points_vacuous > 0
-        assert 0 < report.vacuous_fraction < 1
+        assert report.points_vacuous < report.points_total
         assert all(s == 64 for s, _point in report.vacuous_points)
-        assert report.violations == ()
 
     def test_report_serializations(self, cache):
         report = verify_law("pair_swap", n=1, s_grid=(32,), cap=14, cache=cache)
@@ -391,8 +391,8 @@ class TestStagedEnumeration:
         assert out.ordinal < out.total_enumerated
 
     def test_stage_zero_is_ordered_and_later_stages_add_nothing_here(self, cache):
-        stages = staged_sets("", 5, 2, 3, cache=cache)
-        assert stages[0] == [y for y in strings_up_to(2) if ks(encode_pair("", y), cap=5).found]
+        stages = list(staged_sets("", 5, 2, 3, cache=cache))
+        assert stages[0] == [y for y in strings_up_to(2) if ks(encode_pair("", y), cap=5).value is not None]
         assert all(stage == [] for stage in stages[1:])
 
     def test_stage_membership_matches_direct_queries(self, cache):
@@ -400,12 +400,12 @@ class TestStagedEnumeration:
         for _ in range(20):
             x = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
             m = rng.randrange(3, 9)
-            stages = staged_sets(x, m, 2, 4, cache=cache)
+            stages = list(staged_sets(x, m, 2, 4, cache=cache))
             listed = [y for stage in stages for y in stage]
             assert len(listed) == len(set(listed))
             for y in strings_up_to(2):
                 direct = [
-                    s for s in range(5) if ks(encode_pair(x, y), "", s, m).found
+                    s for s in range(5) if ks(encode_pair(x, y), "", s, m).value is not None
                 ]
                 if direct:
                     assert y in stages[direct[0]]
@@ -424,9 +424,35 @@ class TestStagedEnumeration:
         with pytest.raises(ValueError):
             staged_enumeration("", 3, 1, ("", "01"), cache=cache)
         with pytest.raises(ValueError):
-            staged_sets("", -1, 1, 2, cache=cache)
+            list(staged_sets("", -1, 1, 2, cache=cache))
         with pytest.raises(ValueError):
             staged_enumeration("", 1, 1, ("", "1"), stage_cap=3, cache=cache)
+
+    def test_ordinal_and_total_match_the_listed_stages(self, cache):
+        rng = random.Random(9)
+        for _ in range(10):
+            x = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
+            m = rng.randrange(3, 9)
+            stages = list(staged_sets(x, m, 2, 4, cache=cache))
+            listed = [y for stage in stages for y in stage]
+            for y in listed:
+                out = staged_enumeration(x, m, 2, (x, y), stage_cap=4, cache=cache)
+                assert y in stages[out.s_hit]
+                assert out.ordinal == listed.index(y)
+                assert out.total_enumerated == sum(len(stage) for stage in stages[: out.s_hit + 1])
+
+    def test_stages_past_the_point_limit_are_refused(self, cache, monkeypatch):
+        monkeypatch.setattr(laws, "_MAX_GRID_POINTS", 9)
+        # n = 1 has 3 candidates per stage: stages 0..2 fit the limit, stage 3 does not.
+        assert len(list(staged_sets("", 1, 1, 2, cache=cache))) == 3
+        with pytest.raises(ValueError, match="points, limit 9"):
+            list(staged_sets("", 1, 1, 3, cache=cache))
+        with pytest.raises(ValueError, match="points, limit 9"):
+            staged_enumeration("", 1, 1, ("", "1"), stage_cap=10**7, cache=cache)
+        assert staged_enumeration("", 3, 1, ("", ""), stage_cap=10**7, cache=cache).s_hit == 0
+        # n = 3 has 15 candidates: one stage is already over the limit.
+        with pytest.raises(ValueError, match="per stage"):
+            list(staged_sets("", 3, 3, 0, cache=cache))
 
 
 class TestTypicalSets:
@@ -458,7 +484,7 @@ class TestTypicalSets:
     def test_counting_bound(self, cache):
         ts = typical_set(("01", "1"), 8, 2, 14, cache=cache)
         full_mask = (1 << len(ts.xs)) - 1
-        m = ts.base_profile.value(full_mask, 0)
+        m = ts.base_profile.entries[(full_mask, 0)].value
         assert m is not None
         assert len(ts.members) <= 2 ** (m + 1) - 1
 

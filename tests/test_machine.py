@@ -43,7 +43,6 @@ from kslab.machine import (
     serialized_length,
     state_width,
     step,
-    write,
 )
 
 BITS = st.text(alphabet="01", max_size=6)
@@ -65,7 +64,7 @@ class TestInstructions:
 
     def test_state_operands_must_be_in_range(self):
         with pytest.raises(ValueError):
-            MachineSpec(1, tuple([write(0, 1)] * 9))
+            MachineSpec(1, tuple([Instruction(Op.WRITE, 0, 1)] * 9))
 
     def test_instruction_count_must_match(self):
         with pytest.raises(ValueError):
