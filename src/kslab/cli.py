@@ -24,6 +24,7 @@ from .kolmo import (
     ComplexityResult,
     cached_ks,
     encode_pair,
+    ks,
 )
 from .laws import (
     LAW_NAMES,
@@ -34,7 +35,6 @@ from .laws import (
     gap_report,
     iterate_f,
     lemma_bound,
-    mutual_info_profile,
     staged_enumeration,
     strings_up_to,
     typical_set,
@@ -98,9 +98,7 @@ def _print_result(result: ComplexityResult, fmt: str) -> None:
 
 
 def cmd_ks_compute(args) -> int:
-    cache = _open_cache(args)
-    result = cached_ks(args.target, args.x, args.s, args.cap, cache)
-    _print_result(result, args.format)
+    _print_result(ks(args.target, args.x, args.s, args.cap), args.format)
     return 0
 
 
@@ -163,12 +161,7 @@ def cmd_law_verify(args) -> int:
     elif args.law == "shannon":
         if args.inequality is None:
             raise ValueError("shannon law needs --inequality")
-        inequality = parse_inequality(args.inequality)
-        certificate = is_shannon(inequality)
-        if not certificate.member:
-            raise ValueError("inequality is not in the Shannon cone; the law does not apply")
-        kwargs["inequality"] = inequality
-        kwargs["certificate"] = certificate
+        kwargs["inequality"] = parse_inequality(args.inequality)
     report = verify_law(args.law, **kwargs)
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
@@ -181,10 +174,7 @@ def cmd_law_verify(args) -> int:
 
 
 def cmd_law_staged(args) -> int:
-    cache = _open_cache(args)
-    ordinal = staged_enumeration(
-        args.x, args.m, args.n, (args.x, args.target_y), args.stage_cap, cache
-    )
+    ordinal = staged_enumeration(args.x, args.m, args.n, (args.x, args.target_y), args.stage_cap)
     if args.format == "json":
         print(
             json.dumps(
@@ -234,18 +224,6 @@ def cmd_law_typical_set(args) -> int:
     print(f"members: {len(ts.members)}")
     for member in ts.members:
         print(",".join(member))
-    return 0
-
-
-def cmd_law_mutual_info(args) -> int:
-    cache = _open_cache(args)
-    profile = mutual_info_profile(args.a, args.b, _parse_grid(args.s_grid), args.cap, cache)
-    if args.format == "json":
-        print(json.dumps([{"s": s, "info": info} for s, info in profile], sort_keys=True))
-        return 0
-    print("s,info")
-    for s, info in profile:
-        print(f"{s},{'NotFound' if info is None else info}")
     return 0
 
 
@@ -324,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--cap", type=int, default=14)
     _add_format_flag(p)
-    _add_cache_flag(p)
     p.set_defaults(func=cmd_ks_compute)
 
     p = ks_group.add_parser("table", help="grid of complexities")
@@ -376,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="max length of enumerated strings")
     p.add_argument("--stage-cap", type=int, default=8)
     _add_format_flag(p)
-    _add_cache_flag(p)
     p.set_defaults(func=cmd_law_staged)
 
     p = law_group.add_parser("typical-set", help="profile-dominated tuples")
@@ -388,15 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(p)
     _add_cache_flag(p)
     p.set_defaults(func=cmd_law_typical_set)
-
-    p = law_group.add_parser("mutual-info", help="I^s(a:b) profile over s")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--s-grid", required=True)
-    p.add_argument("--cap", type=int, default=14)
-    _add_format_flag(p, default="csv", choices=("csv", "json"))
-    _add_cache_flag(p)
-    p.set_defaults(func=cmd_law_mutual_info)
 
     cone_group = top.add_parser("cone", help="Shannon cone operations").add_subparsers(
         dest="command", required=True

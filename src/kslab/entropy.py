@@ -28,7 +28,6 @@ __all__ = [
     "LinearInequality",
     "parse_inequality",
     "elemental_inequalities",
-    "ShannonDecision",
     "is_shannon",
 ]
 
@@ -169,22 +168,6 @@ def parse_inequality(text: str) -> LinearInequality:
     return LinearInequality(k, coeffs)
 
 
-def basic_inequality(k: int, i: int, given_mask: int = 0) -> LinearInequality:
-    """H(X_i | X_J) >= 0 as a linear inequality; given_mask may be 0."""
-
-    if not 1 <= i <= k:
-        raise ValueError(f"variable {i} out of range for k={k}")
-    i_bit = 1 << (i - 1)
-    if given_mask & i_bit:
-        raise ValueError(f"variable {i} cannot condition on itself")
-    if not 0 <= given_mask < (1 << k):
-        raise ValueError(f"mask {given_mask} out of range for k={k}")
-    coeffs = {given_mask | i_bit: Fraction(1)}
-    if given_mask:
-        coeffs[given_mask] = Fraction(-1)
-    return LinearInequality(k, coeffs)
-
-
 def elemental_inequalities(k: int) -> tuple:
     """Generators of the Shannon cone, in a fixed order.
 
@@ -198,7 +181,11 @@ def elemental_inequalities(k: int) -> tuple:
     full = (1 << k) - 1
     out = []
     for i in range(1, k + 1):
-        out.append(basic_inequality(k, i, full & ~(1 << (i - 1))))
+        rest = full & ~(1 << (i - 1))
+        coeffs = {full: Fraction(1)}
+        if rest:
+            coeffs[rest] = Fraction(-1)
+        out.append(LinearInequality(k, coeffs))
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
             bi, bj = 1 << (i - 1), 1 << (j - 1)

@@ -21,9 +21,11 @@ instruction before its combined stack length ever exceeds s?":
   index among the parent's children), so at most three configurations are
   held at any moment.
 
-All three agree on every input; the test suite checks this exhaustively over
-sampled machine families, and checks the shared loop and both tree moves
-against the string-configuration oracle `kslab.machine.step`.
+Each refuses, before any step, an input whose `config_count` passes
+`_MAX_CONFIGS`, so its time is bounded by that count.  All three agree on
+every input; the test suite checks this exhaustively over sampled machine
+families, and checks the shared loop and both tree moves against the
+string-configuration oracle `kslab.machine.step`.
 """
 
 from __future__ import annotations
@@ -253,11 +255,31 @@ def _tree_moves(
     return child_after, up
 
 
-def _check_inputs(p: str, x: str, s: int) -> None:
+# Largest config_count of the machine a decider explores; a larger one is
+# refused before any step.  On a 1-state write loop the largest admitted
+# calls, decide_backward at s = 12 (589,830 configurations of the canonical
+# machine) and decide_counter at s = 15 (983,041), take at most 0.6 s, and
+# each one's next s takes up to 1.2 s (CPython 3.11, 2-vCPU VM).
+_MAX_CONFIGS = 1_000_000
+
+
+def _check_inputs(spec: MachineSpec, p: str, x: str, s: int) -> int:
+    """Validate the tapes and s; return config_count(spec, p, x, s).
+
+    Raises ValueError when the count passes _MAX_CONFIGS.  The count
+    is at least 2^(s+1), so a large s is refused before it is formed.
+    """
+
     check_bits(p, "program tape")
     check_bits(x, "condition tape")
     if s < 0:
         raise ValueError("space bound must be >= 0")
+    if s >= _MAX_CONFIGS.bit_length():
+        raise ValueError(f"space {s} has over {_MAX_CONFIGS} configurations")
+    count = config_count(spec, p, x, s)
+    if count > _MAX_CONFIGS:
+        raise ValueError(f"{count} configurations within space {s}, limit {_MAX_CONFIGS}")
+    return count
 
 
 def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
@@ -270,11 +292,12 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
     there is none, up to the parent together with the current vertex's
     index among the parent's children (`up`, one forward step and one table
     lookup).  It holds only the current vertex, one neighbour and the
-    comparison target.
+    comparison target.  Refused up front (ValueError) when the canonical
+    machine's config_count passes _MAX_CONFIGS.
     """
 
-    _check_inputs(p, x, s)
     canon = canonicalize(spec)
+    _check_inputs(canon, p, x, s)
     child_after, up = _tree_moves(canon, p, x, s)
     root = pack_config(final_configuration(canon, p, x))
     start = pack_config(initial_configuration())
@@ -303,13 +326,17 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
 
 
 def decide_forward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
-    """Forward simulation with an explicit visited set for loop detection."""
+    """Forward simulation with an explicit visited set for loop detection.
 
-    _check_inputs(p, x, s)
+    Refused up front (ValueError) when config_count passes
+    _MAX_CONFIGS, which also bounds the visited set.
+    """
+
+    limit = _check_inputs(spec, p, x, s)
     # A run within space s repeats a configuration before config_count steps,
     # so the step limit never ends this run; a repeat does, as STEP_LIMIT.
     seen = {(0, EMPTY_STACK, EMPTY_STACK, 0, 0)}
-    verdict, _, _ = _execute(compile_spec(spec), p, x, s, config_count(spec, p, x, s), None, seen)
+    verdict, _, _ = _execute(compile_spec(spec), p, x, s, limit, None, seen)
     return HaltVerdict(verdict is Verdict.HALTED, ProbeStats(len(seen), len(seen)))
 
 
@@ -320,11 +347,12 @@ def decide_counter(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
     has revisited a configuration and therefore never halts.  Keeps no visited
     set and no output; aborts early only on events (space overflow, abnormal
     pop) after which halting is impossible.  The executed halt counts as a
-    visited configuration.
+    visited configuration.  Refused up front (ValueError) when
+    config_count passes _MAX_CONFIGS.
     """
 
-    _check_inputs(p, x, s)
-    verdict, _, steps = _execute(compile_spec(spec), p, x, s, config_count(spec, p, x, s), None, None)
+    limit = _check_inputs(spec, p, x, s)
+    verdict, _, steps = _execute(compile_spec(spec), p, x, s, limit, None, None)
     halted = verdict is Verdict.HALTED
     return HaltVerdict(halted, ProbeStats(steps + halted, 1))
 

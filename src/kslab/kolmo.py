@@ -53,7 +53,6 @@ __all__ = [
     "ReferenceParseError",
     "ReferenceRunError",
     "encode_pair",
-    "encode_tuple",
     "encode_subtuple",
     "reference_decode",
     "ComplexityResult",
@@ -81,6 +80,11 @@ MACHINE_MODE_MIN_LENGTH = 2 * serialized_length(1) + 2
 # ks() enumerates builtin-mode programs in closed form, which is exhaustive
 # only below MACHINE_MODE_MIN_LENGTH.
 MAX_CLOSED_FORM_CAP = MACHINE_MODE_MIN_LENGTH - 1
+
+# Largest workspace charged to a program of length <= MAX_CLOSED_FORM_CAP:
+# each is a literal or an echo, and neither is charged any.  So no ks value
+# at such a cap changes with s past this bound.
+MAX_CLOSED_FORM_SPACE = 0
 
 
 class ReferenceParseError(ValueError):
@@ -432,7 +436,9 @@ class ComplexityCache:
     file (O_EXCL) writes the header.  A last line without its newline, left
     by a crash partway through an append, is skipped on load and cut off by
     the next put; a file that holds only part of the header, or nothing,
-    loads as empty and is rewritten from the start by the next put.
+    loads as empty and is rewritten from the start by the next put.  get()
+    and put() use INTERPRETER_TAG: a record of another tag loads but is
+    never returned.
     """
 
     def __init__(self, path):
@@ -479,13 +485,11 @@ class ComplexityCache:
                 self._entries[(tag, target, condition, s, cap)] = result
                 self.records_loaded += 1
 
-    def get(self, y: str, x: str, s: int, cap: int, tag: str = INTERPRETER_TAG):
-        return self._entries.get((tag, y, x, s, cap))
+    def get(self, y: str, x: str, s: int, cap: int):
+        return self._entries.get((INTERPRETER_TAG, y, x, s, cap))
 
-    def put(self, result: ComplexityResult, tag: str = INTERPRETER_TAG) -> None:
-        if "\t" in tag or "\n" in tag:
-            raise ValueError("tag must not contain tabs or newlines")
-        key = (tag, result.target, result.condition, result.s, result.cap)
+    def put(self, result: ComplexityResult) -> None:
+        key = (INTERPRETER_TAG, result.target, result.condition, result.s, result.cap)
         known = self._entries.get(key)
         if known is not None:
             if (known.value, known.witness) != (result.value, result.witness):
@@ -495,7 +499,7 @@ class ComplexityCache:
             return
         value = "-" if result.value is None else result.value
         record = (
-            f"{tag}\t{_bits_to_hex(result.target)}\t{_bits_to_hex(result.condition)}\t"
+            f"{INTERPRETER_TAG}\t{_bits_to_hex(result.target)}\t{_bits_to_hex(result.condition)}\t"
             f"{result.s}\t{result.cap}\t{value}\t{_bits_to_hex(result.witness)}\n"
         ).encode("ascii")
         try:
@@ -519,9 +523,6 @@ class ComplexityCache:
         finally:
             os.close(fd)
         self._entries[key] = result
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 def cached_ks(

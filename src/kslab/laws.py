@@ -29,21 +29,17 @@ from itertools import product
 from pathlib import Path
 
 from ._masks import mask_label
-from .entropy import (
-    JointDistribution,
-    LinearInequality,
-    ShannonDecision,
-    elemental_inequalities,
-    entropy_vector,
-)
+from .entropy import JointDistribution, LinearInequality, entropy_vector, is_shannon
 from .kolmo import (
     INTERPRETER_TAG,
+    MAX_CLOSED_FORM_SPACE,
     ComplexityCache,
     ComplexityProfile,
     cached_ks,
     complexity_profile,
     encode_pair,
     encode_subtuple,
+    ks,
 )
 
 __all__ = [
@@ -54,7 +50,6 @@ __all__ = [
     "gap_report",
     "iterate_f",
     "lemma_bound",
-    "mutual_info_profile",
     "strings_up_to",
     "count_strings_up_to",
     "freeze_or_check",
@@ -206,22 +201,6 @@ def _least_constant(holds, lo: int, label: str) -> int:
     return hi
 
 
-def _validate_certificate(inequality: LinearInequality, certificate: ShannonDecision):
-    if certificate is None or not certificate.member:
-        raise ValueError("shannon law requires a Member certificate")
-    if certificate.k != inequality.k:
-        raise ValueError("certificate and inequality disagree on k")
-    generators = elemental_inequalities(inequality.k)
-    combined: dict = {}
-    for idx, weight in (certificate.weights or {}).items():
-        for mask, coeff in generators[idx].coeffs:
-            combined[mask] = combined.get(mask, Fraction(0)) + weight * coeff
-    lhs = {m: c for m, c in combined.items() if c != 0}
-    rhs = {m: c for m, c in inequality.coeffs}
-    if lhs != rhs:
-        raise ValueError("certificate weights do not reproduce the inequality")
-
-
 def verify_law(
     law: str,
     *,
@@ -232,7 +211,6 @@ def verify_law(
     J=None,
     k: int | None = None,
     inequality: LinearInequality | None = None,
-    certificate: ShannonDecision | None = None,
     cache: ComplexityCache | None = None,
 ) -> LawReport:
     """Find the minimal integer constant making a law hold on a full grid.
@@ -246,7 +224,9 @@ def verify_law(
     and binary search, and the grid's minimal c is the largest of
     theirs.  The whole grid is then re-checked at minimal c and counted
     at minimal c - 1.  Points with a NotFound complexity at c = 0 are
-    vacuous: excluded from the search, reported in the result.
+    vacuous: excluded from the search, reported in the result.  The
+    shannon law applies only to a member of the Shannon cone, which
+    is_shannon decides (and certifies) before the grid is built.
     """
 
     s_grid = tuple(sorted(set(int(s) for s in s_grid)))
@@ -278,10 +258,11 @@ def verify_law(
     elif law == "shannon":
         if inequality is None:
             raise ValueError("shannon law needs an inequality")
-        _validate_certificate(inequality, certificate)
         k = inequality.k
         if k >= 2 and n > 3:
             raise ValueError("tuple laws are limited to n <= 3 for k >= 2")
+        if not is_shannon(inequality).member:
+            raise ValueError("inequality is not in the Shannon cone; the law does not apply")
         arity = k
         neg_masks = [(m, -c) for m, c in inequality.coeffs if c < 0]
         pos_masks = [(m, c) for m, c in inequality.coeffs if c > 0]
@@ -429,7 +410,7 @@ class StageOrdinal:
     total_enumerated: int
 
 
-def staged_sets(x: str, m: int, n: int, s_max: int, cache: ComplexityCache | None = None):
+def staged_sets(x: str, m: int, n: int, s_max: int):
     """Yield the newly qualifying y' of each stage s = 0..s_max, stage by stage.
 
     Stage s lists, in (length, lexicographic) order, every y' of length
@@ -456,23 +437,18 @@ def staged_sets(x: str, m: int, n: int, s_max: int, cache: ComplexityCache | Non
             raise ValueError(
                 f"stages 0..{s} have {per_stage * (s + 1)} points, limit {_MAX_GRID_POINTS}"
             )
-        now = [cached_ks(pair, "", s, m, cache).value for _, pair in pairs]
+        now = [ks(pair, "", s, m).value for _, pair in pairs]
         yield [y for (y, _), v, b in zip(pairs, now, before) if v is not None and b is None]
         before = now
 
 
-def staged_enumeration(
-    x: str,
-    m: int,
-    n: int,
-    target: tuple,
-    stage_cap: int = 8,
-    cache: ComplexityCache | None = None,
-) -> StageOrdinal:
+def staged_enumeration(x: str, m: int, n: int, target: tuple, stage_cap: int = 8) -> StageOrdinal:
     """Run stages until the target pair appears; error past stage_cap.
 
-    Builds no stage after the target's, and stops at the point limit of
-    staged_sets.
+    Builds no stage after the target's, and none past s =
+    MAX_CLOSED_FORM_SPACE: the searches' cap m is at most
+    MAX_CLOSED_FORM_CAP (ks refuses a larger one), and no program that
+    short is charged more workspace, so no later stage can add a pair.
     """
 
     tx, ty = target
@@ -481,7 +457,7 @@ def staged_enumeration(
     if len(ty) > n:
         raise ValueError("target second component exceeds the length bound")
     listed = 0
-    for s, stage in enumerate(staged_sets(x, m, n, stage_cap, cache)):
+    for s, stage in enumerate(staged_sets(x, m, n, min(stage_cap, MAX_CLOSED_FORM_SPACE))):
         if ty in stage:
             return StageOrdinal((x, ty), m, listed + stage.index(ty), s, listed + len(stage))
         listed += len(stage)
@@ -604,22 +580,6 @@ def lemma_bound(s: float, k: float, n: int, c1: float, c2: float) -> float:
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be > 0")
     return s + n * math.log2(s) + c1 * (k + 1) * (n + c2) * math.log(n + c2)
-
-
-def mutual_info_profile(a: str, b: str, s_grid, cap: int, cache: ComplexityCache | None = None):
-    """[(s, KS^s(a) - KS^s(a|b))]; None where either term is NotFound.
-
-    No monotonicity in s is asserted or implied.
-    """
-
-    if len(a) > 3 or len(b) > 3:
-        raise ValueError("profile strings are limited to length 3")
-    out = []
-    for s in sorted(set(int(v) for v in s_grid)):
-        ka = cached_ks(a, "", s, cap, cache).value
-        kab = cached_ks(a, b, s, cap, cache).value
-        out.append((s, None if ka is None or kab is None else ka - kab))
-    return out
 
 
 class BaselineMismatch(AssertionError):

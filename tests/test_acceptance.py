@@ -209,7 +209,7 @@ def test_criterion_07_shannon_machinery(cache):
     assert certificate.member
     report = verify_law(
         "shannon", n=1, s_grid=LAW_GRID, cap=CAP,
-        inequality=submodularity, certificate=certificate, cache=cache,
+        inequality=submodularity, cache=cache,
     )
     status = freeze_report(report)
     print(f"criterion 7: 20 member certificates ok, shannon minimal_c={report.minimal_c}, baseline {status}")
@@ -270,7 +270,7 @@ def test_criterion_09_iteration_lemma_grid():
         assert iterate_f(s, 1, k, n) <= lemma_bound(s, k, n, c1, c2)
 
 
-def test_criterion_10_pigeonhole_and_staged_enumeration(cache):
+def test_criterion_10_pigeonhole_and_staged_enumeration():
     rng = random.Random(10)
     for _ in range(10_000):
         width = rng.randrange(1, 5)
@@ -288,7 +288,7 @@ def test_criterion_10_pigeonhole_and_staged_enumeration(cache):
     for case in range(50):
         x = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
         m = rng.randrange(3, 11)
-        stages = staged_sets(x, m, 2, s_max, cache=cache)
+        stages = staged_sets(x, m, 2, s_max)
         cumulative = {y for stage in stages for y in stage}
         direct = {
             y for y in strings_up_to(2) if ks(encode_pair(x, y), "", s_max, m).value is not None

@@ -75,20 +75,35 @@ class TestKsCommands:
 class TestCache:
     def test_cache_is_transparent_and_persistent(self, capsys, tmp_path):
         argv = (
-            "ks", "compute", "10110", "--x", "101",
-            "--cache-dir", str(tmp_path), "--format", "json",
+            "ks", "table", "--targets-to", "2", "--conditions-to", "1",
+            "--s-grid", "0,4", "--format", "json",
         )
-        _, cold, _ = run(capsys, *argv)
+        _, uncached, _ = run(capsys, *argv)
+        _, cold, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert (tmp_path / "complexity.tsv").exists()
-        _, warm, _ = run(capsys, *argv)
-        assert warm == cold
+        _, warm, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert warm == cold == uncached
 
     def test_cache_dir_environment_variable_is_ignored(self, capsys, tmp_path, monkeypatch):
         # Only --cache-dir opens a cache: an inherited variable must not
         # turn an uncached run into a cached one.
         monkeypatch.setenv("KSLAB_CACHE_DIR", str(tmp_path))
-        code, out, _ = run(capsys, "ks", "compute", "11")
-        assert code == 0 and out == "value: 3\nwitness: 011\n"
+        code, out, _ = run(capsys, "ks", "table", "--targets-to", "1", "--s-grid", "0")
+        assert code == 0 and out == "y,x,s,cap,value,witness\n,,0,14,1,0\n0,,0,14,2,00\n1,,0,14,2,01\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ks", "compute", "11"),
+            ("law", "staged", "--x", "", "--target-y", "", "--m", "3", "--n", "1"),
+        ],
+    )
+    def test_only_the_cached_commands_take_a_cache_dir(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        capsys.readouterr()
         assert list(tmp_path.iterdir()) == []
 
 
@@ -121,6 +136,20 @@ class TestHaltCommands:
             "--x", "1", "--s", "5", "--method", method,
         )
         assert (code, out) == (0, "terminates: true\n")
+
+    @pytest.mark.parametrize("s", ["16", "1000000000"])
+    @pytest.mark.parametrize("method", ["backward", "forward", "counter"])
+    def test_over_budget_is_refused_up_front(self, capsys, tmp_path, method, s):
+        # A 1-state write loop: 2,097,153 configurations at s = 16; at s = 10^9
+        # the count alone would be an integer of about 125 MB.
+        path = tmp_path / "loop.txt"
+        path.write_text("states: 1\n0 _ _ -> write 0 0\n")
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "halt", "decide", "--machine", str(path), "--s", s, "--method", method
+        )
+        assert code == 1 and out == "" and err.startswith("error:") and "configurations" in err
+        assert time.perf_counter() - start < 1
 
     def test_serialized_machine_files_are_detected(self, capsys, tmp_path):
         path = tmp_path / "echo.bits"
@@ -269,6 +298,17 @@ class TestLawCommands:
         )
         assert code == 1 and err.startswith("error:")
 
+    def test_staged_unreachable_stops_after_the_last_stage_that_can_add_a_pair(self, capsys):
+        # No program of length <= m is charged workspace, so stage 0 is the last
+        # stage that can list a pair, whatever the stage cap.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "law", "staged", "--x", "", "--target-y", "1", "--m", "1", "--n", "1",
+            "--stage-cap", "10000000",
+        )
+        assert code == 1 and out == "" and "never reaches threshold" in err
+        assert time.perf_counter() - start < 1
+
     def test_typical_set(self, capsys):
         code, out, _ = run(
             capsys, "law", "typical-set", "--xs", "01,1", "--u", "8", "--n", "2"
@@ -283,14 +323,6 @@ class TestLawCommands:
         )
         assert code == 0
         assert out.splitlines()[1] == "I\tJ\tH_bits\tKS\tgap"
-
-    def test_mutual_info(self, capsys):
-        code, out, _ = run(
-            capsys, "law", "mutual-info", "--a", "01", "--b", "01", "--s-grid", "8,64"
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "s,info" and len(lines) == 3
 
 
 class TestConeCommands:

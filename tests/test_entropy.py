@@ -13,7 +13,6 @@ from kslab.entropy import (
     JointDistribution,
     LinearInequality,
     ShannonDecision,
-    basic_inequality,
     elemental_inequalities,
     entropy_vector,
     is_shannon,
@@ -184,17 +183,6 @@ class TestInequalities:
         with pytest.raises(ValueError):
             parse_inequality(bad)
 
-    def test_basic_inequality_shape(self):
-        ineq = basic_inequality(3, 1, 0b110)
-        assert dict(ineq.coeffs) == {0b111: Fraction(1), 0b110: Fraction(-1)}
-        assert dict(basic_inequality(3, 2).coeffs) == {0b010: Fraction(1)}
-        with pytest.raises(ValueError):
-            basic_inequality(3, 1, 0b001)
-        with pytest.raises(ValueError):
-            basic_inequality(3, 4)
-        with pytest.raises(ValueError):
-            basic_inequality(3, 1, 0b1000)
-
 
 class TestElementalFamily:
     @pytest.mark.parametrize("k,count", [(1, 1), (2, 3), (3, 9), (4, 28), (5, 85)])
@@ -207,6 +195,8 @@ class TestElementalFamily:
         family = elemental_inequalities(3)
         assert dict(family[0].coeffs) == {0b111: Fraction(1), 0b110: Fraction(-1)}
         assert dict(family[2].coeffs) == {0b111: Fraction(1), 0b011: Fraction(-1)}
+        # With one variable there is nothing to condition on: H(X_1) >= 0.
+        assert dict(elemental_inequalities(1)[0].coeffs) == {0b1: Fraction(1)}
 
     def test_conditional_mutual_information_shape(self):
         # I(X1;X2|X3) for k=3 appears with the four expected coefficients.

@@ -15,6 +15,7 @@ from conftest import (
     seesaw_spec,
     simulate,
 )
+from kslab import halting
 from kslab.halting import (
     _tree_moves,
     config_count,
@@ -280,6 +281,19 @@ class TestCounter:
             tracemalloc.stop()
         assert verdict.probe_stats.configurations_visited == config_count(WRITE_LOOP, "", "", 12)
         assert peak < 64 * 1024
+
+
+class TestBudget:
+    @pytest.mark.parametrize("decider", [decide_backward, decide_forward, decide_counter])
+    def test_refused_one_configuration_past_the_budget(self, decider, monkeypatch):
+        # decide_backward explores the canonical machine, so its count is that one's.
+        spec = canonicalize(WRITE_LOOP) if decider is decide_backward else WRITE_LOOP
+        count = config_count(spec, "1", "", 3)
+        monkeypatch.setattr(halting, "_MAX_CONFIGS", count)
+        assert not decider(WRITE_LOOP, "1", "", 3).terminates_within_s
+        monkeypatch.setattr(halting, "_MAX_CONFIGS", count - 1)
+        with pytest.raises(ValueError, match=f"{count} configurations within space 3"):
+            decider(WRITE_LOOP, "1", "", 3)
 
 
 class TestCrossChecks:

@@ -317,7 +317,7 @@ class TestCache:
         assert reloaded.get("10110", "101", 4, 14) == stored
         assert reloaded.get("1" * 30, "", 0, 14) == missing
         assert reloaded.get("", "", 0, 14) == empty
-        assert len(reloaded) == 3 and reloaded.records_loaded == 3
+        assert reloaded.records_loaded == 3
         assert [missing.value, empty.value] == [None, 1]
 
     def test_put_is_idempotent(self, tmp_path):
@@ -342,12 +342,14 @@ class TestCache:
         assert cached_ks("101", "", 0, 14, ComplexityCache(path)) == planted
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
-        cache = ComplexityCache(tmp_path / "cache.tsv")
+        path = tmp_path / "cache.tsv"
+        cache = ComplexityCache(path)
         a = cached_ks("01", "", 0, 14, cache)
         b = cached_ks("0", "1", 0, 14, cache)
         c = cached_ks("01", "", 1, 14, cache)
         d = cached_ks("01", "", 0, 13, cache)
-        assert len(cache) == 4 and {a.s, c.s} == {0, 1} and b.condition == "1" and d.cap == 13
+        assert ComplexityCache(path).records_loaded == 4
+        assert {a.s, c.s} == {0, 1} and b.condition == "1" and d.cap == 13
 
     def test_wrong_header_is_rejected(self, tmp_path):
         path = tmp_path / "cache.tsv"
@@ -395,13 +397,13 @@ class TestCache:
         intact = path.read_bytes()
         path.write_bytes(intact[:-5])  # a crash partway through the last append
         torn = ComplexityCache(path)
-        assert len(torn) == 2 and torn.records_loaded == 2
+        assert torn.records_loaded == 2
         assert torn.get("101", "", 0, 14) == first and torn.get("0110", "1", 2, 14) == second
         assert torn.get("11", "", 0, 14) is None
         assert path.read_bytes() == intact[:-5]  # loading alone writes nothing
         third = cached_ks("11", "", 0, 14, torn)
         reloaded = ComplexityCache(path)
-        assert len(reloaded) == 3 and reloaded.get("11", "", 0, 14) == third
+        assert reloaded.records_loaded == 3 and reloaded.get("11", "", 0, 14) == third
         assert path.read_bytes() == intact
 
     @pytest.mark.parametrize("content", [b"kslab-cac", b""])
@@ -409,11 +411,11 @@ class TestCache:
         path = tmp_path / "cache.tsv"
         path.write_bytes(content)  # a crash during the first put
         torn = ComplexityCache(path)
-        assert len(torn) == 0 and torn.records_loaded == 0
+        assert torn.records_loaded == 0
         assert path.read_bytes() == content  # loading alone writes nothing
         result = cached_ks("101", "", 0, 14, torn)
         reloaded = ComplexityCache(path)
-        assert len(reloaded) == 1 and reloaded.get("101", "", 0, 14) == result
+        assert reloaded.records_loaded == 1 and reloaded.get("101", "", 0, 14) == result
         fresh = tmp_path / "fresh.tsv"
         ComplexityCache(fresh).put(result)
         assert path.read_bytes() == fresh.read_bytes()
@@ -425,7 +427,8 @@ class TestCache:
         cache.put(ComplexityResult("10110", "101", 4, 14, 7, "0010110"))
         cache.put(ComplexityResult("1" * 30, "", 0, 14, None, None))
         cache.put(ComplexityResult("", "", 0, 14, 1, "0"))
-        cache.put(ComplexityResult("01", "1", 512, 9, 3, "001"), tag="other-tag")
+        with open(path, "ab") as fh:  # a record written under another interpreter tag
+            fh.write(b"other-tag\t5\t3\t512\t9\t3\t9\n")
         cache.put(ComplexityResult("10110", "101", 4, 14, 7, "0010110"))
         ComplexityCache(path).put(ComplexityResult("0", "0000", 3, 14, 2, "00"))
         assert path.read_bytes() == (
@@ -486,10 +489,12 @@ class TestCache:
         assert ComplexityCache(path).records_loaded == 2
 
     def test_tag_separates_namespaces(self, tmp_path):
-        cache = ComplexityCache(tmp_path / "cache.tsv")
-        result = ComplexityResult("1", "", 0, 14, 2, "01")
-        cache.put(result, tag="other-tag")
+        # A record of another interpreter tag loads but is never returned.
+        path = tmp_path / "cache.tsv"
+        ComplexityCache(path).put(ComplexityResult("0", "", 0, 14, 2, "00"))
+        with open(path, "ab") as fh:
+            fh.write(b"other-tag\t3\t1\t0\t14\t9\t3ff\n")  # "1" at value 9
+        cache = ComplexityCache(path)
+        assert cache.records_loaded == 2
         assert cache.get("1", "", 0, 14) is None
-        assert cache.get("1", "", 0, 14, tag="other-tag") == result
-        with pytest.raises(ValueError):
-            cache.put(result, tag="bad\ttag")
+        assert cached_ks("1", "", 0, 14, cache) == ks("1", "", 0, 14)

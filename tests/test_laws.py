@@ -20,7 +20,6 @@ from kslab.laws import (
     gap_report,
     iterate_f,
     lemma_bound,
-    mutual_info_profile,
     staged_enumeration,
     staged_sets,
     strings_up_to,
@@ -174,11 +173,7 @@ class TestVerifyLaw:
 
     def test_shannon_law_with_certificate(self, cache):
         ineq = parse_inequality("k=2; {1}:1 {2}:1 {1,2}:-1")
-        cert = is_shannon(ineq)
-        report = verify_law(
-            "shannon", n=1, s_grid=(32, 64), cap=14,
-            inequality=ineq, certificate=cert, cache=cache,
-        )
+        report = verify_law("shannon", n=1, s_grid=(32, 64), cap=14, inequality=ineq, cache=cache)
         assert report.law.startswith("shannon(")
 
     def test_runs_are_deterministic(self, cache):
@@ -221,19 +216,13 @@ class TestVerifyLaw:
             verify_law("basic", n=1, s_grid=(8,), cap=14, I={3}, J={2}, k=2, cache=cache)
 
     def test_shannon_certificate_validation(self, cache):
-        ineq = parse_inequality("k=2; {1}:1 {2}:1 {1,2}:-1")
-        kwargs = dict(n=1, s_grid=(8,), cap=14, cache=cache)
-        with pytest.raises(ValueError):
-            verify_law("shannon", inequality=ineq, certificate=None, **kwargs)
-        non_member = is_shannon(parse_inequality("k=2; {1}:1 {2}:-1"))
-        with pytest.raises(ValueError):
-            verify_law("shannon", inequality=ineq, certificate=non_member, **kwargs)
-        wrong_k = is_shannon(parse_inequality("k=3; {1}:1"))
-        with pytest.raises(ValueError):
-            verify_law("shannon", inequality=ineq, certificate=wrong_k, **kwargs)
-        other = is_shannon(parse_inequality("k=2; {1}:1"))
-        with pytest.raises(ValueError):
-            verify_law("shannon", inequality=ineq, certificate=other, **kwargs)
+        # verify_law decides membership itself: a non-member is refused.
+        non_member = parse_inequality("k=2; {1}:1 {2}:-1")
+        assert not is_shannon(non_member).member
+        with pytest.raises(ValueError, match="not in the Shannon cone; the law does not apply"):
+            verify_law("shannon", n=1, s_grid=(8,), cap=14, inequality=non_member, cache=cache)
+        with pytest.raises(ValueError, match="needs an inequality"):
+            verify_law("shannon", n=1, s_grid=(8,), cap=14, cache=cache)
 
     def test_oversized_grids_are_rejected_up_front(self, cache):
         start = time.perf_counter()
@@ -362,10 +351,7 @@ class TestVerifyLawOracle:
         ids=[f"{law}-n{n}-cap{cap}-{i}" for i, (law, n, _, cap, _) in enumerate(ORACLE_CASES)],
     )
     def test_report_equals_full_sweeps(self, law, n, s_grid, cap, extra):
-        kwargs = _oracle_kwargs(extra)
-        if law == "shannon":
-            kwargs["certificate"] = is_shannon(kwargs["inequality"])
-        report = verify_law(law, n=n, s_grid=s_grid, cap=cap, **kwargs)
+        report = verify_law(law, n=n, s_grid=s_grid, cap=cap, **_oracle_kwargs(extra))
         minimal_c, below, vacuous = sweep_oracle(law, n, s_grid, cap, **_oracle_kwargs(extra))
         assert (report.minimal_c, report.violations_below) == (minimal_c, below)
         assert report.points_vacuous == len(vacuous)
@@ -383,24 +369,24 @@ class TestVerifyLawOracle:
 
 
 class TestStagedEnumeration:
-    def test_trivial_pair_is_first(self, cache):
-        out = staged_enumeration("", 3, 1, ("", ""), cache=cache)
+    def test_trivial_pair_is_first(self):
+        out = staged_enumeration("", 3, 1, ("", ""))
         assert out.ordinal == 0
         assert out.s_hit == 0
         assert out.threshold == 3
         assert out.ordinal < out.total_enumerated
 
-    def test_stage_zero_is_ordered_and_later_stages_add_nothing_here(self, cache):
-        stages = list(staged_sets("", 5, 2, 3, cache=cache))
+    def test_stage_zero_is_ordered_and_later_stages_add_nothing_here(self):
+        stages = list(staged_sets("", 5, 2, 3))
         assert stages[0] == [y for y in strings_up_to(2) if ks(encode_pair("", y), cap=5).value is not None]
         assert all(stage == [] for stage in stages[1:])
 
-    def test_stage_membership_matches_direct_queries(self, cache):
+    def test_stage_membership_matches_direct_queries(self):
         rng = random.Random(5)
         for _ in range(20):
             x = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
             m = rng.randrange(3, 9)
-            stages = list(staged_sets(x, m, 2, 4, cache=cache))
+            stages = list(staged_sets(x, m, 2, 4))
             listed = [y for stage in stages for y in stage]
             assert len(listed) == len(set(listed))
             for y in strings_up_to(2):
@@ -412,47 +398,48 @@ class TestStagedEnumeration:
                 else:
                     assert y not in listed
 
-    def test_enumeration_count_bound(self, cache):
+    def test_enumeration_count_bound(self):
         # Distinct pairs need distinct programs of length <= m.
         for m in (3, 4, 6):
-            stages = staged_sets("1", m, 2, 2, cache=cache)
+            stages = staged_sets("1", m, 2, 2)
             assert sum(len(stage) for stage in stages) <= 2 ** (m + 1) - 1
 
-    def test_errors(self, cache):
+    def test_errors(self):
         with pytest.raises(ValueError):
-            staged_enumeration("0", 3, 1, ("1", ""), cache=cache)
+            staged_enumeration("0", 3, 1, ("1", ""))
         with pytest.raises(ValueError):
-            staged_enumeration("", 3, 1, ("", "01"), cache=cache)
+            staged_enumeration("", 3, 1, ("", "01"))
         with pytest.raises(ValueError):
-            list(staged_sets("", -1, 1, 2, cache=cache))
+            list(staged_sets("", -1, 1, 2))
         with pytest.raises(ValueError):
-            staged_enumeration("", 1, 1, ("", "1"), stage_cap=3, cache=cache)
+            staged_enumeration("", 1, 1, ("", "1"), stage_cap=3)
 
-    def test_ordinal_and_total_match_the_listed_stages(self, cache):
+    def test_ordinal_and_total_match_the_listed_stages(self):
         rng = random.Random(9)
         for _ in range(10):
             x = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
             m = rng.randrange(3, 9)
-            stages = list(staged_sets(x, m, 2, 4, cache=cache))
+            stages = list(staged_sets(x, m, 2, 4))
             listed = [y for stage in stages for y in stage]
             for y in listed:
-                out = staged_enumeration(x, m, 2, (x, y), stage_cap=4, cache=cache)
+                out = staged_enumeration(x, m, 2, (x, y), stage_cap=4)
                 assert y in stages[out.s_hit]
                 assert out.ordinal == listed.index(y)
                 assert out.total_enumerated == sum(len(stage) for stage in stages[: out.s_hit + 1])
 
-    def test_stages_past_the_point_limit_are_refused(self, cache, monkeypatch):
+    def test_stages_past_the_point_limit_are_refused(self, monkeypatch):
         monkeypatch.setattr(laws, "_MAX_GRID_POINTS", 9)
         # n = 1 has 3 candidates per stage: stages 0..2 fit the limit, stage 3 does not.
-        assert len(list(staged_sets("", 1, 1, 2, cache=cache))) == 3
+        assert len(list(staged_sets("", 1, 1, 2))) == 3
         with pytest.raises(ValueError, match="points, limit 9"):
-            list(staged_sets("", 1, 1, 3, cache=cache))
-        with pytest.raises(ValueError, match="points, limit 9"):
-            staged_enumeration("", 1, 1, ("", "1"), stage_cap=10**7, cache=cache)
-        assert staged_enumeration("", 3, 1, ("", ""), stage_cap=10**7, cache=cache).s_hit == 0
+            list(staged_sets("", 1, 1, 3))
+        # staged_enumeration reads stage 0 only, whatever its stage cap.
+        with pytest.raises(ValueError, match="never reaches threshold"):
+            staged_enumeration("", 1, 1, ("", "1"), stage_cap=10**7)
+        assert staged_enumeration("", 3, 1, ("", ""), stage_cap=10**7).s_hit == 0
         # n = 3 has 15 candidates: one stage is already over the limit.
         with pytest.raises(ValueError, match="per stage"):
-            list(staged_sets("", 3, 3, 0, cache=cache))
+            list(staged_sets("", 3, 3, 0))
 
 
 class TestTypicalSets:
@@ -514,26 +501,6 @@ class TestTypicalSets:
         ]
         idx = find_stable_level(levels)
         assert levels[idx] == levels[idx + 1]
-
-
-class TestMutualInfo:
-    def test_self_information_is_nonnegative(self, cache):
-        for a in ("", "0", "01", "110"):
-            for s, value in mutual_info_profile(a, a, (8, 64), 14, cache=cache):
-                assert value is not None and value >= 0
-
-    def test_profile_is_reported_per_space_bound(self, cache):
-        out = mutual_info_profile("01", "10", (64, 8), 14, cache=cache)
-        assert [s for s, _v in out] == [8, 64]
-        assert out[0][1] == out[1][1]
-
-    def test_not_found_terms_yield_none(self, cache):
-        out = mutual_info_profile("111", "111", (8,), 3, cache=cache)
-        assert out == [(8, None)]
-
-    def test_length_guard(self, cache):
-        with pytest.raises(ValueError):
-            mutual_info_profile("0000", "1", (8,), 14, cache=cache)
 
 
 class TestBaselines:
