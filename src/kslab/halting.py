@@ -15,37 +15,36 @@ instruction before its combined stack length ever exceeds s?":
   tree of configurations that reach the unique final configuration of the
   canonicalized machine, and reports whether the initial configuration is in
   that tree.  The traversal is a memoryless Euler tour with three moves: to a
-  vertex's first child, to its next sibling (both by the predecessor
-  enumerator `child_after` of this module, in a fixed canonical order) and
-  up to its parent (`up`: one forward step, which also returns the vertex's
-  index among the parent's children), so at most three configurations are
-  held at any moment.
+  vertex's first child, to its next sibling (both by applying the inverted
+  instructions of the vertex's bucket, in a fixed canonical order) and up to
+  its parent (one forward step, then a table lookup of the vertex's index
+  among the parent's children), so at most three configurations are held at
+  any moment.  The moves are not separate functions: one loop runs them over
+  the current vertex's fields, with no call and no tuple per move.
 
 Each refuses, before any step, an input whose `config_count` passes
 `_MAX_CONFIGS`, so its time is bounded by that count.  All three agree on
 every input; the test suite checks this exhaustively over sampled machine
-families, and checks the shared loop and both tree moves against the
-string-configuration oracle `kslab.machine.step`.
+families, checks the shared loop against the string-configuration oracle
+`kslab.machine.step`, and checks the backward search's verdict and
+`ProbeStats` against a slow tour over a brute-force inverse of that oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
 
 from .machine import (
     EMPTY_STACK,
     MachineSpec,
     Op,
-    PackedConfig,
     Verdict,
     _execute,
     canonicalize,
     check_bits,
     compile_spec,
     final_configuration,
-    initial_configuration,
     pack_config,
 )
 
@@ -88,11 +87,10 @@ def config_count(spec: MachineSpec, p: str, x: str, s: int) -> int:
 # own stack tops, at index (state * 3 + ta) * 3 + tb.  A bucket holds only the
 # recipes whose guard C's tops already satisfy, so what is left to check per
 # recipe is the top below a push, the space bound for a pop and the tape bit
-# for a read.  Each bucket is sorted in the canonical child order: ascending
-# source state, then instruction kind, then pushed/popped bit (read
-# inversions break remaining ties by branch: 0, 1, end).  Applying the
-# recipes of C's bucket in order therefore yields the predecessors of C in
-# canonical order.
+# for a read.  Each bucket is sorted in the canonical child order: source
+# state, opcode, pushed/popped bit, the source's tops a and b, then a read's
+# branch (0, 1, end).  Applying the recipes of C's bucket in order therefore
+# yields the predecessors of C in canonical order.
 
 # (opcode, source state, arg): arg is the guard on the top left after undoing
 # a push (a for PUSH_L, b for PUSH_R), the popped bit for a pop, the branch
@@ -159,107 +157,12 @@ def _inverse_index(spec: MachineSpec) -> tuple[_Buckets, tuple[dict[int, int], .
     return tuple(buckets), tuple(positions)
 
 
-def _tree_moves(
-    spec: MachineSpec,
-    p: str,
-    x: str,
-    s: int,
-) -> tuple[
-    Callable[[PackedConfig, int], tuple[Optional[PackedConfig], int]],
-    Callable[[PackedConfig], tuple[PackedConfig, int]],
-]:
-    """Build the two moves of the termination tree for one (spec, p, x, s).
-
-    `child_after(cfg, from_idx)` returns the first predecessor of `cfg` with
-    space <= s produced by a recipe with index > from_idx in cfg's bucket,
-    and that index; (None, -1) when there is none.  Resuming from the
-    returned index walks the predecessors of `cfg` in canonical order.
-
-    `up(child)` returns the configuration `child` steps to and the index
-    that `child_after` pairs with `child` there, so resuming the parent from
-    it yields `child`'s next sibling.  A halt, a pop of an empty stack, or a
-    step with no recipe in the parent's bucket raises KeyError.
-    """
-
-    prog = compile_spec(spec)
-    buckets, positions = _inverse_index(spec)
-    # The branch a read takes at each head position: the bit there, or 2 at
-    # the end marker.  Index -1 is the end marker too, which no bit matches.
-    p_branch = tuple(int(bit) for bit in p) + (2,)
-    x_branch = tuple(int(bit) for bit in x) + (2,)
-
-    def child_after(cfg: PackedConfig, from_idx: int) -> tuple[Optional[PackedConfig], int]:
-        st, sl, sr, hp, hx = cfg
-        bucket = buckets[(st * 3 + (sl & 1 if sl > 1 else 2)) * 3 + (sr & 1 if sr > 1 else 2)]
-        for i in range(from_idx + 1, len(bucket)):
-            op, q, arg = bucket[i]
-            # Pops first: the drain states that canonicalize appends make
-            # them the kind tried most often, then the reads of its chain.
-            if op == 3:  # POP_L
-                if sl.bit_length() + sr.bit_length() - 2 < s:
-                    return (q, sl * 2 + arg, sr, hp, hx), i
-            elif op == 4:  # POP_R
-                if sl.bit_length() + sr.bit_length() - 2 < s:
-                    return (q, sl, sr * 2 + arg, hp, hx), i
-            elif op == 6:  # READ_P: the head sat before a read bit, or at the end
-                h = hp - 1 if arg < 2 else hp
-                if p_branch[h] == arg:
-                    return (q, sl, sr, h, hx), i
-            elif op == 5:  # WRITE
-                return (q, sl, sr, hp, hx), i
-            elif op == 1:  # PUSH_L
-                psl = sl >> 1
-                if (psl & 1 if psl > 1 else 2) == arg:
-                    return (q, psl, sr, hp, hx), i
-            elif op == 2:  # PUSH_R
-                psr = sr >> 1
-                if (psr & 1 if psr > 1 else 2) == arg:
-                    return (q, sl, psr, hp, hx), i
-            else:  # READ_X
-                h = hx - 1 if arg < 2 else hx
-                if x_branch[h] == arg:
-                    return (q, sl, sr, hp, h), i
-        return None, -1
-
-    def up(cfg: PackedConfig) -> tuple[PackedConfig, int]:
-        st, sl, sr, hp, hx = cfg
-        entry = (st * 3 + (sl & 1 if sl > 1 else 2)) * 3 + (sr & 1 if sr > 1 else 2)
-        op, bit, t0, t1, t2 = prog[entry]
-        branch = 0
-        if op == 3:  # POP_L; an empty stack leaves 0, and its entry has no key
-            sl >>= 1
-        elif op == 4:  # POP_R
-            sr >>= 1
-        elif op == 6:  # READ_P
-            branch = p_branch[hp]
-            if branch == 2:
-                t0 = t2
-            else:
-                t0 = t1 if branch else t0
-                hp += 1
-        elif op == 7:  # READ_X
-            branch = x_branch[hx]
-            if branch == 2:
-                t0 = t2
-            else:
-                t0 = t1 if branch else t0
-                hx += 1
-        elif op == 1:  # PUSH_L
-            sl = sl * 2 + bit
-        elif op == 2:  # PUSH_R
-            sr = sr * 2 + bit
-        # WRITE and HALT change only the state; a halt has no key either.
-        bucket = positions[(t0 * 3 + (sl & 1 if sl > 1 else 2)) * 3 + (sr & 1 if sr > 1 else 2)]
-        return (t0, sl, sr, hp, hx), bucket[entry * 3 + branch]
-
-    return child_after, up
-
-
 # Largest config_count of the machine a decider explores; a larger one is
 # refused before any step.  On a 1-state write loop the largest admitted
-# calls, decide_backward at s = 12 (589,830 configurations of the canonical
-# machine) and decide_counter at s = 15 (983,041), take at most 0.6 s, and
-# each one's next s takes up to 1.2 s (CPython 3.11, 2-vCPU VM).
+# calls take at most 0.35 s for decide_backward at s = 12 (589,830
+# configurations of the canonical machine) and 0.55 s for decide_counter at
+# s = 15 (983,041); each one's next s takes up to 0.7 s and 1.3 s
+# (CPython 3.11, 2-vCPU VM).
 _MAX_CONFIGS = 1_000_000
 
 
@@ -287,42 +190,121 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
 
     The machine is canonicalized so that halting runs share one final
     configuration, the root.  Children of a vertex are its predecessors in
-    canonical order.  The search is an Euler tour with three moves: to the
-    child after index idx of the current vertex (`child_after`), and, when
-    there is none, up to the parent together with the current vertex's
-    index among the parent's children (`up`, one forward step and one table
-    lookup).  It holds only the current vertex, one neighbour and the
-    comparison target.  Refused up front (ValueError) when the canonical
-    machine's config_count passes _MAX_CONFIGS.
+    canonical order.  The search is an Euler tour with three moves, all in
+    one loop over the current vertex's five fields and an index idx: to the
+    first child produced by a recipe after idx in the vertex's bucket
+    (down, or across to the next sibling after an up), and, when there is
+    none, up to the parent, by one forward step, with idx set to the
+    vertex's index in the parent's bucket.  It holds only the current
+    vertex, one neighbour and the comparison target.  Refused up front
+    (ValueError) when the canonical machine's config_count passes
+    _MAX_CONFIGS.
     """
 
     canon = canonicalize(spec)
     _check_inputs(canon, p, x, s)
-    child_after, up = _tree_moves(canon, p, x, s)
-    root = pack_config(final_configuration(canon, p, x))
-    start = pack_config(initial_configuration())
+    prog = compile_spec(canon)
+    buckets, positions = _inverse_index(canon)
+    # The branch a read takes at each head position: the bit there, or 2 at
+    # the end marker.  Index -1 is the end marker too, which no bit matches.
+    p_branch = tuple(int(bit) for bit in p) + (2,)
+    x_branch = tuple(int(bit) for bit in x) + (2,)
+    # The root; the start is (0, EMPTY_STACK, EMPTY_STACK, 0, 0).
+    rst, rsl, rsr, rhp, rhx = st, sl, sr, hp, hx = pack_config(final_configuration(canon, p, x))
 
     visited = 1
     peak_live = 1
-    if root == start:
+    if st == 0 and sl == sr == EMPTY_STACK and hp == hx == 0:
         return HaltVerdict(True, ProbeStats(visited, peak_live))
 
-    node, idx = root, -1
+    # A pop's child holds one bit more, so it fits while the vertex's space,
+    # its stacks' bit lengths less 2, is below s.
+    s2 = s + 2
+    idx = -1
+    key = (st * 3 + (sl & 1 if sl > 1 else 2)) * 3 + (sr & 1 if sr > 1 else 2)
     while True:
-        child, idx = child_after(node, idx)
-        if child is not None:
-            visited += 1
-            if peak_live < 2:
-                peak_live = 2  # the vertex and its child
-            if child == start:
-                return HaltVerdict(True, ProbeStats(visited, peak_live))
-            node, idx = child, -1
-        elif node == root:
-            return HaltVerdict(False, ProbeStats(visited, peak_live))
+        # Down or across: the first recipe after idx that yields a child.
+        bucket = buckets[key]
+        for i in range(idx + 1, len(bucket)):
+            op, q, arg = bucket[i]
+            # Pops first: the drain states that canonicalize appends make
+            # them the kind tried most often, then the reads of its chain.
+            if op == 3:  # POP_L
+                if sl.bit_length() + sr.bit_length() < s2:
+                    sl = sl * 2 + arg
+                    break
+            elif op == 4:  # POP_R
+                if sl.bit_length() + sr.bit_length() < s2:
+                    sr = sr * 2 + arg
+                    break
+            elif op == 6:  # READ_P: the head sat before a read bit, or at the end
+                h = hp - 1 if arg < 2 else hp
+                if p_branch[h] == arg:
+                    hp = h
+                    break
+            elif op == 5:  # WRITE
+                break
+            elif op == 1:  # PUSH_L
+                psl = sl >> 1
+                if (psl & 1 if psl > 1 else 2) == arg:
+                    sl = psl
+                    break
+            elif op == 2:  # PUSH_R
+                psr = sr >> 1
+                if (psr & 1 if psr > 1 else 2) == arg:
+                    sr = psr
+                    break
+            else:  # READ_X
+                h = hx - 1 if arg < 2 else hx
+                if x_branch[h] == arg:
+                    hx = h
+                    break
         else:
-            # Tree vertices reach the root, so `up` never raises here.
-            node, idx = up(node)
+            if st == rst and sl == rsl and sr == rsr and hp == rhp and hx == rhx:
+                return HaltVerdict(False, ProbeStats(visited, peak_live))
+            # Up: one forward step.  Tree vertices reach the root, so the
+            # step is neither a halt nor a pop of an empty stack, and the
+            # parent's bucket holds the recipe that inverts it.
+            op, bit, st, t1, t2 = prog[key]
+            branch = 0
+            if op == 3:  # POP_L
+                sl >>= 1
+            elif op == 4:  # POP_R
+                sr >>= 1
+            elif op == 6:  # READ_P
+                branch = p_branch[hp]
+                if branch == 2:
+                    st = t2
+                else:
+                    if branch:
+                        st = t1
+                    hp += 1
+            elif op == 7:  # READ_X
+                branch = x_branch[hx]
+                if branch == 2:
+                    st = t2
+                else:
+                    if branch:
+                        st = t1
+                    hx += 1
+            elif op == 1:  # PUSH_L
+                sl = sl * 2 + bit
+            elif op == 2:  # PUSH_R
+                sr = sr * 2 + bit
+            # WRITE changes only the state.
+            entry = key
+            key = (st * 3 + (sl & 1 if sl > 1 else 2)) * 3 + (sr & 1 if sr > 1 else 2)
+            idx = positions[key][entry * 3 + branch]
             peak_live = 3  # a vertex, its parent and a sibling: the most ever held
+            continue
+        st = q
+        visited += 1
+        if peak_live < 2:
+            peak_live = 2  # the vertex and its child
+        if st == 0 and hp == hx == 0 and sl == sr == EMPTY_STACK:
+            return HaltVerdict(True, ProbeStats(visited, peak_live))
+        idx = -1
+        key = (st * 3 + (sl & 1 if sl > 1 else 2)) * 3 + (sr & 1 if sr > 1 else 2)
 
 
 def decide_forward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:

@@ -44,7 +44,7 @@ from .machine import (
     run,
     serialized_length,
 )
-from .halting import config_count
+from .halting import config_count, stack_pair_count
 from ._masks import indices_of, nonempty_masks
 
 __all__ = [
@@ -73,6 +73,13 @@ INTERPRETER_TAG = "kslab-v1"
 # Workspace charged for general-mode decoding on top of the doubled header:
 # covers remembering the header position and the simulation bookkeeping.
 C_SIM = 16
+
+# Step limit of a general-mode decode from workspace _CAPPED_SPACE (56) on,
+# where stack_pair_count, and so the backstop config_count, passes it.
+# Forming config_count there would cost time and memory linear in s, and no
+# run of 2^62 steps can be simulated anyway.
+_MAX_DECODE_STEPS = 2**62
+_CAPPED_SPACE = next(s for s in range(64) if stack_pair_count(s) > _MAX_DECODE_STEPS)
 
 # Shortest general-mode program: doubled 1-state machine plus separator.
 MACHINE_MODE_MIN_LENGTH = 2 * serialized_length(1) + 2
@@ -174,7 +181,7 @@ def reference_decode(prog: str, x: str, s: int) -> str:
         raise ReferenceRunError(
             f"workspace {s} cannot cover the decoding overhead {2 * len(r) + C_SIM}"
         )
-    limit = config_count(spec, p, x, s_eff)
+    limit = config_count(spec, p, x, s_eff) if s_eff < _CAPPED_SPACE else _MAX_DECODE_STEPS
     result = run(spec, p, x, s_eff, step_limit=limit)
     if result.verdict is Verdict.HALTED:
         return result.output

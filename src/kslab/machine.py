@@ -700,7 +700,6 @@ __all__ = [
     "EMPTY_STACK",
     "MachineSpec",
     "Op",
-    "PackedConfig",
     "StepKind",
     "Verdict",
     "canonicalize",

@@ -1,7 +1,7 @@
 """Shared helpers: canned machines, uniform sampling of serializations, oracles.
 
 Also the helpers only tests call: an instruction builder, a configuration
-trace, the predecessor list of the backward decider's tree move,
+trace, a brute-force inverse of `step` and a slow backward tour over it,
 a tuple decoder, seeded random distributions and a distribution text
 format, an inequality's value on an entropy vector, profile level vectors
 and their stable level, the iteration lemma's constant search, and a dense
@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from kslab.entropy import JointDistribution, LinearInequality
-from kslab.halting import _tree_moves
 from kslab.kolmo import (
     ComplexityProfile,
     ComplexityResult,
@@ -32,9 +32,10 @@ from kslab.machine import (
     Op,
     StepKind,
     Verdict,
+    canonicalize,
     check_bits,
+    final_configuration,
     initial_configuration,
-    pack_config,
     parse_bits,
     parse_machine,
     record_width,
@@ -199,21 +200,111 @@ def trace(spec: MachineSpec, p: str, x: str, s: int, step_limit: int):
         yield cfg
 
 
-def predecessors(spec: MachineSpec, p: str, x: str, cfg: Configuration, s: int) -> list:
-    """All configurations with space <= s that step to `cfg`, in canonical order.
+def enumerate_configurations(spec: MachineSpec, p: str, x: str, s: int):
+    """Every configuration with space <= s."""
 
-    Walks `child_after`, the backward decider's move to the next child.
+    stacks = [
+        ("".join(sl), "".join(sr))
+        for l_len in range(s + 1)
+        for sl in product("01", repeat=l_len)
+        for r_len in range(s + 1 - l_len)
+        for sr in product("01", repeat=r_len)
+    ]
+    for state in range(spec.state_count):
+        for sl, sr in stacks:
+            for hp in range(len(p) + 1):
+                for hx in range(len(x) + 1):
+                    yield Configuration(state, sl, sr, hp, hx)
+
+
+def canonical_key(spec: MachineSpec, p: str, x: str, cfg: Configuration) -> tuple:
+    """Where `cfg` sits among the predecessors of its successor.
+
+    The canonical child order: source state, opcode, pushed/popped bit, the
+    source's stack tops a and b, then a read's branch (0, 1, 2 for the end).
     """
 
-    child_after, _ = _tree_moves(spec, p, x, s)
-    packed = pack_config(cfg)
-    found = []
-    child, idx = child_after(packed, -1)
-    while child is not None:
-        st, sl, sr, hp, hx = child
-        found.append(Configuration(st, bin(sl)[3:], bin(sr)[3:], hp, hx))
-        child, idx = child_after(packed, idx)
-    return found
+    a = int(cfg.stack_l[-1]) if cfg.stack_l else 2
+    b = int(cfg.stack_r[-1]) if cfg.stack_r else 2
+    ins = spec.instruction(cfg.state, a, b)
+    op, bit, branch = ins.op, 0, 0
+    if op is Op.PUSH_L or op is Op.PUSH_R:
+        bit = ins.bit
+    elif op is Op.POP_L:
+        bit = a
+    elif op is Op.POP_R:
+        bit = b
+    elif op is Op.READ_P:
+        branch = int(p[cfg.head_p]) if cfg.head_p < len(p) else 2
+    elif op is Op.READ_X:
+        branch = int(x[cfg.head_x]) if cfg.head_x < len(x) else 2
+    return (cfg.state, int(op), bit, a, b, branch)
+
+
+@lru_cache(maxsize=1)
+def predecessors(spec: MachineSpec, p: str, x: str, s: int) -> dict:
+    """Brute-force inverse of `step` within space s.
+
+    Maps each configuration to the configurations with space <= s that step
+    to it, in canonical order (see `canonical_key`).  The last result is
+    kept, so one inverse serves a run of calls on the same machine and tapes.
+    """
+
+    inverse: dict = {}
+    for cfg in enumerate_configurations(spec, p, x, s):
+        kind, successor, _ = step(spec, cfg, p, x)
+        if kind is StepKind.NEXT:
+            inverse.setdefault(successor, []).append(cfg)
+    for sources in inverse.values():
+        if len(sources) > 1:
+            sources.sort(key=lambda cfg: canonical_key(spec, p, x, cfg))
+    return inverse
+
+
+# Space of the inverse `oracle_backward` builds: one serves every s up to it.
+ORACLE_SPACE = 4
+
+
+def oracle_backward(spec: MachineSpec, p: str, x: str, s: int, visited=None) -> tuple:
+    """`decide_backward`'s (terminates_within_s, configurations_visited, peak_live), slowly.
+
+    A depth-first search with an explicit stack over the termination tree of
+    the canonicalized machine.  A vertex's children are its `predecessors`
+    within max(s, ORACLE_SPACE) that have space <= s, in canonical order.
+    The search stops at the initial configuration.  Live configurations: 1
+    until a child is visited, 2 until the search first returns from a vertex
+    other than the root, then 3.  Every visited configuration is appended to
+    the list `visited`, if one is given.
+    """
+
+    canon = canonicalize(spec)
+    inverse = predecessors(canon, p, x, max(s, ORACLE_SPACE))
+
+    def children(cfg):
+        return iter([c for c in inverse.get(cfg, ()) if c.space <= s])
+
+    root, start = final_configuration(canon, p, x), initial_configuration()
+    count, live = 1, 1
+    if visited is not None:
+        visited.append(root)
+    if root == start:
+        return True, count, live
+    path = [children(root)]
+    while path:
+        child = next(path[-1], None)
+        if child is None:
+            path.pop()
+            if path:
+                live = 3
+            continue
+        count += 1
+        live = max(live, 2)
+        if visited is not None:
+            visited.append(child)
+        if child == start:
+            return True, count, live
+        path.append(children(child))
+    return False, count, live
 
 
 def decode_tuple(bits: str, count: int) -> tuple[str, ...]:

@@ -2,13 +2,14 @@
 
 import random
 import tracemalloc
-from itertools import product
 
 import pytest
 
 from conftest import (
     all_bits,
+    canonical_key,
     echo_x_spec,
+    oracle_backward,
     predecessors,
     push_forever_spec,
     sample_spec,
@@ -17,7 +18,7 @@ from conftest import (
 )
 from kslab import halting
 from kslab.halting import (
-    _tree_moves,
+    _inverse_index,
     config_count,
     decide_backward,
     decide_counter,
@@ -31,9 +32,7 @@ from kslab.machine import (
     StepKind,
     Verdict,
     canonicalize,
-    final_configuration,
     halt,
-    pack_config,
     parse_machine,
     step,
 )
@@ -77,111 +76,57 @@ class TestCounts:
         assert config_count(spec, p, x, s) == total
 
 
-def enumerate_configurations(spec, p, x, s):
-    for state in range(spec.state_count):
-        for l_len in range(s + 1):
-            for sl in product("01", repeat=l_len):
-                for r_len in range(s + 1 - l_len):
-                    for sr in product("01", repeat=r_len):
-                        for hp in range(len(p) + 1):
-                            for hx in range(len(x) + 1):
-                                yield Configuration(
-                                    state, "".join(sl), "".join(sr), hp, hx
-                                )
+def tops(cfg):
+    return (int(cfg.stack_l[-1]) if cfg.stack_l else 2, int(cfg.stack_r[-1]) if cfg.stack_r else 2)
+
+
+def bucket_key(cfg):
+    """Index of the bucket of `cfg` in `_inverse_index`: (state, L top, R top)."""
+
+    top_l, top_r = tops(cfg)
+    return (cfg.state * 3 + top_l) * 3 + top_r
+
+
+def random_bits(rng, max_len):
+    return "".join(rng.choice("01") for _ in range(rng.randint(0, max_len)))
 
 
 class TestPredecessors:
     def test_initial_configuration_of_push_only_machine_has_no_predecessors(self):
         spec = canonicalize(push_forever_spec())
         cfg = Configuration(0, "", "", 0, 0)
-        assert predecessors(spec, "", "", cfg, 3) == []
+        assert cfg not in predecessors(spec, "", "", 3)
+        assert _inverse_index(spec)[0][bucket_key(cfg)] == ()
 
     def test_push_inverts_to_stack_minus_top(self):
         spec = canonicalize(parse_machine("states: 2\n0 _ _ -> pushL 1 1\n"))
         cfg = Configuration(1, "1", "", 0, 0)
-        preds = predecessors(spec, "", "", cfg, 2)
-        assert Configuration(0, "", "", 0, 0) in preds
+        assert Configuration(0, "", "", 0, 0) in predecessors(spec, "", "", 2)[cfg]
+        # Undoing the push from state 0 must leave an empty L top.
+        assert (int(Op.PUSH_L), 0, 2) in _inverse_index(spec)[0][bucket_key(cfg)]
 
     def test_matches_brute_force_inverse_of_step(self):
+        # The instruction each predecessor executes is inverted in its
+        # target's bucket, at the index `positions` gives it, and the
+        # predecessors' indices ascend in canonical order.
         rng = random.Random(71)
         checked = 0
         for _ in range(25):
             spec = canonicalize(sample_spec(rng, 2))
-            p = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
-            x = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
-            s = rng.randint(0, 3)
-            configs = list(enumerate_configurations(spec, p, x, s))
-            inverse = {}
-            for cfg in configs:
-                result = step(spec, cfg, p, x)
-                if result.kind is StepKind.NEXT and result.config.space <= s:
-                    inverse.setdefault(result.config, []).append(cfg)
-            for cfg in configs:
-                expected = inverse.get(cfg, [])
-                got = predecessors(spec, p, x, cfg, s)
-                assert sorted(got) == sorted(expected), (cfg, p, x, s)
-                assert len(got) == len(set(got))
-                # Primary order key: ascending source state.
-                assert [c.state for c in got] == sorted(c.state for c in got)
-                checked += 1
+            p, x, s = random_bits(rng, 2), random_bits(rng, 2), rng.randint(0, 3)
+            buckets, positions = _inverse_index(spec)
+            for cfg, sources in predecessors(spec, p, x, s).items():
+                target = bucket_key(cfg)
+                found = []
+                for source in sources:
+                    q, op, _, a, b, branch = canonical_key(spec, p, x, source)
+                    arg = {Op.PUSH_L: a, Op.PUSH_R: b, Op.POP_L: a, Op.POP_R: b}.get(Op(op), branch)
+                    i = positions[target][((q * 3 + a) * 3 + b) * 3 + branch]
+                    assert buckets[target][i] == (op, q, arg), (cfg, source, p, x, s)
+                    found.append(i)
+                assert found == sorted(set(found)), (cfg, p, x, s)
+                checked += len(found)
         assert checked > 1000
-
-
-def random_configuration(rng, spec, p, x, s):
-    l_len = rng.randint(0, s)
-    return Configuration(
-        rng.randrange(spec.state_count),
-        "".join(rng.choice("01") for _ in range(l_len)),
-        "".join(rng.choice("01") for _ in range(rng.randint(0, s - l_len))),
-        rng.randint(0, len(p)),
-        rng.randint(0, len(x)),
-    )
-
-
-class TestRelocation:
-    def test_up_matches_the_reference_step(self):
-        rng = random.Random(11)
-        kinds = set()
-        for _ in range(300):
-            spec = sample_spec(rng, 3)
-            p = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
-            x = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
-            cfg = random_configuration(rng, spec, p, x, 4)
-            _, up = _tree_moves(spec, p, x, 4)
-            ref = step(spec, cfg, p, x)
-            kinds.add(ref.kind)
-            if ref.kind is StepKind.NEXT:
-                assert up(pack_config(cfg))[0] == pack_config(ref.config), (cfg, p, x)
-            else:
-                with pytest.raises(KeyError):
-                    up(pack_config(cfg))
-        assert kinds == set(StepKind)
-
-    def test_up_returns_the_index_the_enumerator_pairs_with_each_child(self):
-        rng = random.Random(4141)
-        checked = end_branches = shared_targets = 0
-        for _ in range(40):
-            spec = canonicalize(sample_spec(rng, 3))
-            p = "".join(rng.choice("01") for _ in range(rng.randrange(4)))
-            x = "".join(rng.choice("01") for _ in range(rng.randrange(3)))
-            s = rng.randint(0, 4)
-            child_after, up = _tree_moves(spec, p, x, s)
-            for _ in range(150):
-                parent = pack_config(random_configuration(rng, spec, p, x, s))
-                child, idx = child_after(parent, -1)
-                while child is not None:
-                    assert up(child) == (parent, idx), (parent, p, x, s)
-                    st, sl, sr, hp, hx = child
-                    top_l, top_r = sl & 1 if sl > 1 else 2, sr & 1 if sr > 1 else 2
-                    ins = spec.instruction(st, top_l, top_r)
-                    if ins.op in (Op.READ_P, Op.READ_X):
-                        at_end = hp == len(p) if ins.op is Op.READ_P else hx == len(x)
-                        end_branches += at_end
-                        shared_targets += not at_end and ins.t0 == ins.t1
-                    checked += 1
-                    child, idx = child_after(parent, idx)
-        assert checked > 2000
-        assert end_branches > 100 and shared_targets > 100
 
 
 class TestBackward:
@@ -233,6 +178,39 @@ class TestBackward:
                 (verdict.terminates_within_s, stats.configurations_visited, stats.peak_live_configurations)
             )
         assert got == self.PINNED_STATS[machine]
+
+    def test_matches_the_oracle_tour(self):
+        rng = random.Random(4141)
+        verdicts = []
+        end_reads = shared_targets = 0
+        for i in range(200):
+            # Half the machines halt within s = 4: only a search that finds
+            # the start has a count that depends on the child order.
+            while True:
+                spec = sample_spec(rng, 3)
+                p, x = random_bits(rng, 3), random_bits(rng, 2)
+                if decide_forward(spec, p, x, 4).terminates_within_s == (i % 2 == 0):
+                    break
+            for s in range(5):
+                tour = []
+                expected = oracle_backward(spec, p, x, s, tour)
+                verdict = decide_backward(spec, p, x, s)
+                stats = verdict.probe_stats
+                got = (verdict.terminates_within_s, stats.configurations_visited, stats.peak_live_configurations)
+                assert got == expected, (spec, p, x, s)
+                verdicts.append(got[0])
+                # Reads of the sampled machine that the search inverted (the
+                # canonical chain's own reads are in every tree).
+                for cfg in tour:
+                    if cfg.state < spec.state_count:
+                        ins = spec.instruction(cfg.state, *tops(cfg))
+                        if ins.op in (Op.READ_P, Op.READ_X):
+                            at_end = cfg.head_p == len(p) if ins.op is Op.READ_P else cfg.head_x == len(x)
+                            end_reads += at_end
+                            shared_targets += not at_end and ins.t0 == ins.t1
+        assert len(verdicts) == 1000
+        assert min(verdicts.count(True), verdicts.count(False)) > 200
+        assert end_reads > 100 and shared_targets > 100
 
     def test_keeps_at_most_three_configurations_alive(self):
         rng = random.Random(9)

@@ -141,6 +141,15 @@ class TestReferenceDecode:
         assert info.value.verdict is Verdict.STEP_LIMIT
         assert time.perf_counter() - start < 1.0
 
+    def test_halting_machine_decodes_fast_at_huge_space(self):
+        # The step limit stops growing with s once config_count passes
+        # 2^62, so s = 10^8 costs what s = 10^3 does.
+        prog = doubled(serialize_machine(parse_machine("states: 2\n0 _ _ -> write 1 1\n"))) + "01"
+        assert reference_decode(prog, "", 1000) == "1"
+        start = time.perf_counter()
+        assert reference_decode(prog, "", 10**8) == "1"
+        assert time.perf_counter() - start < 0.02
+
     def test_writing_loop_keeps_memory_bounded(self):
         # A step-limited run would write config_count = 458,753 bits at
         # s_eff = 14 (about 4 MiB of output list); the loop check stops it
