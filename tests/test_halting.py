@@ -129,6 +129,84 @@ class TestPredecessors:
         assert checked > 1000
 
 
+def apply_recipe(recipe, cfg, p, x, s):
+    """The child a bucket recipe yields from `cfg` within space s, or None."""
+
+    op, q, arg = Op(recipe[0]), recipe[1], recipe[2]
+    _, left, right, hp, hx = cfg
+    if op in (Op.POP_L, Op.POP_R):
+        if cfg.space >= s:
+            return None
+        if op is Op.POP_L:
+            left += str(arg)
+        else:
+            right += str(arg)
+    elif op in (Op.PUSH_L, Op.PUSH_R):
+        stack = (left if op is Op.PUSH_L else right)[:-1]
+        if (int(stack[-1]) if stack else 2) != arg:
+            return None
+        if op is Op.PUSH_L:
+            left = stack
+        else:
+            right = stack
+    elif op in (Op.READ_P, Op.READ_X):
+        tape, head = (p, hp) if op is Op.READ_P else (x, hx)
+        if arg == 2:
+            if head != len(tape):
+                return None
+        elif head == 0 or tape[head - 1] != str(arg):
+            return None
+        else:
+            head -= 1
+        if op is Op.READ_P:
+            hp = head
+        else:
+            hx = head
+    return Configuration(q, left, right, hp, hx)
+
+
+class TestRelocation:
+    def test_up_returns_the_index_the_enumerator_pairs_with_each_child(self):
+        # The children of a parent are the configurations its bucket's
+        # recipes yield, in bucket order.  From each child, the up move is
+        # one step of the reference simulation back to the parent, then the
+        # lookup in `positions` of the child's entry and read branch; it
+        # must return the index of the recipe that yielded the child.
+        rng = random.Random(4141)
+        checked = end_branches = shared_targets = 0
+        for _ in range(40):
+            spec = canonicalize(sample_spec(rng, 3))
+            p, x, s = random_bits(rng, 3), random_bits(rng, 2), rng.randint(0, 4)
+            buckets, positions = _inverse_index(spec)
+            for _ in range(150):
+                l_len = rng.randint(0, s)
+                parent = Configuration(
+                    rng.randrange(spec.state_count),
+                    random_bits(rng, l_len),
+                    random_bits(rng, s - l_len),
+                    rng.randint(0, len(p)),
+                    rng.randint(0, len(x)),
+                )
+                for idx, recipe in enumerate(buckets[bucket_key(parent)]):
+                    child = apply_recipe(recipe, parent, p, x, s)
+                    if child is None:
+                        continue
+                    kind, successor, _ = step(spec, child, p, x)
+                    assert (kind, successor) == (StepKind.NEXT, parent), (child, p, x, s)
+                    ins = spec.instruction(child.state, *tops(child))
+                    branch = 0
+                    if ins.op in (Op.READ_P, Op.READ_X):
+                        tape, head = (p, child.head_p) if ins.op is Op.READ_P else (x, child.head_x)
+                        branch = int(tape[head]) if head < len(tape) else 2
+                        end_branches += branch == 2
+                        shared_targets += branch < 2 and ins.t0 == ins.t1
+                    entry = bucket_key(child)
+                    assert positions[bucket_key(parent)][entry * 3 + branch] == idx, (child, p, x, s)
+                    checked += 1
+        assert checked > 2000
+        assert end_branches > 100 and shared_targets > 100
+
+
 class TestBackward:
     def test_echo_machine_halts_with_zero_space(self):
         assert decide_backward(echo_x_spec(), "1", "", 0).terminates_within_s
