@@ -55,11 +55,11 @@ __all__ = [
 _MAX_TABLE_ROWS = 500_000
 
 
-def _parse_grid(text: str) -> list:
+def _parse_grid(text: str, flag: str) -> list:
     try:
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise ValueError(f"bad s grid {text!r}, expected comma-separated integers")
+        raise ValueError(f"bad {flag} {text!r}, expected comma-separated integers") from None
 
 
 def _open_cache(args) -> ComplexityCache | None:
@@ -103,7 +103,7 @@ def cmd_ks_compute(args) -> int:
 
 
 def cmd_ks_table(args) -> int:
-    s_grid = _parse_grid(args.s_grid)
+    s_grid = _parse_grid(args.s_grid, "--s-grid")
     rows = len(s_grid) * count_strings_up_to(args.targets_to) * count_strings_up_to(args.conditions_to)
     if rows > _MAX_TABLE_ROWS:
         raise ValueError(f"table has over {_MAX_TABLE_ROWS} rows (targets x conditions x s values)")
@@ -150,13 +150,13 @@ def cmd_law_verify(args) -> int:
     cache = _open_cache(args)
     kwargs = dict(
         n=args.n,
-        s_grid=_parse_grid(args.s_grid),
+        s_grid=_parse_grid(args.s_grid, "--s-grid"),
         cap=args.cap,
         cache=cache,
     )
     if args.law == "basic":
-        kwargs["I"] = set(_parse_grid(args.i))
-        kwargs["J"] = set(_parse_grid(args.j))
+        kwargs["I"] = set(_parse_grid(args.i, "--i"))
+        kwargs["J"] = set(_parse_grid(args.j, "--j"))
         kwargs["k"] = args.k
     elif args.law == "shannon":
         if args.inequality is None:

@@ -164,7 +164,10 @@ def parse_inequality(text: str) -> LinearInequality:
             raise ValueError(f"bad term {term!r}: subset must be nonempty")
         if mask in coeffs:
             raise ValueError(f"duplicate subset {subset}")
-        coeffs[mask] = Fraction(value)
+        try:
+            coeffs[mask] = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"bad term {term!r}: zero denominator") from None
     return LinearInequality(k, coeffs)
 
 

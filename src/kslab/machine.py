@@ -69,9 +69,8 @@ TOP_CHARS = "01_"
 class Instruction(NamedTuple):
     """One table entry.
 
-    `bit` is the payload for PUSH_L/PUSH_R/WRITE.  `t0` is the next state for
-    every operation that has one; READ_P/READ_X use (t0, t1, t2) as the
-    branch targets for reading 0, reading 1, and sitting at the end marker.
+    `_OPERANDS` lists the fields each opcode uses; READ_P/READ_X branch to
+    (t0, t1, t2) on reading 0, reading 1, and sitting at the end marker.
     Unused fields are zero.
     """
 
@@ -80,6 +79,24 @@ class Instruction(NamedTuple):
     t0: int = 0
     t1: int = 0
     t2: int = 0
+
+
+# The Instruction fields each opcode uses, in text and serialized order: `bit`
+# is a 0/1 payload, every `t` field a state.  Validation, the text parser and
+# both bit codecs read this map.
+_OPERANDS: dict[Op, tuple[str, ...]] = {
+    Op.HALT: (),
+    Op.PUSH_L: ("bit", "t0"),
+    Op.PUSH_R: ("bit", "t0"),
+    Op.POP_L: ("t0",),
+    Op.POP_R: ("t0",),
+    Op.WRITE: ("bit", "t0"),
+    Op.READ_P: ("t0", "t1", "t2"),
+    Op.READ_X: ("t0", "t1", "t2"),
+}
+# The distinct (bit operands, state operands) counts; `record_width` takes the
+# widest.
+_SHAPES = {(used.count("bit"), len(used) - used.count("bit")) for used in _OPERANDS.values()}
 
 
 def halt() -> Instruction:
@@ -127,28 +144,21 @@ class MachineSpec:
 
 
 def _validate_instruction(ins: Instruction, state_count: int) -> None:
-    op = ins.op
-    if op not in (Op.HALT, Op.PUSH_L, Op.PUSH_R, Op.POP_L, Op.POP_R, Op.WRITE, Op.READ_P, Op.READ_X):
-        raise ValueError(f"unknown opcode {op!r}")
-    if ins.bit not in (0, 1):
-        raise ValueError(f"instruction bit must be 0 or 1, got {ins.bit}")
-    targets: tuple[int, ...]
-    if op in (Op.READ_P, Op.READ_X):
-        targets = (ins.t0, ins.t1, ins.t2)
-    elif op is Op.HALT:
-        targets = ()
-    else:
-        targets = (ins.t0,)
-    for t in targets:
-        if not 0 <= t < state_count:
-            raise ValueError(f"state operand {t} out of range for {state_count} states")
-    # Unused fields must be zero so that equal machines compare equal.
-    if op is Op.HALT and (ins.bit, ins.t0, ins.t1, ins.t2) != (0, 0, 0, 0):
-        raise ValueError("halt carries no operands")
-    if op in (Op.PUSH_L, Op.PUSH_R, Op.WRITE, Op.POP_L, Op.POP_R) and (ins.t1, ins.t2) != (0, 0):
-        raise ValueError(f"{op.name} uses only t0")
-    if op in (Op.POP_L, Op.POP_R, Op.READ_P, Op.READ_X) and ins.bit != 0:
-        raise ValueError(f"{op.name} carries no bit operand")
+    used = _OPERANDS.get(ins.op)
+    if used is None:
+        raise ValueError(f"unknown opcode {ins.op!r}")
+    for field, value in zip(Instruction._fields[1:], ins[1:]):
+        # Zero is valid in every field; unused fields must stay zero so that
+        # equal machines compare equal.
+        if value == 0:
+            continue
+        if field not in used:
+            raise ValueError(f"{ins.op.name} does not use {field}")
+        if field == "bit":
+            if value != 1:
+                raise ValueError(f"instruction bit must be 0 or 1, got {value}")
+        elif not 0 < value < state_count:
+            raise ValueError(f"state operand {value} out of range for {state_count} states")
 
 
 class Configuration(NamedTuple):
@@ -211,37 +221,34 @@ def _top_index(stack: str) -> int:
 def step(spec: MachineSpec, cfg: Configuration, p: str, x: str) -> StepResult:
     """Execute one instruction.  Pure; does not enforce any space bound."""
 
-    ins = spec.instruction(cfg.state, _top_index(cfg.stack_l), _top_index(cfg.stack_r))
+    state, sl, sr, hp, hx = cfg
+    ins = spec.instruction(state, _top_index(sl), _top_index(sr))
     op = ins.op
     if op is Op.HALT:
         return StepResult(StepKind.HALTED, None, None)
     if op is Op.PUSH_L:
-        nxt = cfg._replace(state=ins.t0, stack_l=cfg.stack_l + "01"[ins.bit])
-        return StepResult(StepKind.NEXT, nxt, None)
+        return StepResult(StepKind.NEXT, Configuration(ins.t0, sl + "01"[ins.bit], sr, hp, hx), None)
     if op is Op.PUSH_R:
-        nxt = cfg._replace(state=ins.t0, stack_r=cfg.stack_r + "01"[ins.bit])
-        return StepResult(StepKind.NEXT, nxt, None)
+        return StepResult(StepKind.NEXT, Configuration(ins.t0, sl, sr + "01"[ins.bit], hp, hx), None)
     if op is Op.POP_L:
-        if not cfg.stack_l:
+        if not sl:
             return StepResult(StepKind.ABNORMAL, None, None)
-        return StepResult(StepKind.NEXT, cfg._replace(state=ins.t0, stack_l=cfg.stack_l[:-1]), None)
+        return StepResult(StepKind.NEXT, Configuration(ins.t0, sl[:-1], sr, hp, hx), None)
     if op is Op.POP_R:
-        if not cfg.stack_r:
+        if not sr:
             return StepResult(StepKind.ABNORMAL, None, None)
-        return StepResult(StepKind.NEXT, cfg._replace(state=ins.t0, stack_r=cfg.stack_r[:-1]), None)
+        return StepResult(StepKind.NEXT, Configuration(ins.t0, sl, sr[:-1], hp, hx), None)
     if op is Op.WRITE:
-        return StepResult(StepKind.NEXT, cfg._replace(state=ins.t0), "01"[ins.bit])
+        return StepResult(StepKind.NEXT, Configuration(ins.t0, sl, sr, hp, hx), "01"[ins.bit])
     if op is Op.READ_P:
-        if cfg.head_p >= len(p):
-            return StepResult(StepKind.NEXT, cfg._replace(state=ins.t2), None)
-        bit = p[cfg.head_p]
-        nxt = cfg._replace(state=ins.t0 if bit == "0" else ins.t1, head_p=cfg.head_p + 1)
+        if hp >= len(p):
+            return StepResult(StepKind.NEXT, Configuration(ins.t2, sl, sr, hp, hx), None)
+        nxt = Configuration(ins.t0 if p[hp] == "0" else ins.t1, sl, sr, hp + 1, hx)
         return StepResult(StepKind.NEXT, nxt, None)
     # Op.READ_X
-    if cfg.head_x >= len(x):
-        return StepResult(StepKind.NEXT, cfg._replace(state=ins.t2), None)
-    bit = x[cfg.head_x]
-    nxt = cfg._replace(state=ins.t0 if bit == "0" else ins.t1, head_x=cfg.head_x + 1)
+    if hx >= len(x):
+        return StepResult(StepKind.NEXT, Configuration(ins.t2, sl, sr, hp, hx), None)
+    nxt = Configuration(ins.t0 if x[hx] == "0" else ins.t1, sl, sr, hp, hx + 1)
     return StepResult(StepKind.NEXT, nxt, None)
 
 
@@ -259,8 +266,9 @@ def step(spec: MachineSpec, cfg: Configuration, p: str, x: str) -> StepResult:
 # locals rather than taking one step per call, because a call and a tuple
 # built and unpacked on every step more than double its cost: 0.32 s against
 # 0.80 s for 1.04 M steps of step-limit runs of sampled machines (2-vCPU VM,
-# CPython 3.11).  The one single step, for the backward decider, which moves
-# between arbitrary configurations, is `up` in `kslab.halting`.
+# CPython 3.11).  The backward decider, which moves between arbitrary
+# configurations, inlines its own single forward step (`decide_backward` in
+# `kslab.halting`).
 
 EMPTY_STACK = 1
 
@@ -503,29 +511,15 @@ def parse_machine(text: str) -> MachineSpec:
         if name not in _OP_NAMES:
             raise MachineFormatError(f"unknown instruction {name!r}", lineno)
         op = _OP_NAMES[name]
+        used = _OPERANDS[op]
         args = rhs_tokens[1:]
-        if op is Op.HALT:
-            if args:
-                raise MachineFormatError("halt takes no operands", lineno)
-            ins = halt()
-        elif op in (Op.PUSH_L, Op.PUSH_R, Op.WRITE):
-            if len(args) != 2:
-                raise MachineFormatError(f"{name} takes <bit> <q'>", lineno)
-            ins = Instruction(op, _parse_bit(args[0], lineno), _parse_state(args[1], state_count, lineno))
-        elif op in (Op.POP_L, Op.POP_R):
-            if len(args) != 1:
-                raise MachineFormatError(f"{name} takes <q'>", lineno)
-            ins = Instruction(op, 0, _parse_state(args[0], state_count, lineno))
-        else:
-            if len(args) != 3:
-                raise MachineFormatError(f"{name} takes <q0> <q1> <qE>", lineno)
-            ins = Instruction(
-                op,
-                0,
-                _parse_state(args[0], state_count, lineno),
-                _parse_state(args[1], state_count, lineno),
-                _parse_state(args[2], state_count, lineno),
-            )
+        if len(args) != len(used):
+            expected = " ".join(f"<{field}>" for field in used) or "no operands"
+            raise MachineFormatError(f"{name} takes {expected}", lineno)
+        ins = Instruction(op, **{
+            field: _parse_bit(arg, lineno) if field == "bit" else _parse_state(arg, state_count, lineno)
+            for field, arg in zip(used, args)
+        })
         idx = (q * 3 + ta) * 3 + tb
         if idx in table:
             raise MachineFormatError(
@@ -553,33 +547,26 @@ def state_width(state_count: int) -> int:
 def record_width(state_count: int) -> int:
     """Common instruction record width: 3-bit opcode plus the widest operand set.
 
-    Push/write carry a bit and a state; reads carry three states; every record
+    A bit operand takes 1 bit and a state operand `state_width`; every record
     is zero-padded to this width.
     """
 
     wd = state_width(state_count)
-    return 3 + max(1 + wd, 3 * wd)
-
-
-def _int_to_bits(value: int, width: int) -> str:
-    return format(value, "b").zfill(width) if width else ""
+    return 3 + max([bits + states * wd for bits, states in _SHAPES])
 
 
 def serialize_machine(spec: MachineSpec) -> str:
-    n = spec.state_count
-    wd = state_width(n)
-    rw = record_width(n)
-    parts = ["1" * n + "0"]
+    wd = state_width(spec.state_count)
+    rw = record_width(spec.state_count)
+    parts = ["1" * spec.state_count + "0"]
     for ins in spec.instructions:
-        rec = format(int(ins.op), "03b")
-        if ins.op in (Op.PUSH_L, Op.PUSH_R, Op.WRITE):
-            rec += str(ins.bit) + _int_to_bits(ins.t0, wd)
-        elif ins.op in (Op.POP_L, Op.POP_R):
-            rec += _int_to_bits(ins.t0, wd)
-        elif ins.op in (Op.READ_P, Op.READ_X):
-            rec += _int_to_bits(ins.t0, wd) + _int_to_bits(ins.t1, wd) + _int_to_bits(ins.t2, wd)
-        rec += "0" * (rw - len(rec))
-        parts.append(rec)
+        # The record as one integer: the opcode, then each used field.
+        rec, width = int(ins.op), 3
+        for field in _OPERANDS[ins.op]:
+            field_width = 1 if field == "bit" else wd
+            rec = rec << field_width | getattr(ins, field)
+            width += field_width
+        parts.append(format(rec << (rw - width), f"0{rw}b"))
     return "".join(parts)
 
 
@@ -598,46 +585,27 @@ def parse_bits(bits: str) -> MachineSpec:
         raise BitsParseError("missing unary state count")
     if n >= len(bits):
         raise BitsParseError("unary state count not terminated")
-    pos = n + 1
     wd = state_width(n)
     rw = record_width(n)
-    if len(bits) - pos != 9 * n * rw:
+    if len(bits) - n - 1 != 9 * n * rw:
         raise BitsParseError(
-            f"expected {9 * n * rw} instruction bits for {n} states, got {len(bits) - pos}"
+            f"expected {9 * n * rw} instruction bits for {n} states, got {len(bits) - n - 1}"
         )
-
-    def take(width: int) -> int:
-        nonlocal pos
-        if width == 0:
-            return 0
-        chunk = bits[pos:pos + width]
-        pos += width
-        return int(chunk, 2)
-
-    def take_state() -> int:
-        value = take(wd)
-        if value >= n:
-            raise BitsParseError(f"state operand {value} out of range for {n} states")
-        return value
-
     instructions = []
-    for _ in range(9 * n):
-        end = pos + rw
-        op_val = take(3)
-        op = Op(op_val)
-        if op in (Op.PUSH_L, Op.PUSH_R, Op.WRITE):
-            bit = take(1)
-            ins = Instruction(op, bit, take_state())
-        elif op in (Op.POP_L, Op.POP_R):
-            ins = Instruction(op, 0, take_state())
-        elif op in (Op.READ_P, Op.READ_X):
-            ins = Instruction(op, 0, take_state(), take_state(), take_state())
-        else:
-            ins = halt()
-        if bits[pos:end].strip("0") != "":
+    for start in range(n + 1, len(bits), rw):
+        op = Op(int(bits[start:start + 3], 2))
+        pos = start + 3
+        values = {}
+        for field in _OPERANDS[op]:
+            width = 1 if field == "bit" else wd
+            value = int(bits[pos:pos + width], 2) if width else 0
+            if value >= n and field != "bit":
+                raise BitsParseError(f"state operand {value} out of range for {n} states")
+            values[field] = value
+            pos += width
+        if "1" in bits[pos:start + rw]:
             raise BitsParseError("nonzero padding in instruction record")
-        pos = end
-        instructions.append(ins)
+        instructions.append(Instruction(op, **values))
     return MachineSpec(n, tuple(instructions))
 
 

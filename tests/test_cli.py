@@ -249,6 +249,19 @@ class TestLawCommands:
         )
         assert code == 0 and json.loads(out)["minimal_c"] >= 0
 
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--s-grid", "x", "--i", "1", "--j", "2"], "--s-grid"),
+            (["--s-grid", "8", "--i", "x", "--j", "2"], "--i"),
+            (["--s-grid", "8", "--i", "1", "--j", "x"], "--j"),
+        ],
+    )
+    def test_a_bad_integer_list_names_its_flag(self, capsys, flags, flag):
+        code, out, err = run(capsys, "law", "verify", "basic", "--n", "1", *flags)
+        assert (code, out) == (1, "")
+        assert err == f"error: bad {flag} 'x', expected comma-separated integers\n"
+
     def test_verify_baseline_cycle(self, capsys, tmp_path):
         argv = (
             "law", "verify", "pair_swap", "--n", "1", "--s-grid", "32",
@@ -422,3 +435,14 @@ class TestExitCodes:
         assert code == 1 and err.startswith("error:")
         code, _, err = run(capsys, "ks", "compute", "1", "--cap", "99")
         assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cone", "check", "k=2; {1}:1/0"],
+            ["law", "verify", "shannon", "--n", "1", "--s-grid", "32", "--inequality", "k=2; {1}:1/0"],
+        ],
+    )
+    def test_a_zero_denominator_is_a_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: bad term '{1}:1/0': zero denominator\n")

@@ -177,7 +177,8 @@ class TestInequalities:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "3; {1}:1", "k=2; 1:1", "k=2; {}:1", "k=2; {1}:", "k=2; {1}:1 {1}:2", "k=2; {3}:1"],
+        ["", "3; {1}:1", "k=2; 1:1", "k=2; {}:1", "k=2; {1}:", "k=2; {1}:1 {1}:2", "k=2; {3}:1",
+         "k=2; {1}:1/0"],
     )
     def test_parse_rejects_malformed_inequalities(self, bad):
         with pytest.raises(ValueError):

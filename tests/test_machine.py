@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ECHO_X_TEXT,
+    _record_valid,
     all_bits,
     echo_x_spec,
     push_forever_spec,
@@ -47,6 +48,31 @@ from kslab.machine import (
 
 BITS = st.text(alphabet="01", max_size=6)
 
+# The fields each opcode uses, stated here independently of the machine module.
+USED_FIELDS = {
+    Op.HALT: (),
+    Op.PUSH_L: ("bit", "t0"),
+    Op.PUSH_R: ("bit", "t0"),
+    Op.POP_L: ("t0",),
+    Op.POP_R: ("t0",),
+    Op.WRITE: ("bit", "t0"),
+    Op.READ_P: ("t0", "t1", "t2"),
+    Op.READ_X: ("t0", "t1", "t2"),
+}
+FIELDS = ("bit", "t0", "t1", "t2")
+USED = [(op, f) for op in Op for f in FIELDS if f in USED_FIELDS[op]]
+UNUSED = [(op, f) for op in Op for f in FIELDS if f not in USED_FIELDS[op]]
+
+
+def _param_id(value):
+    return getattr(value, "name", value)
+
+
+def _table_with(ins, states):
+    """A table whose first entry is ins and every other entry halt."""
+
+    return (ins,) + (halt(),) * (9 * states - 1)
+
 
 class TestInstructions:
     def test_factories_produce_validated_instructions(self):
@@ -54,17 +80,24 @@ class TestInstructions:
         assert push_l(1, 3).t0 == 3
         assert read_p(0, 1, 2) == Instruction(Op.READ_P, 0, 0, 1, 2)
 
-    def test_unused_fields_must_stay_zero(self):
-        spec_ok = MachineSpec(1, tuple([halt()] * 9))
-        assert spec_ok.instruction(0, 0, 0) == halt()
+    @pytest.mark.parametrize("states", [1, 3])
+    @pytest.mark.parametrize("op,field", UNUSED, ids=_param_id)
+    def test_unused_fields_must_stay_zero(self, op, field, states):
+        spec = MachineSpec(states, _table_with(Instruction(op), states))
+        assert spec.instruction(0, 0, 0) == Instruction(op)
         with pytest.raises(ValueError):
-            MachineSpec(1, tuple([Instruction(Op.HALT, bit=1)] * 9))
-        with pytest.raises(ValueError):
-            MachineSpec(1, tuple([Instruction(Op.POP_L, bit=1)] * 9))
+            MachineSpec(states, _table_with(Instruction(op)._replace(**{field: 1}), states))
 
-    def test_state_operands_must_be_in_range(self):
-        with pytest.raises(ValueError):
-            MachineSpec(1, tuple([Instruction(Op.WRITE, 0, 1)] * 9))
+    @pytest.mark.parametrize("states", [1, 3])
+    @pytest.mark.parametrize("op,field", USED, ids=_param_id)
+    def test_state_operands_must_be_in_range(self, op, field, states):
+        # A used bit must be 0 or 1, a used state below the state count.
+        top = 1 if field == "bit" else states - 1
+        ins = Instruction(op)._replace(**{field: top})
+        assert MachineSpec(states, _table_with(ins, states)).instruction(0, 0, 0) == ins
+        for bad in (-1, top + 1):
+            with pytest.raises(ValueError):
+                MachineSpec(states, _table_with(Instruction(op)._replace(**{field: bad}), states))
 
     def test_instruction_count_must_match(self):
         with pytest.raises(ValueError):
@@ -236,13 +269,20 @@ class TestTextFormat:
             "states: 1\n0 _ _ -> popL 1\n",           # state out of range
             "states: 1\n0 _ -> halt\n",               # malformed left side
             "states: 1\n0 _ _ -> readP 0 0\n",        # arity
+            "states: 1\n0 _ _ -> readX 0 0 0 0\n",    # arity
+            "states: 1\n0 _ _ -> halt 0\n",           # arity
+            "states: 1\n0 _ _ -> pushL 1\n",          # arity
+            "states: 1\n0 _ _ -> write 1 0 0\n",      # arity
+            "states: 1\n0 _ _ -> popR\n",             # arity
+            "states: 1\n0 _ _ -> popL 0 0\n",         # arity
             "states: 1\n0 2 _ -> halt\n",             # bad top symbol
             "states: 1\n0 _ _ -> halt\n0 _ _ -> halt\n",  # duplicate entry
         ],
     )
     def test_malformed_text_is_rejected_with_line_numbers(self, text):
-        with pytest.raises(MachineFormatError):
+        with pytest.raises(MachineFormatError) as excinfo:
             parse_machine(text)
+        assert excinfo.value.line is not None
 
     def test_error_carries_line_number(self):
         try:
@@ -271,6 +311,31 @@ class TestBitFormat:
             bits = sample_machine_bits(rng, rng.randint(1, 4))
             spec = parse_bits(bits)
             assert serialize_machine(spec) == bits
+
+    def test_accepts_a_string_iff_every_record_is_valid(self):
+        # Strings of serialized length: a valid serialization with 0-2
+        # records replaced by uniform random bits.
+        rng = random.Random(17)
+        outcomes = set()
+        for _ in range(600):
+            n = rng.randint(1, 4)
+            rw = record_width(n)
+            bits = sample_machine_bits(rng, n)
+            records = [bits[n + 1 + i * rw : n + 1 + (i + 1) * rw] for i in range(9 * n)]
+            for _ in range(rng.randint(0, 2)):
+                records[rng.randrange(9 * n)] = format(rng.getrandbits(rw), f"0{rw}b")
+            bits = "1" * n + "0" + "".join(records)
+            expected = all(_record_valid(record, n) for record in records)
+            try:
+                spec = parse_bits(bits)
+            except BitsParseError:
+                accepted = False
+            else:
+                accepted = True
+                assert serialize_machine(spec) == bits
+            assert accepted == expected, (n, bits)
+            outcomes.add(accepted)
+        assert outcomes == {False, True}
 
     def test_round_trip_from_spec_side(self):
         spec = echo_x_spec()
