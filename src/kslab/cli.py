@@ -241,13 +241,14 @@ def cmd_cone_check(args) -> int:
         }
         print(json.dumps(payload, sort_keys=True))
         return 0
-    print(f"member: {'true' if decision.member else 'false'}")
+    # Formatted whole before printing: a value too long for str() leaves stdout empty.
     if decision.member:
         weights = " ".join(f"{i}:{w}" for i, w in sorted(decision.weights.items()))
-        print(f"weights: {weights}" if weights else "weights:")
+        detail = f"weights: {weights}" if weights else "weights:"
     else:
         witness = " ".join(f"{mask_label(m)}:{v}" for m, v in sorted(decision.witness.items()))
-        print(f"witness: {witness}")
+        detail = f"witness: {witness}"
+    print(f"member: {'true' if decision.member else 'false'}\n{detail}")
     return 0
 
 

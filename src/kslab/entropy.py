@@ -1,8 +1,8 @@
-"""Exact joint distributions, entropy vectors, and the Shannon cone.
+"""Entropy vectors of lists of draws, and the Shannon cone.
 
-Probabilities are Fractions throughout so marginalization and cone
-membership are exact; only entropy values themselves (which involve logs)
-are floats.  Subsets of the k variables are bitmasks as in _masks.
+A distribution is the empirical one of a list of equal-length tuples;
+its entropies are floats.  Cone membership is decided over Fractions, so
+it is exact.  Subsets of the k variables are bitmasks as in _masks.
 
 The Shannon cone over k variables is generated by the elemental
 inequalities: H(X_i | rest) >= 0 for each i, and I(X_i; X_j | X_S) >= 0
@@ -17,13 +17,13 @@ satisfying every generator while violating the inequality.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._masks import indices_of, mask_label, mask_of, nonempty_masks
 
 __all__ = [
-    "JointDistribution",
     "entropy_vector",
     "LinearInequality",
     "parse_inequality",
@@ -32,70 +32,30 @@ __all__ = [
 ]
 
 
-class JointDistribution:
-    """Probability mass function over tuples of symbols, one per variable."""
+def entropy_vector(outcomes) -> dict:
+    """H(X_S) in bits for every nonempty mask S, of the empirical distribution.
 
-    def __init__(self, k: int, pmf: dict):
-        if k < 1:
-            raise ValueError("need at least one variable")
-        clean: dict = {}
-        total = Fraction(0)
-        for outcome, prob in pmf.items():
-            outcome = tuple(str(sym) for sym in outcome)
-            if len(outcome) != k:
-                raise ValueError(f"outcome {outcome} has arity {len(outcome)}, expected {k}")
-            prob = Fraction(prob)
-            if prob < 0:
-                raise ValueError(f"negative probability for {outcome}")
-            if prob == 0:
-                continue
-            clean[outcome] = clean.get(outcome, Fraction(0)) + prob
-            total += prob
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-        self.k = k
-        self.pmf = clean
+    outcomes is a sequence of equal-length tuples of symbols, one draw
+    each, so a repeated tuple adds weight.  Each mask's projections are
+    counted, p = count / len(outcomes), and -p log2 p is summed in order of
+    first appearance.
+    """
 
-    @classmethod
-    def uniform(cls, k: int, outcomes) -> "JointDistribution":
-        outcomes = [tuple(o) for o in outcomes]
-        if not outcomes:
-            raise ValueError("need at least one outcome")
-        if len(set(outcomes)) != len(outcomes):
-            raise ValueError("duplicate outcomes")
-        p = Fraction(1, len(outcomes))
-        return cls(k, {o: p for o in outcomes})
-
-    def marginal(self, mask: int) -> dict:
-        """Projected pmf onto the variables in mask (1-based bit positions)."""
-
-        if not 0 < mask < (1 << self.k):
-            raise ValueError(f"mask {mask} out of range for k={self.k}")
+    if not outcomes:
+        raise ValueError("need at least one outcome")
+    k = len(outcomes[0])
+    if k < 1 or any(len(o) != k for o in outcomes):
+        raise ValueError("outcomes must be nonempty tuples of one arity")
+    total = len(outcomes)
+    vector = {}
+    for mask in nonempty_masks(k):
         picks = [i - 1 for i in indices_of(mask)]
-        out: dict = {}
-        for outcome, prob in self.pmf.items():
-            key = tuple(outcome[i] for i in picks)
-            out[key] = out.get(key, Fraction(0)) + prob
-        return out
-
-
-
-def _entropy_bits(pmf_values) -> float:
-    h = 0.0
-    for prob in pmf_values:
-        p = float(prob)
-        if p > 0.0:
+        h = 0.0
+        for count in Counter(tuple(o[i] for i in picks) for o in outcomes).values():
+            p = count / total
             h -= p * math.log2(p)
-    return h
-
-
-def entropy_vector(dist: JointDistribution) -> dict:
-    """H(X_S) in bits for every nonempty subset mask S."""
-
-    return {
-        mask: _entropy_bits(dist.marginal(mask).values())
-        for mask in nonempty_masks(dist.k)
-    }
+        vector[mask] = h
+    return vector
 
 
 # Largest k for linear inequalities and the Shannon cone.  The cone has
@@ -142,7 +102,7 @@ class LinearInequality:
 
 
 def parse_inequality(text: str) -> LinearInequality:
-    """Parse 'k=3; {1}:1 {2}:1 {1,2}:-1'."""
+    """Parse 'k=3; {1}:1 {2}:1 {1,2}:-1'; a coefficient is an integer, decimal or p/q."""
 
     head, _, tail = text.partition(";")
     head = head.strip()
@@ -164,6 +124,9 @@ def parse_inequality(text: str) -> LinearInequality:
             raise ValueError(f"bad term {term!r}: subset must be nonempty")
         if mask in coeffs:
             raise ValueError(f"duplicate subset {subset}")
+        if "e" in value.lower():
+            # Fraction would form 10**exponent, past the int digit limit.
+            raise ValueError(f"bad term {term!r}: write the coefficient as p/q or a decimal")
         try:
             coeffs[mask] = Fraction(value)
         except ZeroDivisionError:

@@ -340,7 +340,6 @@ def decide_counter(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
 
 
 __all__ = [
-    "config_count",
     "decide_backward",
     "decide_counter",
     "decide_forward",

@@ -12,7 +12,7 @@ has three modes, dispatched on the leading bits:
                      s - (2|r| + C_SIM) and returns its output.  A run that
                      repeats a configuration never halts; the simulation
                      stops at the first repeat that Brent's check sees, so
-                     V is total, and `config_count` is only a backstop.
+                     V is total.
 
 Doubling r makes the machine header self-delimiting, so p can be arbitrary.
 Serialized machines start with "1" (the unary state-count block), hence
@@ -44,7 +44,6 @@ from .machine import (
     run,
     serialized_length,
 )
-from .halting import config_count, stack_pair_count
 from ._masks import indices_of, nonempty_masks
 
 __all__ = [
@@ -74,12 +73,10 @@ INTERPRETER_TAG = "kslab-v1"
 # covers remembering the header position and the simulation bookkeeping.
 C_SIM = 16
 
-# Step limit of a general-mode decode from workspace _CAPPED_SPACE (56) on,
-# where stack_pair_count, and so the backstop config_count, passes it.
-# Forming config_count there would cost time and memory linear in s, and no
-# run of 2^62 steps can be simulated anyway.
+# Backstop step limit of a general-mode decode: Brent's check in `run` ends
+# every run that repeats a configuration, and no run of 2^62 steps can be
+# simulated anyway.
 _MAX_DECODE_STEPS = 2**62
-_CAPPED_SPACE = next(s for s in range(64) if stack_pair_count(s) > _MAX_DECODE_STEPS)
 
 # Shortest general-mode program: doubled 1-state machine plus separator.
 MACHINE_MODE_MIN_LENGTH = 2 * serialized_length(1) + 2
@@ -154,8 +151,8 @@ def reference_decode(prog: str, x: str, s: int) -> str:
     ReferenceRunError when the decoded machine exceeds its workspace,
     aborts, or never halts.  A run that never halts within its workspace
     repeats a configuration; `run` stops at the first repeat that Brent's
-    check sees, and the configuration-count step limit, by which such a
-    run has repeated one, is only a backstop.
+    check sees, and the fixed step limit _MAX_DECODE_STEPS is only a
+    backstop.
     """
 
     check_bits(prog)
@@ -181,8 +178,7 @@ def reference_decode(prog: str, x: str, s: int) -> str:
         raise ReferenceRunError(
             f"workspace {s} cannot cover the decoding overhead {2 * len(r) + C_SIM}"
         )
-    limit = config_count(spec, p, x, s_eff) if s_eff < _CAPPED_SPACE else _MAX_DECODE_STEPS
-    result = run(spec, p, x, s_eff, step_limit=limit)
+    result = run(spec, p, x, s_eff, step_limit=_MAX_DECODE_STEPS)
     if result.verdict is Verdict.HALTED:
         return result.output
     if result.verdict is Verdict.STEP_LIMIT:

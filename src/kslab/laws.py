@@ -29,7 +29,7 @@ from itertools import product
 from pathlib import Path
 
 from ._masks import mask_label
-from .entropy import JointDistribution, LinearInequality, entropy_vector, is_shannon
+from .entropy import LinearInequality, entropy_vector, is_shannon
 from .kolmo import (
     INTERPRETER_TAG,
     MAX_CLOSED_FORM_SPACE,
@@ -537,8 +537,7 @@ def gap_report(ts: TypicalSet) -> str:
     text table, reproducible byte for byte on a given platform.
     """
 
-    dist = JointDistribution.uniform(len(ts.xs), ts.members)
-    hvec = entropy_vector(dist)
+    hvec = entropy_vector(ts.members)
 
     def h(mask: int) -> float:
         return hvec[mask] if mask else 0.0

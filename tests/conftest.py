@@ -1,22 +1,25 @@
 """Shared helpers: canned machines, uniform sampling of serializations, oracles.
 
+The machine sampler is imported from the benchmark's `perfbench/oracle.py`.
 Also the helpers only tests call: an instruction builder, a configuration
 trace, a brute-force inverse of `step` and a slow backward tour over it,
-a tuple decoder, seeded random distributions and a distribution text
-format, an inequality's value on an entropy vector, profile level vectors
-and their stable level, the iteration lemma's constant search, and a dense
-phase-1 simplex that the cone decision is checked against.
+a tuple decoder, seeded random draws, an inequality's value on an entropy
+vector, profile level vectors and their stable level, the iteration
+lemma's constant search, and a dense phase-1 simplex that the cone
+decision is checked against.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
-from kslab.entropy import JointDistribution, LinearInequality
+from kslab.entropy import LinearInequality
 from kslab.kolmo import (
     ComplexityProfile,
     ComplexityResult,
@@ -38,10 +41,12 @@ from kslab.machine import (
     initial_configuration,
     parse_bits,
     parse_machine,
-    record_width,
-    state_width,
     step,
 )
+
+# The machine sampler is the benchmark's, so both draw the same machines.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from oracle import _record_valid, sample_machine_bits  # noqa: E402
 
 # Writes the condition tape to the output, bit by bit.
 ECHO_X_TEXT = """
@@ -98,41 +103,6 @@ def all_bits(max_len: int) -> list:
     for length in range(1, max_len + 1):
         out.extend("".join(t) for t in product("01", repeat=length))
     return out
-
-
-def _record_valid(bits: str, n: int) -> bool:
-    wd = state_width(n)
-    op = int(bits[:3], 2)
-    body = bits[3:]
-
-    def state_ok(chunk: str) -> bool:
-        return wd == 0 or int(chunk, 2) < n
-
-    if op == int(Op.HALT):
-        return body.strip("0") == ""
-    if op in (int(Op.PUSH_L), int(Op.PUSH_R), int(Op.WRITE)):
-        return state_ok(body[1 : 1 + wd] or "0") and body[1 + wd :].strip("0") == ""
-    if op in (int(Op.POP_L), int(Op.POP_R)):
-        return state_ok(body[:wd] or "0") and body[wd:].strip("0") == ""
-    # READ_P / READ_X: three state operands
-    for i in range(3):
-        if not state_ok(body[i * wd : (i + 1) * wd] or "0"):
-            return False
-    return body[3 * wd :].strip("0") == ""
-
-
-def sample_machine_bits(rng: random.Random, n: int) -> str:
-    """Uniform over valid n-state serializations, by per-record rejection."""
-
-    rw = record_width(n)
-    parts = ["1" * n + "0"]
-    for _ in range(9 * n):
-        while True:
-            candidate = format(rng.getrandbits(rw), f"0{rw}b")
-            if _record_valid(candidate, n):
-                break
-        parts.append(candidate)
-    return "".join(parts)
 
 
 def sample_spec(rng: random.Random, max_states: int) -> MachineSpec:
@@ -322,11 +292,11 @@ def decode_tuple(bits: str, count: int) -> tuple[str, ...]:
     return tuple(reversed(parts))
 
 
-def random_rational(k: int, alphabet_sizes, denominator: int, seed: int) -> JointDistribution:
-    """Empirical pmf of `denominator` uniform draws over the product space.
+def random_rational(k: int, alphabet_sizes, denominator: int, seed: int) -> list:
+    """`denominator` seeded uniform draws over the product space.
 
-    Every probability is a multiple of 1/denominator, so downstream
-    arithmetic stays exact and runs are reproducible from the seed.
+    Their empirical distribution gives every outcome a multiple of
+    1/denominator, and runs are reproducible from the seed.
     """
 
     if isinstance(alphabet_sizes, int):
@@ -337,51 +307,13 @@ def random_rational(k: int, alphabet_sizes, denominator: int, seed: int) -> Join
     if denominator < 1:
         raise ValueError("denominator must be >= 1")
     rng = random.Random(seed)
-    counts: dict = {}
-    for _ in range(denominator):
-        outcome = tuple(str(rng.randrange(a)) for a in alphabet_sizes)
-        counts[outcome] = counts.get(outcome, 0) + 1
-    return JointDistribution(k, {o: Fraction(c, denominator) for o, c in counts.items()})
+    return [tuple(str(rng.randrange(a)) for a in alphabet_sizes) for _ in range(denominator)]
 
 
 def evaluate(inequality: LinearInequality, vector: dict) -> float:
     """Value of the inequality's left side on an entropy vector (floats)."""
 
     return sum(float(c) * vector[m] for m, c in inequality.coeffs)
-
-
-def distribution_text(dist: JointDistribution) -> str:
-    lines = [f"k={dist.k}"]
-    for outcome in sorted(dist.pmf):
-        lines.append(" ".join(outcome) + " : " + str(dist.pmf[outcome]))
-    return "\n".join(lines) + "\n"
-
-
-def parse_distribution(text: str) -> JointDistribution:
-    """Inverse of distribution_text; `#` starts a comment."""
-
-    k = None
-    pmf: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if k is None:
-            if not line.startswith("k="):
-                raise ValueError(f"line {line_no}: expected k=<count> first, got {line!r}")
-            k = int(line[2:])
-            continue
-        if ":" not in line:
-            raise ValueError(f"line {line_no}: expected 'symbols... : probability'")
-        left, right = line.rsplit(":", 1)
-        outcome = tuple(left.split())
-        prob = Fraction(right.strip())
-        if outcome in pmf:
-            raise ValueError(f"line {line_no}: duplicate outcome {outcome}")
-        pmf[outcome] = prob
-    if k is None:
-        raise ValueError("empty distribution text")
-    return JointDistribution(k, pmf)
 
 
 def profile_level_vector(profile: ComplexityProfile) -> tuple:

@@ -28,7 +28,6 @@ from conftest import (
     sample_machine_bits,
 )
 from kslab.entropy import (
-    JointDistribution,
     LinearInequality,
     elemental_inequalities,
     entropy_vector,
@@ -239,9 +238,7 @@ def test_criterion_08_cone_counts_and_soundness():
     for g in elemental_inequalities(2):
         assert sum(c * witness.get(m, Fraction(0)) for m, c in g.coeffs) >= 0
     assert sum(c * witness.get(m, Fraction(0)) for m, c in supermodularity.coeffs) < 0
-    copied_bit = JointDistribution(
-        2, {("0", "0"): Fraction(1, 2), ("1", "1"): Fraction(1, 2)}
-    )
+    copied_bit = [("0", "0"), ("1", "1")]
     violation = evaluate(supermodularity, entropy_vector(copied_bit))
     print(
         f"criterion 8: counts {counts}, 4000 sampled distributions, worst elemental "

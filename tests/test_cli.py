@@ -151,6 +151,15 @@ class TestHaltCommands:
         assert code == 1 and out == "" and err.startswith("error:") and "configurations" in err
         assert time.perf_counter() - start < 1
 
+    def test_a_state_count_above_the_bound_is_refused_at_once(self, capsys, tmp_path):
+        # Parsing the table of 400,000 states alone took 14.5 s.
+        path = tmp_path / "huge.txt"
+        path.write_text("states: 400000\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "halt", "decide", "--machine", str(path), "--s", "1")
+        assert (code, out) == (1, "") and err.startswith("error: line 1:")
+        assert time.perf_counter() - start < 0.5
+
     def test_serialized_machine_files_are_detected(self, capsys, tmp_path):
         path = tmp_path / "echo.bits"
         path.write_text(serialize_machine(echo_x_spec()) + "\n")
@@ -379,6 +388,26 @@ class TestConeCommands:
         code, out, err = run(capsys, "cone", *argv)
         assert code == 1 and out == "" and err.startswith("error:")
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("coeff", ["1e100000", "1e4000000", "2.5E-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cone", "check", "k=1; {1}:COEFF"],
+            ["law", "verify", "shannon", "--n", "1", "--s-grid", "32", "--inequality", "k=1; {1}:COEFF"],
+        ],
+    )
+    def test_exponent_notation_is_refused(self, capsys, argv, coeff):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *(a.replace("COEFF", coeff) for a in argv))
+        assert (code, out) == (1, "") and err.startswith("error:")
+        assert time.perf_counter() - start < 0.5
+
+    def test_a_certificate_too_long_to_print_leaves_stdout_empty(self, capsys):
+        # The weight 2N has 4,301 digits, past str()'s limit for ints.
+        n = "9" * 4300
+        code, out, err = run(capsys, "cone", "check", f"k=2; {{1}}:{n} {{2}}:-{n} {{1,2}}:{n}")
+        assert (code, out) == (1, "") and err.startswith("error:")
 
     def test_check_requires_an_inequality(self, capsys):
         code, _, err = run(capsys, "cone", "check")

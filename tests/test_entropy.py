@@ -1,16 +1,16 @@
-"""Exact joint distributions, entropy vectors, and the polymatroid cone."""
+"""Entropy vectors of lists of draws, and the polymatroid cone."""
 
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import dense_bland_phase1, distribution_text, evaluate, parse_distribution, random_rational
+from conftest import dense_bland_phase1, evaluate, random_rational
 from kslab import entropy
 from kslab._masks import mask_of, nonempty_masks
 from kslab.entropy import (
-    JointDistribution,
     LinearInequality,
     ShannonDecision,
     elemental_inequalities,
@@ -32,7 +32,7 @@ MEMBER_K5 = (
     " {1,3,5}:-1 {1,2,3,5}:-2 {4,5}:-1 {1,2,3,4,5}:2"
 )
 
-FAIR_COPY = JointDistribution(2, {("0", "0"): Fraction(1, 2), ("1", "1"): Fraction(1, 2)})
+FAIR_COPY = [("0", "0"), ("1", "1")]
 
 
 def evaluate_exact(inequality: LinearInequality, vector: dict) -> Fraction:
@@ -48,77 +48,38 @@ def combine(k: int, weighted) -> LinearInequality:
 
 
 class TestDistributions:
-    def test_constructor_normalizes_and_validates(self):
-        d = JointDistribution(1, {("a",): "1/3", ("b",): Fraction(2, 3), ("c",): 0})
-        assert d.pmf == {("a",): Fraction(1, 3), ("b",): Fraction(2, 3)}
-        with pytest.raises(ValueError):
-            JointDistribution(1, {("a",): Fraction(1, 2)})
-        with pytest.raises(ValueError):
-            JointDistribution(1, {("a",): Fraction(3, 2), ("b",): Fraction(-1, 2)})
-        with pytest.raises(ValueError):
-            JointDistribution(2, {("a",): 1})
-
-    def test_marginal_projects_and_sums(self):
-        d = JointDistribution(
-            2,
-            {
-                ("0", "x"): Fraction(1, 4),
-                ("0", "y"): Fraction(1, 4),
-                ("1", "x"): Fraction(1, 2),
-            },
-        )
-        assert d.marginal(0b01) == {("0",): Fraction(1, 2), ("1",): Fraction(1, 2)}
-        assert d.marginal(0b10) == {("x",): Fraction(3, 4), ("y",): Fraction(1, 4)}
-        with pytest.raises(ValueError):
-            d.marginal(0)
-        with pytest.raises(ValueError):
-            d.marginal(0b100)
-
-    def test_uniform_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            JointDistribution.uniform(1, [("a",), ("a",)])
-
     def test_random_rational_is_reproducible_and_grained(self):
         a = random_rational(3, 2, 64, seed=7)
         b = random_rational(3, 2, 64, seed=7)
         c = random_rational(3, 2, 64, seed=8)
-        assert a.pmf == b.pmf
-        assert a.pmf != c.pmf
-        assert all(64 % p.denominator == 0 for p in a.pmf.values())
+        assert a == b
+        assert a != c
+        assert len(a) == 64 and all(len(o) == 3 for o in a)
         with pytest.raises(ValueError):
             random_rational(2, (2,), 8, seed=0)
         with pytest.raises(ValueError):
             random_rational(1, 2, 0, seed=0)
 
-    def test_text_round_trip(self):
-        d = random_rational(2, (2, 3), 32, seed=1)
-        again = parse_distribution(distribution_text(d))
-        assert again.k == d.k and again.pmf == d.pmf
+    def test_marginal_projects_and_sums(self):
+        v = entropy_vector([("0", "x"), ("0", "y"), ("1", "x"), ("1", "x")])
+        assert v[0b01] == pytest.approx(1.0)  # 1/2, 1/2
+        assert v[0b10] == pytest.approx(2 - 0.75 * math.log2(3))  # 3/4, 1/4
+        assert v[0b11] == pytest.approx(1.5)  # 1/4, 1/4, 1/2
 
-    def test_parse_accepts_comments_and_blank_lines(self):
-        text = "# fair coin\nk=1\n\n0 : 1/2  # heads\n1 : 1/2\n"
-        d = parse_distribution(text)
-        assert d.pmf == {("0",): Fraction(1, 2), ("1",): Fraction(1, 2)}
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "",
-            "0 : 1",
-            "k=1\n0 ; 1",
-            "k=1\n0 : 1/2\n0 : 1/2",
-            "k=1\n0 : 2",
-        ],
-    )
-    def test_parse_rejects_malformed_text(self, bad):
+    @pytest.mark.parametrize("bad", [[], [()], [("0",), ("0", "1")]])
+    def test_refuses_empty_input_and_mixed_arity(self, bad):
         with pytest.raises(ValueError):
-            parse_distribution(bad)
+            entropy_vector(bad)
+
+    def test_repeated_draw_adds_weight(self):
+        # Three draws of "a" and one of "b": p = 3/4, 1/4.
+        v = entropy_vector([("a",), ("b",), ("a",), ("a",)])
+        assert v[0b1] == pytest.approx(-0.75 * math.log2(0.75) - 0.25 * math.log2(0.25))
 
 
 class TestEntropyVectors:
     def test_uniform_product_of_fair_bits(self):
-        d = JointDistribution.uniform(2, [(a, b) for a in "01" for b in "01"])
-        v = entropy_vector(d)
+        v = entropy_vector([(a, b) for a in "01" for b in "01"])
         assert v[0b01] == pytest.approx(1.0)
         assert v[0b10] == pytest.approx(1.0)
         assert v[0b11] == pytest.approx(2.0)
@@ -135,15 +96,7 @@ class TestEntropyVectors:
     def test_independent_variables_are_additive(self):
         left = random_rational(1, 3, 16, seed=3)
         right = random_rational(1, 2, 16, seed=4)
-        product = JointDistribution(
-            2,
-            {
-                (a[0], b[0]): p * q
-                for a, p in left.pmf.items()
-                for b, q in right.pmf.items()
-            },
-        )
-        v = entropy_vector(product)
+        v = entropy_vector([a + b for a in left for b in right])
         assert v[0b11] == pytest.approx(v[0b01] + v[0b10])
 
     def test_elementals_hold_on_sampled_distributions(self):

@@ -284,6 +284,13 @@ class TestTextFormat:
             parse_machine(text)
         assert excinfo.value.line is not None
 
+    @pytest.mark.parametrize("count", ["4097", "100000", "1" + "0" * 40])
+    def test_state_count_above_the_bound_is_refused_on_its_line(self, count):
+        with pytest.raises(MachineFormatError, match="state count") as excinfo:
+            parse_machine(f"# header\nstates: {count}\n")
+        assert excinfo.value.line == 2
+        assert parse_machine("states: 4096\n").state_count == 4096
+
     def test_error_carries_line_number(self):
         try:
             parse_machine("states: 1\n0 _ _ -> popL 9\n")

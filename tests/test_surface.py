@@ -2,11 +2,14 @@
 
 A name in a module's `__all__` must be referred to by another module of
 the package or by the benchmark under `perfbench/`; an export that only
-the tests reach is API that no measurement needs.
+the tests reach is API that no measurement needs.  And every name the
+benchmark's tracer patches must still exist.
 """
 
 import ast
 from pathlib import Path
+
+import tracing  # perfbench/tracing.py, on the path through conftest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kslab"
@@ -49,3 +52,13 @@ def test_every_export_has_a_caller_outside_the_tests():
         if not any(name in names for other, names in refs.items() if other != module) and name not in bench
     ]
     assert unused == []
+
+
+def test_the_benchmark_tracer_installs_and_uninstalls():
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._originals)
+    finally:
+        tracer.uninstall()
+    assert patched and all(getattr(owner, attr) is original for owner, attr, original in patched)
