@@ -268,14 +268,14 @@ def cmd_cone_elemental(args) -> int:
 
 
 def cmd_lemma_iterate(args) -> int:
+    if (args.c1 is None) != (args.c2 is None):
+        raise ValueError("--c1 and --c2 must be given together")
     value = iterate_f(args.s, args.c, args.k, args.n)
-    print(f"iterate: {value!r}")
-    if args.c1 is not None or args.c2 is not None:
-        if args.c1 is None or args.c2 is None:
-            raise ValueError("--c1 and --c2 must be given together")
+    lines = [f"iterate: {value!r}"]
+    if args.c1 is not None:
         bound = lemma_bound(args.s, args.k, args.n, args.c1, args.c2)
-        print(f"bound: {bound!r}")
-        print(f"within: {'true' if value <= bound else 'false'}")
+        lines += [f"bound: {bound!r}", f"within: {'true' if value <= bound else 'false'}"]
+    print("\n".join(lines))
     return 0
 
 

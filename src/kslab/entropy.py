@@ -101,6 +101,17 @@ class LinearInequality:
         return f"k={self.k}; {terms}"
 
 
+# Most digits parse_inequality reads in k, a subset, or a coefficient's
+# numerator or denominator.  Python converts ints of at most 4,300 digits
+# to and from text, and a certificate weight, a sum of coefficients, can be
+# longer than any one of them.
+_MAX_DIGITS = 1000
+
+
+def _digits(text: str) -> int:
+    return sum(ch.isdigit() for ch in text)
+
+
 def parse_inequality(text: str) -> LinearInequality:
     """Parse 'k=3; {1}:1 {2}:1 {1,2}:-1'; a coefficient is an integer, decimal or p/q."""
 
@@ -108,6 +119,8 @@ def parse_inequality(text: str) -> LinearInequality:
     head = head.strip()
     if not head.startswith("k="):
         raise ValueError(f"expected k=<count>, got {head!r}")
+    if _digits(head) > _MAX_DIGITS:
+        raise ValueError(f"k has over {_MAX_DIGITS} digits")
     k = int(head[2:])
     _check_k(k)
     coeffs: dict = {}
@@ -115,6 +128,9 @@ def parse_inequality(text: str) -> LinearInequality:
         subset, _, value = term.partition(":")
         if not (subset.startswith("{") and subset.endswith("}")) or not value:
             raise ValueError(f"bad term {term!r}, expected {{i,j}}:coeff")
+        numerator, _, denominator = value.partition("/")
+        if max(_digits(subset), _digits(numerator), _digits(denominator)) > _MAX_DIGITS:
+            raise ValueError(f"bad term: a number with over {_MAX_DIGITS} digits")
         inner = subset[1:-1]
         indices = [int(i) for i in inner.split(",")] if inner else []
         if any(i > k for i in indices):

@@ -123,25 +123,19 @@ def decode_pair(bits: str) -> tuple[str, str]:
     raise ValueError("pair encoding ended before the 01 separator")
 
 
-def encode_tuple(items) -> str:
-    """Left-nested pairing; a 1-tuple is the bare string."""
+def encode_subtuple(strings, indices) -> str:
+    """Left-nested pairing of strings[i - 1] for i in indices, in that order.
 
-    items = list(items)
-    if not items:
-        raise ValueError("cannot encode an empty tuple")
-    acc = items[0]
-    check_bits(acc)
-    for item in items[1:]:
-        acc = encode_pair(acc, item)
-    return acc
+    () is ε and a 1-tuple is the bare string.  Each component is checked
+    by encode_pair, or by the ks query a bare string goes to.
+    """
 
-
-def encode_subtuple(strings, mask: int) -> str:
-    """encode_tuple of the components picked by mask (bit i-1 for component i); mask 0 is ε."""
-
-    if mask == 0:
+    if not indices:
         return ""
-    return encode_tuple([strings[i - 1] for i in indices_of(mask)])
+    acc = strings[indices[0] - 1]
+    for i in indices[1:]:
+        acc = encode_pair(acc, strings[i - 1])
+    return acc
 
 
 def reference_decode(prog: str, x: str, s: int) -> str:
@@ -355,9 +349,9 @@ class ComplexityProfile:
     """ks values for every pair of disjoint index subsets of a tuple.
 
     entries maps (target_mask, condition_mask) to a ComplexityResult where
-    the target is the sub-tuple selected by target_mask (encoded with
-    encode_tuple when it has more than one component) and the condition is
-    the sub-tuple of condition_mask, or the empty string for mask 0.
+    the target is the sub-tuple selected by target_mask and the condition
+    the sub-tuple of condition_mask, both encoded with encode_subtuple, so
+    mask 0 is the empty string.
     """
 
     strings: tuple[str, ...]
@@ -386,12 +380,12 @@ def complexity_profile(
     k = len(strings)
     entries: dict = {}
     for target_mask in nonempty_masks(k):
-        target = encode_subtuple(strings, target_mask)
+        target = encode_subtuple(strings, indices_of(target_mask))
         free = ((1 << k) - 1) ^ target_mask
         # Disjoint condition masks are exactly the submasks of the complement.
         cond_mask = 0
         while True:
-            condition = encode_subtuple(strings, cond_mask)
+            condition = encode_subtuple(strings, indices_of(cond_mask))
             entries[(target_mask, cond_mask)] = cached_ks(target, condition, s, cap, cache)
             if cond_mask == free:
                 break

@@ -24,11 +24,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
+from operator import mul
 from pathlib import Path
 
-from ._masks import mask_label
+from ._masks import indices_of, mask_label, mask_of
 from .entropy import LinearInequality, entropy_vector, is_shannon
 from .kolmo import (
     INTERPRETER_TAG,
@@ -61,7 +61,22 @@ __all__ = [
 # growth rates, so the measured constants are not asymptotic claims.
 CAVEAT = "n ≤ 3 cannot separate O(n) from O(n²)"
 
-LAW_NAMES = ("pair_swap", "chain_easy", "symmetry", "basic", "shannon")
+# A law is a list of terms (coefficient, target indices, condition indices)
+# over a point's components, () standing for ε, and a slack unit.  It holds
+# at a point when sum(coefficient * KS(target | condition)) + c * unit >= 0,
+# the negative terms (the left side) read at s' = s + c * (a * _clog2(s) + b)
+# and the others at s.  The pair laws, over points (x, y), list their right
+# side first; a unit of None is _clog2 of the first term's value.
+_PAIR_LAWS = {
+    # KS(y, x) at s' <= KS(x, y) + c
+    "pair_swap": ([(1, (1, 2), ()), (-1, (2, 1), ())], 1),
+    # KS(x, y) at s' <= KS(x) + KS(y | x) + c log KS(x)
+    "chain_easy": ([(1, (1,), ()), (1, (2,), (1,)), (-1, (1, 2), ())], None),
+    # KS(x) + KS(y | x) at s' <= KS(x, y) + c log KS(x, y)
+    "symmetry": ([(1, (1, 2), ()), (-1, (1,), ()), (-1, (2,), (1,))], None),
+}
+
+LAW_NAMES = (*_PAIR_LAWS, "basic", "shannon")
 
 _MAX_GRID_POINTS = 500_000
 
@@ -235,123 +250,76 @@ def verify_law(
     if n < 0:
         raise ValueError("n must be >= 0")
 
-    neg_masks: list = []
-    pos_masks: list = []
-    if law in ("pair_swap", "chain_easy", "symmetry"):
-        if n > 3:
-            raise ValueError("pair laws are limited to n <= 3")
-        arity = 2
-        label = law
-    elif law == "basic":
-        if k is None:
-            raise ValueError("basic law needs k")
-        if not 0 <= k <= _MAX_ARITY:
-            raise ValueError(f"basic law needs 0 <= k <= {_MAX_ARITY}, got {k}")
-        if not set(I or ()) | set(J or ()) <= set(range(1, k + 1)):
-            raise ValueError("I and J must be subsets of {1..k}")
-        i_mask = sum(1 << (i - 1) for i in set(I or ()))
-        j_mask = sum(1 << (j - 1) for j in set(J or ()))
-        if k >= 2 and n > 3:
-            raise ValueError("tuple laws are limited to n <= 3 for k >= 2")
-        arity = k
-        label = f"basic(I={mask_label(i_mask)},J={mask_label(j_mask)},k={k})"
-    elif law == "shannon":
-        if inequality is None:
-            raise ValueError("shannon law needs an inequality")
-        k = inequality.k
-        if k >= 2 and n > 3:
-            raise ValueError("tuple laws are limited to n <= 3 for k >= 2")
-        if not is_shannon(inequality).member:
-            raise ValueError("inequality is not in the Shannon cone; the law does not apply")
-        arity = k
-        neg_masks = [(m, -c) for m, c in inequality.coeffs if c < 0]
-        pos_masks = [(m, c) for m, c in inequality.coeffs if c > 0]
-        label = f"shannon({inequality.format()})"
+    a, b = 1, n
+    if law in _PAIR_LAWS:
+        terms, unit = _PAIR_LAWS[law]
+        k, label = 2, law
+    elif law in ("basic", "shannon"):
+        if law == "basic":
+            if k is None:
+                raise ValueError("basic law needs k")
+            if not 0 <= k <= _MAX_ARITY:
+                raise ValueError(f"basic law needs 0 <= k <= {_MAX_ARITY}, got {k}")
+            if not set(I or ()) | set(J or ()) <= set(range(1, k + 1)):
+                raise ValueError("I and J must be subsets of {1..k}")
+            i_mask, j_mask = mask_of(I or ()), mask_of(J or ())
+            masks = [(i_mask | j_mask, -1), (i_mask & j_mask, -1), (i_mask, 1), (j_mask, 1)]
+            label = f"basic(I={mask_label(i_mask)},J={mask_label(j_mask)},k={k})"
+        else:
+            if inequality is None:
+                raise ValueError("shannon law needs an inequality")
+            if not is_shannon(inequality).member:
+                raise ValueError("inequality is not in the Shannon cone; the law does not apply")
+            k, masks = inequality.k, inequality.coeffs
+            label = f"shannon({inequality.format()})"
+            a, b = n, n * n * _clog2(n)
+        terms = [(coeff, indices_of(mask), ()) for mask, coeff in masks]
+        unit = _clog2(n)
     else:
         raise ValueError(f"unknown law {law!r}, expected one of {LAW_NAMES}")
+    if k >= 2 and n > 3:
+        raise ValueError("laws over k >= 2 components are limited to n <= 3")
 
-    points = _grid_points(arity, n, len(s_grid))
-
+    points = _grid_points(k, n, len(s_grid))
+    coeffs = [coeff for coeff, _, _ in terms]
     calls = [0]
 
-    def kv(y: str, x: str, s: int):
-        calls[0] += 1
-        return cached_ks(y, x, s, cap, cache).value
+    def s_prime(s: int, c: int) -> int:
+        return s + c * (a * _clog2(s) + b)
 
-    if law == "shannon":
+    def margin(point, s: int, sp: int, c: int):
+        """Right side at s minus left side at sp; None if a value is NotFound."""
 
-        def s_prime(s: int, c: int) -> int:
-            return s + c * n * n * _clog2(n) + c * n * _clog2(s)
-
-    else:
-
-        def s_prime(s: int, c: int) -> int:
-            return s + c * _clog2(s) + c * n
-
-    def evaluate(point, s: int, sp: int, c: int):
-        """(lhs, rhs) for the point, or None if a needed value is missing."""
-
-        if law == "pair_swap":
-            x, y = point
-            rhs = kv(encode_pair(x, y), "", s)
-            lhs = kv(encode_pair(y, x), "", sp)
-            if rhs is None or lhs is None:
-                return None
-            return lhs, rhs + c
-        if law == "chain_easy":
-            x, y = point
-            kx = kv(x, "", s)
-            kyx = kv(y, x, s)
-            lhs = kv(encode_pair(x, y), "", sp)
-            if kx is None or kyx is None or lhs is None:
-                return None
-            return lhs, kx + kyx + c * _clog2(kx)
-        if law == "symmetry":
-            x, y = point
-            kpair = kv(encode_pair(x, y), "", s)
-            kx = kv(x, "", sp)
-            kyx = kv(y, x, sp)
-            if kpair is None or kx is None or kyx is None:
-                return None
-            return kx + kyx, kpair + c * _clog2(kpair)
-        if law == "basic":
-            union = kv(encode_subtuple(point, i_mask | j_mask), "", sp)
-            inter = kv(encode_subtuple(point, i_mask & j_mask), "", sp)
-            vi = kv(encode_subtuple(point, i_mask), "", s)
-            vj = kv(encode_subtuple(point, j_mask), "", s)
-            if None in (union, inter, vi, vj):
-                return None
-            return union + inter, vi + vj + c * _clog2(n)
-        lhs = Fraction(0)
-        for mask, coeff in neg_masks:
-            v = kv(encode_subtuple(point, mask), "", sp)
-            if v is None:
-                return None
-            lhs += coeff * v
-        rhs = Fraction(c * _clog2(n))
-        for mask, coeff in pos_masks:
-            v = kv(encode_subtuple(point, mask), "", s)
-            if v is None:
-                return None
-            rhs += coeff * v
-        return lhs, rhs
+        calls[0] += len(terms)
+        values = [
+            cached_ks(
+                encode_subtuple(point, target),
+                encode_subtuple(point, cond),
+                sp if coeff < 0 else s,
+                cap,
+                cache,
+            ).value
+            for coeff, target, cond in terms
+        ]
+        if None in values:
+            return None
+        return sum(map(mul, coeffs, values)) + c * (_clog2(values[0]) if unit is None else unit)
 
     def holds(point, s: int, c: int) -> bool:
-        result = evaluate(point, s, s_prime(s, c), c)
+        result = margin(point, s, s_prime(s, c), c)
         if result is None:
             raise AssertionError("point turned vacuous away from c=0")
-        lhs, rhs = result
-        return lhs <= rhs
+        return result >= 0
 
     # One pass at c = 0 sorts every point into vacuous, failing or holding.
     vacuous: list = []
     failing: list = []
     for s in s_grid:
         for point in points:
-            result = evaluate(point, s, s_prime(s, 0), 0)
+            result = margin(point, s, s, 0)
             if result is None:
                 vacuous.append((s, point))
-            elif result[0] > result[1]:
+            elif result < 0:
                 failing.append((s, point))
 
     # A point that holds at c holds at every larger c, so the grid's least
@@ -561,6 +529,8 @@ def gap_report(ts: TypicalSet) -> str:
 def iterate_f(s: float, c: float, k: float, n: int) -> float:
     """n-fold iteration of f(v) = v + c*log2(v) + k starting at s >= 1."""
 
+    if not all(math.isfinite(v) for v in (s, c, k)):
+        raise ValueError("s, c and k must be finite")
     if s < 1:
         raise ValueError("s must be >= 1")
     if c < 0 or k < 0:
@@ -576,6 +546,8 @@ def iterate_f(s: float, c: float, k: float, n: int) -> float:
 def lemma_bound(s: float, k: float, n: int, c1: float, c2: float) -> float:
     """Closed-form upper bound s + n*log2(s) + c1*(k+1)*(n+c2)*ln(n+c2)."""
 
+    if not all(math.isfinite(v) for v in (s, k, c1, c2)):
+        raise ValueError("s, k, c1 and c2 must be finite")
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be > 0")
     return s + n * math.log2(s) + c1 * (k + 1) * (n + c2) * math.log(n + c2)

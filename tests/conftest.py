@@ -278,7 +278,7 @@ def oracle_backward(spec: MachineSpec, p: str, x: str, s: int, visited=None) -> 
 
 
 def decode_tuple(bits: str, count: int) -> tuple[str, ...]:
-    """Inverse of `kolmo.encode_tuple` for a tuple of `count` strings."""
+    """Inverse of `kolmo.encode_subtuple` for a tuple of `count` strings."""
 
     if count < 1:
         raise ValueError("tuple arity must be >= 1")

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import ECHO_X_TEXT, PUSH_FOREVER_TEXT, SEESAW_TEXT, echo_x_spec
 from kslab.cli import main
+from kslab.entropy import _MAX_DIGITS
 from kslab.machine import serialize_machine
 
 
@@ -404,10 +405,32 @@ class TestConeCommands:
         assert time.perf_counter() - start < 0.5
 
     def test_a_certificate_too_long_to_print_leaves_stdout_empty(self, capsys):
-        # The weight 2N has 4,301 digits, past str()'s limit for ints.
+        # The weight 2N would have 4,301 digits, past str()'s limit for ints;
+        # N is refused when parsed.
         n = "9" * 4300
         code, out, err = run(capsys, "cone", "check", f"k=2; {{1}}:{n} {{2}}:-{n} {{1,2}}:{n}")
-        assert (code, out) == (1, "") and err.startswith("error:")
+        assert (code, out) == (1, "") and err.startswith("error: bad term")
+
+    def test_the_longest_admitted_coefficient_prints_its_certificate(self, capsys):
+        n = "9" * _MAX_DIGITS
+        code, out, _ = run(capsys, "cone", "check", f"k=2; {{1}}:{n} {{2}}:-{n} {{1,2}}:{n}")
+        assert code == 0 and out.startswith("member: true\nweights: ")
+        assert str(2 * int(n)) in out
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "k=2; {1}:9N {2}:-N {1,2}:N",
+            "k=2; {1}:1/9N",
+            "k=2; {1}:0.N",
+            "k=0N; {1}:1",
+            "k=2; {0N1}:1",
+        ],
+    )
+    def test_one_digit_past_the_bound_is_refused(self, capsys, text):
+        code, out, err = run(capsys, "cone", "check", text.replace("N", "9" * _MAX_DIGITS))
+        assert (code, out) == (1, "") and err.startswith("error: ")
+        assert f"over {_MAX_DIGITS} digits" in err and "set_int_max_str_digits" not in err
 
     def test_check_requires_an_inequality(self, capsys):
         code, _, err = run(capsys, "cone", "check")
@@ -439,6 +462,15 @@ class TestLemmaCommand:
         )
         assert code == 1 and out == "" and err.startswith("error:")
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--s", "nan"), ("--s", "inf"), ("--c", "nan"), ("--k", "inf"), ("--c1", "nan"), ("--c2", "inf")],
+    )
+    def test_non_finite_values_are_refused(self, capsys, flag, value):
+        argv = {"--s": "4", "--c": "1", "--k": "1", "--n": "3", "--c1": "1", "--c2": "1", flag: value}
+        code, out, err = run(capsys, "lemma", "iterate", *(a for kv in argv.items() for a in kv))
+        assert (code, out) == (1, "") and err.startswith("error:")
 
     def test_half_specified_bound_is_an_error(self, capsys):
         code, _, err = run(

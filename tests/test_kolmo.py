@@ -32,7 +32,7 @@ from kslab.kolmo import (
     complexity_profile,
     decode_pair,
     encode_pair,
-    encode_tuple,
+    encode_subtuple,
     ks,
     ks_scan,
     reference_decode,
@@ -52,8 +52,10 @@ class TestPairCodec:
     def test_fixed_encodings(self):
         assert encode_pair("0", "1") == "00011"
         assert encode_pair("", "") == "01"
-        assert encode_tuple(["0", "1", "1"]) == "0000001111011"
-        assert encode_tuple(["101"]) == "101"
+        assert encode_subtuple(("0", "1", "1"), (1, 2, 3)) == "0000001111011"
+        assert encode_subtuple(("0", "101"), (2,)) == "101"
+        assert encode_subtuple(("0", "1"), (2, 1)) == encode_pair("1", "0")
+        assert encode_subtuple(("0", "1"), ()) == ""
 
     def test_decode_inverts_encode(self):
         assert decode_pair("00011") == ("0", "1")
@@ -67,7 +69,8 @@ class TestPairCodec:
     @given(items=st.lists(BITS, min_size=1, max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_tuple_round_trip(self, items):
-        assert decode_tuple(encode_tuple(items), len(items)) == tuple(items)
+        indices = tuple(range(1, len(items) + 1))
+        assert decode_tuple(encode_subtuple(items, indices), len(items)) == tuple(items)
 
     @pytest.mark.parametrize("bad", ["", "0", "11", "10x", "100", "1011"])
     def test_malformed_pair_encodings_rejected(self, bad):
@@ -75,8 +78,6 @@ class TestPairCodec:
             decode_pair(bad)
 
     def test_empty_tuple_rejected(self):
-        with pytest.raises(ValueError):
-            encode_tuple([])
         with pytest.raises(ValueError):
             decode_tuple("01", 0)
 
@@ -307,7 +308,7 @@ class TestProfile:
         profile = complexity_profile(["0", "1", "1"], 6, 14)
         assert profile.entries[(0b001, 0)].value == ks("0", "", 6, 14).value
         assert profile.entries[(0b011, 0b100)].value == ks(encode_pair("0", "1"), "1", 6, 14).value
-        assert profile.entries[(0b111, 0)].value == ks(encode_tuple(["0", "1", "1"]), "", 6, 14).value
+        assert profile.entries[(0b111, 0)].value == ks("0000001111011", "", 6, 14).value
 
     def test_condition_mask_zero_means_empty_condition(self):
         profile = complexity_profile(["01"], 4, 14)

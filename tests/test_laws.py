@@ -1,5 +1,6 @@
 """Law grids, staged enumeration, typical sets, iteration lemma, baselines."""
 
+import functools
 import itertools
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from conftest import find_stable_level, lemma_search, profile_level_vector
 from kslab import laws
 from kslab.entropy import LinearInequality, is_shannon, parse_inequality
-from kslab.kolmo import INTERPRETER_TAG, ComplexityCache, encode_pair, encode_tuple, ks
+from kslab.kolmo import INTERPRETER_TAG, ComplexityCache, encode_pair, ks
 from kslab.laws import (
     CAVEAT,
     BaselineMismatch,
@@ -57,6 +58,12 @@ class TestIteration:
         assert iterate_f(2, 0, 1, 10**6) == 2 + 10**6
         with pytest.raises(ValueError):
             iterate_f(2, 1, 1, 10**6 + 1)
+        for s, c, k in [(math.nan, 1, 1), (math.inf, 1, 1), (2, math.nan, 1), (2, 1, math.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                iterate_f(s, c, k, 3)
+        for s, k, c1, c2 in [(math.nan, 1, 1, 1), (4, math.inf, 1, 1), (4, 1, math.nan, 1), (4, 1, 1, math.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                lemma_bound(s, k, 3, c1, c2)
 
     def test_bound_closed_form(self):
         expected = 4 + 2 * math.log2(4) + 1 * (0 + 1) * (2 + 1) * math.log(2 + 1)
@@ -278,7 +285,7 @@ def sweep_oracle(law, n, s_grid, cap, I=frozenset(), J=frozenset(), k=None, ineq
         return ks(target, "", s, cap).value
 
     def sub(t, indices):
-        return encode_tuple([t[i - 1] for i in sorted(indices)]) if indices else ""
+        return functools.reduce(encode_pair, [t[i - 1] for i in sorted(indices)]) if indices else ""
 
     if law == "shannon":
         k = inequality.k
@@ -337,6 +344,20 @@ ORACLE_CASES = [
 ]
 
 
+# More shapes of term: I = J, an ε intersection with vacuous points, the
+# 0-tuple, fractional coefficients, and a conditional term at n = 3.
+EXTRA_ORACLE_CASES = [
+    ("basic", 2, (2, 30), 14, dict(I={1, 2}, J={1, 2}, k=3)),
+    ("basic", 2, (4, 90), 8, dict(I={1}, J={3}, k=3)),
+    ("basic", 1, (0, 64), 14, dict(k=0)),
+    ("shannon", 2, (0, 77), 14, dict(inequality="k=2; {1}:1/3 {2}:1/3 {1,2}:-1/3")),
+    ("chain_easy", 3, (0, 50), 6, {}),
+]
+
+_ALL_ORACLE_CASES = ORACLE_CASES + EXTRA_ORACLE_CASES
+_ORACLE_IDS = [f"{law}-n{n}-cap{cap}-{i}" for i, (law, n, _, cap, _) in enumerate(_ALL_ORACLE_CASES)]
+
+
 def _oracle_kwargs(extra: dict) -> dict:
     return {
         key: parse_inequality(v) if key == "inequality" else frozenset(v) if key in ("I", "J") else v
@@ -347,8 +368,8 @@ def _oracle_kwargs(extra: dict) -> dict:
 class TestVerifyLawOracle:
     @pytest.mark.parametrize(
         "law,n,s_grid,cap,extra",
-        ORACLE_CASES,
-        ids=[f"{law}-n{n}-cap{cap}-{i}" for i, (law, n, _, cap, _) in enumerate(ORACLE_CASES)],
+        _ALL_ORACLE_CASES,
+        ids=_ORACLE_IDS,
     )
     def test_report_equals_full_sweeps(self, law, n, s_grid, cap, extra):
         report = verify_law(law, n=n, s_grid=s_grid, cap=cap, **_oracle_kwargs(extra))
@@ -356,6 +377,18 @@ class TestVerifyLawOracle:
         assert (report.minimal_c, report.violations_below) == (minimal_c, below)
         assert report.points_vacuous == len(vacuous)
         assert report.vacuous_points == tuple(vacuous[:100])
+
+    @pytest.mark.parametrize("law,n,s_grid,cap,extra", _ALL_ORACLE_CASES, ids=_ORACLE_IDS)
+    def test_ks_evaluations_counts_the_ks_calls(self, monkeypatch, law, n, s_grid, cap, extra):
+        ks_query, calls = laws.cached_ks, []
+
+        def counted(*args):
+            calls.append(args)
+            return ks_query(*args)
+
+        monkeypatch.setattr(laws, "cached_ks", counted)
+        report = verify_law(law, n=n, s_grid=s_grid, cap=cap, **_oracle_kwargs(extra))
+        assert report.ks_evaluations == len(calls) > 0
 
     def test_the_cases_cover_vacuous_points_and_nonzero_constants(self):
         found = [

@@ -9,7 +9,9 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
 * `MachineSpec` validation per such machine (microseconds),
 * `serialize_machine` per such machine (microseconds),
 * `ks_scan("1", "", 0, 24, prefix="11")`, whose time is mostly header
-  parses (seconds).
+  parses (seconds),
+* `verify_law` on the five law grids of the benchmark's `lab-session`
+  pass, without a cache, as one total (milliseconds).
 
 Machines come from the benchmark's own rejection sampler, seeded, so every
 checkout times the same inputs.  Prints one JSON object.
@@ -26,6 +28,7 @@ from pathlib import Path
 
 REPS = 15
 KS_SCAN_REPS = 3
+SHANNON_TEXT = "k=3; {1,2}:1 {2,3}:1 {2}:-1 {1,2,3}:-1"
 
 
 def _best(fn, reps: int) -> float:
@@ -45,7 +48,9 @@ def main() -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
     from oracle import sample_machine_bits
+    from kslab.entropy import parse_inequality
     from kslab.kolmo import ks_scan
+    from kslab.laws import verify_law
     from kslab.machine import MachineSpec, parse_bits, serialize_machine
 
     rng = random.Random(3)
@@ -61,6 +66,19 @@ def main() -> int:
         "serialize_us": _best(lambda: [serialize_machine(s) for s in specs], REPS) * per_machine,
         "ks_scan_11_cap24_s": _best(lambda: ks_scan("1", "", 0, 24, prefix="11"), KS_SCAN_REPS),
     }
+    # The `law verify` calls of a `lab-session` pass, with the s grids its
+    # seed 7 draws for the two grids that have no frozen file.
+    frozen = (64, 128, 256, 512)
+    law_calls = [
+        ("symmetry", dict(n=2, s_grid=frozen)),
+        ("basic", dict(n=1, s_grid=frozen, I={1}, J={2}, k=3)),
+        ("shannon", dict(n=1, s_grid=frozen, inequality=parse_inequality(SHANNON_TEXT))),
+        ("basic", dict(n=2, s_grid=(175, 202, 253, 503), I={1}, J={2}, k=3)),
+        ("pair_swap", dict(n=3, s_grid=(234, 258, 372, 498))),
+    ]
+    result["verify_law_ms"] = _best(
+        lambda: [verify_law(law, cap=14, **kw) for law, kw in law_calls], REPS
+    ) * 1e3
     print(json.dumps({k: round(v, 4) if isinstance(v, float) else v for k, v in result.items()}))
     return 0
 
