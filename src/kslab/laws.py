@@ -540,6 +540,8 @@ def iterate_f(s: float, c: float, k: float, n: int) -> float:
     v = float(s)
     for _ in range(n):
         v = v + c * math.log2(v) + k
+    if not math.isfinite(v):
+        raise ValueError("the iterate overflows a float")
     return v
 
 
@@ -550,7 +552,10 @@ def lemma_bound(s: float, k: float, n: int, c1: float, c2: float) -> float:
         raise ValueError("s, k, c1 and c2 must be finite")
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be > 0")
-    return s + n * math.log2(s) + c1 * (k + 1) * (n + c2) * math.log(n + c2)
+    bound = s + n * math.log2(s) + c1 * (k + 1) * (n + c2) * math.log(n + c2)
+    if not math.isfinite(bound):
+        raise ValueError("the bound overflows a float")
+    return bound
 
 
 class BaselineMismatch(AssertionError):

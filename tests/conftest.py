@@ -384,18 +384,19 @@ def lemma_search(s_values, k_values, n_max: int, candidates=None) -> tuple:
 
 
 def dense_bland_phase1(columns, rhs):
-    """entropy._bland_phase1 as it was before its pivots went sparse.
+    """The Fraction reference for entropy._bland_phase1.
 
-    Every pivot divides the whole pivot row and rebuilds every row that
-    has a nonzero in the entering column, and the reduced costs, over the
-    full tableau width.  Same contract: (solution, None) or (None, Farkas y).
+    The same Bland phase-1 simplex on a tableau of Fractions: every pivot
+    divides the whole pivot row and rebuilds every row that has a nonzero
+    in the entering column, and the reduced costs, over the full tableau
+    width.  Same contract: (solution, None) or (None, Farkas y).
     """
 
     m = len(rhs)
     n = len(columns)
     signs = [1] * m
-    rhs = list(rhs)
-    cols = [list(c) for c in columns]
+    rhs = [Fraction(v) for v in rhs]
+    cols = [[Fraction(v) for v in c] for c in columns]
     for i in range(m):
         if rhs[i] < 0:
             signs[i] = -1

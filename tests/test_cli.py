@@ -472,6 +472,17 @@ class TestLemmaCommand:
         code, out, err = run(capsys, "lemma", "iterate", *(a for kv in argv.items() for a in kv))
         assert (code, out) == (1, "") and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--s", "1", "--c", "0", "--k", "1e308", "--n", "2"),
+            ("--s", "4", "--c", "1", "--k", "1", "--n", "3", "--c1", "1e308", "--c2", "1"),
+        ],
+    )
+    def test_overflow_to_infinity_is_refused(self, capsys, argv):
+        code, out, err = run(capsys, "lemma", "iterate", *argv)
+        assert (code, out) == (1, "") and err.startswith("error:") and "overflows" in err
+
     def test_half_specified_bound_is_an_error(self, capsys):
         code, _, err = run(
             capsys, "lemma", "iterate", "--s", "4", "--c", "1", "--k", "0", "--n", "1",

@@ -252,8 +252,8 @@ class TestConeMembership:
         assert mask_of([1, 3]) == 0b101
 
 
-class TestSparsePivots:
-    """is_shannon against the same decision built on the dense reference pivots."""
+class TestFractionReference:
+    """is_shannon against the same decision built on the Fraction reference pivots."""
 
     @staticmethod
     def assert_same_decision(ineq: LinearInequality, monkeypatch) -> ShannonDecision:
@@ -283,8 +283,53 @@ class TestSparsePivots:
             members += self.assert_same_decision(ineq, monkeypatch).member
         assert 80 <= members <= 120  # every combination, and some of the random ones
 
+    def test_random_rational_inequalities(self, monkeypatch):
+        # p/q coefficients over several q in one inequality give tableau rows
+        # denominators other than 1; negative ones flip their row's sign.
+        rng = random.Random(20261019)
+        members = unlike = flipped = 0
+        for trial in range(120):
+            k = 2 + trial % 3
+            qs = rng.sample((2, 3, 5, 7, 9, 10), 3)
+            if trial % 2:
+                family = elemental_inequalities(k)
+                picks = [
+                    (Fraction(rng.randrange(1, 12), rng.choice(qs)), rng.choice(family))
+                    for _ in range(rng.randrange(2, 6))
+                ]
+                ineq = combine(k, picks)
+            else:
+                masks = rng.sample(list(nonempty_masks(k)), rng.randrange(2, 4))
+                ineq = LinearInequality(
+                    k, {m: Fraction(rng.randrange(-9, 10), rng.choice(qs)) for m in masks}
+                )
+            unlike += len({c.denominator for _, c in ineq.coeffs}) >= 2
+            flipped += any(c < 0 for _, c in ineq.coeffs)
+            members += self.assert_same_decision(ineq, monkeypatch).member
+        assert 60 <= members <= 90 and unlike >= 80 and flipped >= 100
+
+    @pytest.mark.parametrize(
+        "k,coeffs",
+        [
+            # The perturbation that leaves the cone, and the one that stays in.
+            (2, {0b01: 1, 0b10: 1, 0b11: Fraction(-1) - Fraction(1, 10**9)}),
+            (2, {0b01: 1, 0b10: 1, 0b11: Fraction(-1) + Fraction(1, 10**9)}),
+            # Every right side negative, over unlike denominators.
+            (3, {0b001: Fraction(-2, 3), 0b011: Fraction(-5, 7), 0b110: Fraction(-1, 2)}),
+            (3, {0b001: Fraction(-2, 3), 0b011: Fraction(5, 7), 0b110: Fraction(-1, 2),
+                 0b111: Fraction(3, 10)}),
+        ],
+    )
+    def test_rational_edge_cases(self, monkeypatch, k, coeffs):
+        self.assert_same_decision(LinearInequality(k, coeffs), monkeypatch)
+
     def test_zhang_yeung(self, monkeypatch):
         assert not self.assert_same_decision(parse_inequality(ZHANG_YEUNG), monkeypatch).member
+
+    def test_zhang_yeung_over_unlike_denominators(self, monkeypatch):
+        ineq = parse_inequality(ZHANG_YEUNG)
+        scaled = LinearInequality(4, {m: c / (2 + m % 5) for m, c in ineq.coeffs})
+        self.assert_same_decision(scaled, monkeypatch)
 
     def test_many_pivot_member_at_k5(self, monkeypatch):
         assert self.assert_same_decision(parse_inequality(MEMBER_K5), monkeypatch).member

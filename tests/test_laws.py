@@ -65,6 +65,14 @@ class TestIteration:
             with pytest.raises(ValueError, match="finite"):
                 lemma_bound(s, k, 3, c1, c2)
 
+    def test_overflow_to_infinity_is_refused(self):
+        with pytest.raises(ValueError, match="overflows"):
+            iterate_f(1, 0, 1e308, 2)
+        with pytest.raises(ValueError, match="overflows"):
+            iterate_f(1.7e308, 0, 1e308, 1)
+        with pytest.raises(ValueError, match="overflows"):
+            lemma_bound(4, 1, 3, 1e308, 1)
+
     def test_bound_closed_form(self):
         expected = 4 + 2 * math.log2(4) + 1 * (0 + 1) * (2 + 1) * math.log(2 + 1)
         assert lemma_bound(4, 0, 2, 1, 1) == pytest.approx(expected)

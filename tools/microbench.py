@@ -11,7 +11,9 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
 * `ks_scan("1", "", 0, 24, prefix="11")`, whose time is mostly header
   parses (seconds),
 * `verify_law` on the five law grids of the benchmark's `lab-session`
-  pass, without a cache, as one total (milliseconds).
+  pass, without a cache, as one total (milliseconds),
+* `is_shannon` on Zhang-Yeung (k = 4, unpermuted), on `lab-session`'s
+  k = 5 member and on `k=6; {1}:1` (milliseconds each).
 
 Machines come from the benchmark's own rejection sampler, seeded, so every
 checkout times the same inputs.  Prints one JSON object.
@@ -47,8 +49,10 @@ def main() -> int:
     root = Path(args.checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
+    import oracle
     from oracle import sample_machine_bits
-    from kslab.entropy import parse_inequality
+    from workloads import LabSession
+    from kslab.entropy import is_shannon, parse_inequality
     from kslab.kolmo import ks_scan
     from kslab.laws import verify_law
     from kslab.machine import MachineSpec, parse_bits, serialize_machine
@@ -79,6 +83,16 @@ def main() -> int:
     result["verify_law_ms"] = _best(
         lambda: [verify_law(law, cap=14, **kw) for law, kw in law_calls], REPS
     ) * 1e3
+    gen5 = oracle.elemental(5)
+    member_k5 = oracle.combine(*((w, gen5[i]) for i, w in LabSession.MEMBER_K5))
+    cone_checks = {
+        "is_shannon_zy_k4_ms": oracle.format_inequality(4, oracle.zhang_yeung((1, 2, 4, 8))),
+        "is_shannon_member_k5_ms": oracle.format_inequality(5, member_k5),
+        "is_shannon_k6_ms": "k=6; {1}:1",
+    }
+    for name, text in cone_checks.items():
+        inequality = parse_inequality(text)
+        result[name] = _best(lambda: is_shannon(inequality), REPS) * 1e3
     print(json.dumps({k: round(v, 4) if isinstance(v, float) else v for k, v in result.items()}))
     return 0
 
