@@ -250,10 +250,7 @@ def _bland_phase1(columns, rhs):
         den = math.lcm(*denominators)
         signs[i] = sign = -1 if values[-1] < 0 else 1
         scale = sign * den
-        if scale == 1:
-            row = [v.numerator for v in values]
-        else:
-            row = [v.numerator * (scale // d) for v, d in zip(values, denominators)]
+        row = [v.numerator * (scale // d) for v, d in zip(values, denominators)]
         row[n:n] = [0] * m
         row[n + i] = den
         rows.append(row)
@@ -263,10 +260,7 @@ def _bland_phase1(columns, rhs):
     # each column's sum, over the lcm of the row denominators, and 1 - 1 in
     # the artificial columns.
     red_den = math.lcm(*dens)
-    if red_den > 1:
-        scaled = [[v * (red_den // den) for v in row] for row, den in zip(rows, dens)]
-    else:
-        scaled = rows
+    scaled = [[v * (red_den // den) for v in row] for row, den in zip(rows, dens)]
     red = [-sum(column) for column in zip(*scaled)]
     red[n : n + m] = [0] * m
     rows.append(red)
