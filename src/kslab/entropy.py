@@ -63,7 +63,7 @@ def entropy_vector(outcomes) -> dict:
 # Largest k for linear inequalities and the Shannon cone.  The cone has
 # k + C(k,2) * 2^(k-2) generators over 2^k - 1 subsets: 246 at k = 6, 1,800
 # at k = 8, 49.8 M at k = 20.  At k = 6 is_shannon on a one-term inequality
-# takes about 13 ms (best of 15; exact simplex on integer rows, CPython
+# takes about 15 ms (best of 15; exact simplex on integer rows, CPython
 # 3.11.7, 2-vCPU VM), and the tableau grows about 5.5-fold with each
 # further variable.
 _MAX_K = 6
@@ -334,7 +334,7 @@ def is_shannon(inequality: LinearInequality) -> ShannonDecision:
 
     Both branches re-verify their certificate with exact arithmetic
     before returning, so a wrong answer cannot escape silently.  k is at
-    most _MAX_K = 6, where a one-term inequality takes about 13 ms.
+    most _MAX_K = 6, where a one-term inequality takes about 15 ms.
     """
 
     k = inequality.k
