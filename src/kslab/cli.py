@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto library operations: complexity queries
 and tables, the halting decider, law grids, staged enumeration, typical
-sets, cone membership and the iteration lemma.
+sets and cone membership.
 
 Exit codes: 0 success, 1 domain error (bad values, unreachable targets,
 baseline mismatches), 2 usage error (argparse).  Output on stdout is
@@ -33,8 +33,6 @@ from .laws import (
     count_strings_up_to,
     freeze_or_check,
     gap_report,
-    iterate_f,
-    lemma_bound,
     staged_enumeration,
     strings_up_to,
     typical_set,
@@ -267,18 +265,6 @@ def cmd_cone_elemental(args) -> int:
     return 0
 
 
-def cmd_lemma_iterate(args) -> int:
-    if (args.c1 is None) != (args.c2 is None):
-        raise ValueError("--c1 and --c2 must be given together")
-    value = iterate_f(args.s, args.c, args.k, args.n)
-    lines = [f"iterate: {value!r}"]
-    if args.c1 is not None:
-        bound = lemma_bound(args.s, args.k, args.n, args.c1, args.c2)
-        lines += [f"bound: {bound!r}", f"within: {'true' if value <= bound else 'false'}"]
-    print("\n".join(lines))
-    return 0
-
-
 def _add_cache_flag(parser) -> None:
     parser.add_argument("--cache-dir", help="directory for the complexity cache file")
 
@@ -379,18 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     _add_format_flag(p)
     p.set_defaults(func=cmd_cone_elemental)
-
-    lemma_group = top.add_parser("lemma", help="iteration lemma").add_subparsers(
-        dest="command", required=True
-    )
-    p = lemma_group.add_parser("iterate", help="iterate f and compare to the bound")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c1", type=float)
-    p.add_argument("--c2", type=float)
-    p.set_defaults(func=cmd_lemma_iterate)
 
     return parser
 

@@ -93,12 +93,6 @@ class LinearInequality:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "coeffs", tuple(items))
 
-    def coeff(self, mask: int) -> Fraction:
-        for m, c in self.coeffs:
-            if m == mask:
-                return c
-        return Fraction(0)
-
     def format(self) -> str:
         terms = " ".join(f"{mask_label(m)}:{c}" for m, c in self.coeffs)
         return f"k={self.k}; {terms}"

@@ -9,9 +9,8 @@ bounds are ceil(log2(v + 2)) so arguments 0 and 1 are well defined.
 
 Also here: the staged enumeration device (pairs below a complexity
 threshold appear exactly once, at the first space bound that admits
-them), typical sets (tuples whose conditional-complexity profile is
-dominated by a base tuple's), and the iteration lemma with its
-closed-form bound.
+them), and typical sets (tuples whose conditional-complexity profile is
+dominated by a base tuple's).
 
 Constants produced by these grids are relative to the reference
 interpreter and grid; they say nothing about asymptotics.  Reports carry
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from itertools import product
 from operator import mul
@@ -48,8 +46,6 @@ __all__ = [
     "staged_enumeration",
     "typical_set",
     "gap_report",
-    "iterate_f",
-    "lemma_bound",
     "strings_up_to",
     "count_strings_up_to",
     "freeze_or_check",
@@ -87,10 +83,6 @@ _MAX_ARITY = 16
 
 # verify_law gives up on a point that still fails at this constant.
 _MAX_C = 1 << 20
-
-# Largest n of iterate_f, refused before iterating: 10^6 steps take about
-# 0.17 s (CPython 3.11, 2-vCPU VM).
-_MAX_ITERATIONS = 10**6
 
 
 def _clog2(v: int) -> int:
@@ -424,6 +416,8 @@ def staged_enumeration(x: str, m: int, n: int, target: tuple, stage_cap: int = 8
         raise ValueError("target pair must have the enumerated x as first component")
     if len(ty) > n:
         raise ValueError("target second component exceeds the length bound")
+    if stage_cap < 0:
+        raise ValueError("stage cap must be >= 0")
     listed = 0
     for s, stage in enumerate(staged_sets(x, m, n, min(stage_cap, MAX_CLOSED_FORM_SPACE))):
         if ty in stage:
@@ -524,38 +518,6 @@ def gap_report(ts: TypicalSet) -> str:
             f"{mask_label(tmask)}\t{mask_label(cmask)}\t{cond_h:.6f}\t{ks_text}\t{gap}"
         )
     return "\n".join(lines) + "\n"
-
-
-def iterate_f(s: float, c: float, k: float, n: int) -> float:
-    """n-fold iteration of f(v) = v + c*log2(v) + k starting at s >= 1."""
-
-    if not all(math.isfinite(v) for v in (s, c, k)):
-        raise ValueError("s, c and k must be finite")
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if c < 0 or k < 0:
-        raise ValueError("c and k must be >= 0")
-    if not 1 <= n <= _MAX_ITERATIONS:
-        raise ValueError(f"n must be between 1 and {_MAX_ITERATIONS}, got {n}")
-    v = float(s)
-    for _ in range(n):
-        v = v + c * math.log2(v) + k
-    if not math.isfinite(v):
-        raise ValueError("the iterate overflows a float")
-    return v
-
-
-def lemma_bound(s: float, k: float, n: int, c1: float, c2: float) -> float:
-    """Closed-form upper bound s + n*log2(s) + c1*(k+1)*(n+c2)*ln(n+c2)."""
-
-    if not all(math.isfinite(v) for v in (s, k, c1, c2)):
-        raise ValueError("s, k, c1 and c2 must be finite")
-    if c1 <= 0 or c2 <= 0:
-        raise ValueError("c1 and c2 must be > 0")
-    bound = s + n * math.log2(s) + c1 * (k + 1) * (n + c2) * math.log(n + c2)
-    if not math.isfinite(bound):
-        raise ValueError("the bound overflows a float")
-    return bound
 
 
 class BaselineMismatch(AssertionError):

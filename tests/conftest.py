@@ -4,14 +4,12 @@ The machine sampler is imported from the benchmark's `perfbench/oracle.py`.
 Also the helpers only tests call: an instruction builder, a configuration
 trace, a brute-force inverse of `step` and a slow backward tour over it,
 a tuple decoder, seeded random draws, an inequality's value on an entropy
-vector, profile level vectors and their stable level, the iteration
-lemma's constant search, and a dense phase-1 simplex that the cone
-decision is checked against.
+vector, profile level vectors and their stable level, and a dense
+phase-1 simplex that the cone decision is checked against.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import sys
 from fractions import Fraction
@@ -343,44 +341,6 @@ def find_stable_level(levels) -> int:
         if cur == nxt:
             return idx
     raise ValueError("no stable adjacent pair; sequence too short")
-
-
-def lemma_search(s_values, k_values, n_max: int, candidates=None) -> tuple:
-    """Smallest (c1, c2) in lexicographic order covering the whole grid.
-
-    Checks iterate_f(s, 1, k, n) <= lemma_bound(s, k, n, c1, c2) for all
-    s in s_values, k in k_values, n in 1..n_max.  Iterations are shared
-    across n for speed.  Raises if no candidate pair works.
-    """
-
-    if candidates is None:
-        candidates = [(c1, c2) for c1 in range(1, 9) for c2 in range(1, 9)]
-    log2 = math.log2
-    ln = math.log
-    for c1, c2 in candidates:
-        ok = True
-        for s in s_values:
-            if not ok:
-                break
-            base = float(s)
-            ls = log2(base)
-            for k in k_values:
-                v = base
-                head = base  # s + n*log2(s) accumulates incrementally
-                factor = c1 * (k + 1)
-                bad = False
-                for n in range(1, n_max + 1):
-                    v = v + log2(v) + k
-                    head += ls
-                    if v > head + factor * (n + c2) * ln(n + c2):
-                        bad = True
-                        break
-                if bad:
-                    ok = False
-                    break
-        if ok:
-            return (c1, c2)
-    raise ValueError("no candidate (c1, c2) covers the grid")
 
 
 def dense_bland_phase1(columns, rhs):

@@ -23,7 +23,6 @@ from conftest import (
     echo_x_spec,
     evaluate,
     find_stable_level,
-    lemma_search,
     random_rational,
     sample_machine_bits,
 )
@@ -46,8 +45,6 @@ from kslab.laws import (
     baseline_name,
     freeze_or_check,
     gap_report,
-    iterate_f,
-    lemma_bound,
     staged_sets,
     strings_up_to,
     typical_set,
@@ -245,26 +242,6 @@ def test_criterion_08_cone_counts_and_soundness():
         f"{worst:.2e}, supermodularity witness ok, distribution violation {violation:.3f}"
     )
     assert violation < 0
-
-
-def test_criterion_09_iteration_lemma_grid():
-    s_values = tuple(range(2, 65, 3))
-    k_values = tuple(range(0, 101))
-    n_max = 100
-    points = len(s_values) * len(k_values) * n_max
-    assert points >= 100_000
-    started = time.perf_counter()
-    c1, c2 = lemma_search(s_values, k_values, n_max)
-    elapsed = time.perf_counter() - started
-    print(f"criterion 9: ({c1},{c2}) covers {points} points in {elapsed:.2f}s")
-    assert (c1, c2) == (2, 1)
-    assert elapsed <= 10.0
-    rng = random.Random(9)
-    for _ in range(200):
-        s = rng.choice(s_values)
-        k = rng.choice(k_values)
-        n = rng.randrange(1, n_max + 1)
-        assert iterate_f(s, 1, k, n) <= lemma_bound(s, k, n, c1, c2)
 
 
 def test_criterion_10_pigeonhole_and_staged_enumeration():

@@ -437,60 +437,6 @@ class TestConeCommands:
         assert code == 1 and err.startswith("error:")
 
 
-class TestLemmaCommand:
-    def test_iterate(self, capsys):
-        code, out, _ = run(
-            capsys, "lemma", "iterate", "--s", "4", "--c", "1", "--k", "0", "--n", "1"
-        )
-        assert (code, out) == (0, "iterate: 6.0\n")
-
-    def test_iterate_against_bound(self, capsys):
-        code, out, _ = run(
-            capsys, "lemma", "iterate", "--s", "4", "--c", "1", "--k", "2", "--n", "10",
-            "--c1", "2", "--c2", "1",
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0].startswith("iterate: ") and lines[1].startswith("bound: ")
-        assert lines[2] == "within: true"
-
-    @pytest.mark.parametrize("n", ["1000001", "100000000000"])
-    def test_iterations_above_the_bound_are_refused(self, capsys, n):
-        start = time.perf_counter()
-        code, out, err = run(
-            capsys, "lemma", "iterate", "--s", "4", "--c", "1", "--k", "0", "--n", n
-        )
-        assert code == 1 and out == "" and err.startswith("error:")
-        assert time.perf_counter() - start < 1
-
-    @pytest.mark.parametrize(
-        "flag,value",
-        [("--s", "nan"), ("--s", "inf"), ("--c", "nan"), ("--k", "inf"), ("--c1", "nan"), ("--c2", "inf")],
-    )
-    def test_non_finite_values_are_refused(self, capsys, flag, value):
-        argv = {"--s": "4", "--c": "1", "--k": "1", "--n": "3", "--c1": "1", "--c2": "1", flag: value}
-        code, out, err = run(capsys, "lemma", "iterate", *(a for kv in argv.items() for a in kv))
-        assert (code, out) == (1, "") and err.startswith("error:")
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("--s", "1", "--c", "0", "--k", "1e308", "--n", "2"),
-            ("--s", "4", "--c", "1", "--k", "1", "--n", "3", "--c1", "1e308", "--c2", "1"),
-        ],
-    )
-    def test_overflow_to_infinity_is_refused(self, capsys, argv):
-        code, out, err = run(capsys, "lemma", "iterate", *argv)
-        assert (code, out) == (1, "") and err.startswith("error:") and "overflows" in err
-
-    def test_half_specified_bound_is_an_error(self, capsys):
-        code, _, err = run(
-            capsys, "lemma", "iterate", "--s", "4", "--c", "1", "--k", "0", "--n", "1",
-            "--c1", "2",
-        )
-        assert code == 1 and err.startswith("error:")
-
-
 class TestExitCodes:
     def test_usage_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -113,7 +113,6 @@ class TestInequalities:
     def test_zero_coefficients_are_dropped(self):
         ineq = LinearInequality(2, {0b01: 1, 0b10: 0})
         assert ineq.coeffs == ((0b01, Fraction(1)),)
-        assert ineq.coeff(0b10) == 0
 
     def test_masks_must_be_nonempty_and_in_range(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Law grids, staged enumeration, typical sets, iteration lemma, baselines."""
+"""Law grids, staged enumeration, typical sets, baselines."""
 
 import functools
 import itertools
@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import find_stable_level, lemma_search, profile_level_vector
+from conftest import find_stable_level, profile_level_vector
 from kslab import laws
 from kslab.entropy import LinearInequality, is_shannon, parse_inequality
 from kslab.kolmo import INTERPRETER_TAG, ComplexityCache, encode_pair, ks
@@ -19,8 +19,6 @@ from kslab.laws import (
     baseline_name,
     freeze_or_check,
     gap_report,
-    iterate_f,
-    lemma_bound,
     staged_enumeration,
     staged_sets,
     strings_up_to,
@@ -34,93 +32,6 @@ from kslab.kolmo import complexity_profile
 @pytest.fixture()
 def cache(tmp_path):
     return ComplexityCache(tmp_path / "cache.tsv")
-
-
-class TestIteration:
-    def test_single_steps(self):
-        assert iterate_f(4, 1, 0, 1) == pytest.approx(6.0)
-        assert iterate_f(4, 0, 3, 2) == pytest.approx(10.0)
-
-    def test_zero_growth_is_additive(self):
-        # With c = 0 the iteration is s + n*k exactly.
-        for s, k, n in [(1, 0, 5), (7, 2, 4), (100, 9, 3)]:
-            assert iterate_f(s, 0, k, n) == pytest.approx(s + n * k)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            iterate_f(0.5, 1, 1, 1)
-        with pytest.raises(ValueError):
-            iterate_f(2, -1, 1, 1)
-        with pytest.raises(ValueError):
-            iterate_f(2, 1, -1, 1)
-        with pytest.raises(ValueError):
-            iterate_f(2, 1, 1, 0)
-        assert iterate_f(2, 0, 1, 10**6) == 2 + 10**6
-        with pytest.raises(ValueError):
-            iterate_f(2, 1, 1, 10**6 + 1)
-        for s, c, k in [(math.nan, 1, 1), (math.inf, 1, 1), (2, math.nan, 1), (2, 1, math.inf)]:
-            with pytest.raises(ValueError, match="finite"):
-                iterate_f(s, c, k, 3)
-        for s, k, c1, c2 in [(math.nan, 1, 1, 1), (4, math.inf, 1, 1), (4, 1, math.nan, 1), (4, 1, 1, math.inf)]:
-            with pytest.raises(ValueError, match="finite"):
-                lemma_bound(s, k, 3, c1, c2)
-
-    def test_overflow_to_infinity_is_refused(self):
-        with pytest.raises(ValueError, match="overflows"):
-            iterate_f(1, 0, 1e308, 2)
-        with pytest.raises(ValueError, match="overflows"):
-            iterate_f(1.7e308, 0, 1e308, 1)
-        with pytest.raises(ValueError, match="overflows"):
-            lemma_bound(4, 1, 3, 1e308, 1)
-
-    def test_bound_closed_form(self):
-        expected = 4 + 2 * math.log2(4) + 1 * (0 + 1) * (2 + 1) * math.log(2 + 1)
-        assert lemma_bound(4, 0, 2, 1, 1) == pytest.approx(expected)
-        with pytest.raises(ValueError):
-            lemma_bound(4, 0, 2, 0, 1)
-        with pytest.raises(ValueError):
-            lemma_bound(4, 0, 2, 1, 0)
-
-    def test_bound_dominates_iteration_on_a_sample(self):
-        for s in (2, 4, 16, 64):
-            for k in (0, 1, 5, 20):
-                for n in (1, 3, 10, 40):
-                    assert iterate_f(s, 1, k, n) <= lemma_bound(s, k, n, 2, 1)
-
-
-class TestLemmaSearch:
-    def test_finds_the_lexicographic_minimum(self):
-        s_values, k_values, n_max = (2, 4, 8, 16), (0, 1, 2, 4), 20
-        got = lemma_search(s_values, k_values, n_max)
-
-        def covers(c1, c2):
-            return all(
-                iterate_f(s, 1, k, n) <= lemma_bound(s, k, n, c1, c2)
-                for s in s_values
-                for k in k_values
-                for n in range(1, n_max + 1)
-            )
-
-        assert covers(*got)
-        earlier = [(c1, c2) for c1 in range(1, 9) for c2 in range(1, 9)]
-        for cand in earlier[: earlier.index(got)]:
-            assert not covers(*cand)
-
-    def test_candidate_order_is_respected(self):
-        got = lemma_search((4,), (1,), 5, candidates=[(5, 5), (2, 1)])
-        assert got == (5, 5)
-
-    def test_returned_pair_actually_covers_the_grid(self):
-        s_values, k_values, n_max = (2, 8, 32), (0, 3, 9), 25
-        c1, c2 = lemma_search(s_values, k_values, n_max)
-        for s in s_values:
-            for k in k_values:
-                for n in range(1, n_max + 1):
-                    assert iterate_f(s, 1, k, n) <= lemma_bound(s, k, n, c1, c2)
-
-    def test_exhausted_candidates_raise(self):
-        with pytest.raises(ValueError):
-            lemma_search((2, 64), range(0, 101, 10), 100, candidates=[(1, 1)])
 
 
 class TestStableLevel:
@@ -481,6 +392,12 @@ class TestStagedEnumeration:
         # n = 3 has 15 candidates: one stage is already over the limit.
         with pytest.raises(ValueError, match="per stage"):
             list(staged_sets("", 3, 3, 0))
+
+    def test_negative_stage_cap_is_refused_before_any_stage(self, monkeypatch):
+        # The pair is reachable at stage 0; a negative cap must not read as "never reaches".
+        monkeypatch.setattr(laws, "ks", None)
+        with pytest.raises(ValueError, match="stage cap must be >= 0"):
+            staged_enumeration("", 3, 1, ("", ""), stage_cap=-1)
 
 
 class TestTypicalSets:

@@ -2,8 +2,10 @@
 
 A name in a module's `__all__` must be referred to by another module of
 the package or by the benchmark under `perfbench/`; an export that only
-the tests reach is API that no measurement needs.  And every name the
-benchmark's tracer patches must still exist.
+the tests reach is API that no measurement needs.  Likewise every public
+method or property of a class in `src/kslab` must be read somewhere in
+`src/kslab`, `perfbench/` or `tools/`.  And every name the benchmark's
+tracer patches must still exist.
 """
 
 import ast
@@ -15,22 +17,25 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kslab"
 
 
-def _references(path: Path) -> set:
-    """Names, attributes and imported names in a file, and identifier strings.
+def _references(path: Path, bare_names: bool = True) -> set:
+    """Attributes read in a file and identifier strings; with bare_names,
+    also names and imported names.
 
-    Strings count because the benchmark patches functions by name.
+    Strings count because the benchmark patches functions by name.  A
+    method is looked up without bare names, so that a local variable does
+    not stand in for a method of the same name.
     """
 
     out = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name.rpartition(".")[2])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
             out.add(node.value)
+        elif bare_names and isinstance(node, ast.Name):
+            out.add(node.id)
+        elif bare_names and isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
     return out
 
 
@@ -50,6 +55,23 @@ def test_every_export_has_a_caller_outside_the_tests():
         for module in modules
         for name in _exports(module)
         if not any(name in names for other, names in refs.items() if other != module) and name not in bench
+    ]
+    assert unused == []
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    modules = sorted(PACKAGE.glob("*.py"))
+    callers = [*modules, *(ROOT / "perfbench").glob("*.py"), *(ROOT / "tools").glob("*.py")]
+    read = set().union(*(_references(path, bare_names=False) for path in callers))
+    unused = [
+        f"{module.stem}.{cls.name}.{fn.name}"
+        for module in modules
+        for cls in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("_")
+        and fn.name not in read
     ]
     assert unused == []
 
