@@ -22,6 +22,30 @@ class TestKsCommands:
         code, out, err = run(capsys, "ks", "pair-encode", "0", "1")
         assert (code, out, err) == (0, "00011\n", "")
 
+    def test_pair_encode_of_two_empty_strings(self, capsys):
+        code, out, err = run(capsys, "ks", "pair-encode", "", "")
+        assert (code, out, err) == (0, "01\n", "")
+
+    def test_compute_not_found_json_has_null_value_and_witness(self, capsys):
+        code, out, _ = run(capsys, "ks", "compute", "1" * 20, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "cap": 14, "condition": "", "s": 0, "target": "1" * 20, "value": None, "witness": None,
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ks", "compute", "2"),
+            ("ks", "compute", "101", "--x", "2"),
+            ("ks", "pair-encode", "2", "1"),
+        ],
+    )
+    def test_non_bit_strings_are_a_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: bitstring must consist of '0'/'1' characters, got '2'\n"
+
     def test_compute_text(self, capsys):
         code, out, _ = run(capsys, "ks", "compute", "101")
         assert code == 0
@@ -298,6 +322,14 @@ class TestLawCommands:
         )
         assert json.loads(out)["ordinal"] == 0
 
+    def test_staged_json_payload(self, capsys):
+        code, out, _ = run(
+            capsys, "law", "staged", "--x", "", "--target-y", "", "--m", "3", "--n", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out) == {"ordinal": 0, "stage": 0, "threshold": 3, "total": 1, "x": "", "y": ""}
+
     def test_staged_stops_at_the_target_stage(self, capsys):
         argv = ("law", "staged", "--x", "", "--target-y", "", "--m", "3", "--n", "1")
         code, capped, _ = run(capsys, *argv, "--stage-cap", "8")
@@ -339,6 +371,19 @@ class TestLawCommands:
         assert code == 0
         assert "members: 21" in out and "u_star: 1056" in out
 
+    def test_typical_set_json_matches_the_text_listing(self, capsys):
+        argv = ("law", "typical-set", "--xs", "01,1", "--u", "8", "--n", "2")
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["base"], payload["u"], payload["u_star"], payload["n"], payload["cap"]) == (
+            ["01", "1"], 8, 1056, 2, 14,
+        )
+        assert [",".join(m) for m in payload["members"]] == text.splitlines()[4:]
+        assert len(payload["members"]) == 21
+
     def test_typical_set_gap_report(self, capsys):
         code, out, _ = run(
             capsys, "law", "typical-set", "--xs", "01,1", "--u", "8", "--n", "2",
@@ -354,6 +399,14 @@ class TestConeCommands:
         assert code == 0 and len(out.splitlines()) == 9
         code, out, _ = run(capsys, "cone", "elemental", "--k", "3", "--format", "json")
         assert len(json.loads(out)["inequalities"]) == 9
+
+    def test_elemental_small_k_listing(self, capsys):
+        code, out, _ = run(capsys, "cone", "elemental", "--k", "1")
+        assert (code, out) == (0, "k=1; {1}:1\n")
+        code, out, _ = run(capsys, "cone", "elemental", "--k", "2")
+        assert (code, out) == (
+            0, "k=2; {2}:-1 {1,2}:1\nk=2; {1}:-1 {1,2}:1\nk=2; {1}:1 {2}:1 {1,2}:-1\n",
+        )
 
     def test_check_member(self, capsys):
         code, out, _ = run(capsys, "cone", "check", "k=2; {1}:1 {2}:1 {1,2}:-1")
@@ -373,6 +426,16 @@ class TestConeCommands:
         )
         payload = json.loads(out)
         assert payload["member"] is True
+
+    def test_check_json_non_member_carries_its_witness(self, capsys):
+        code, out, _ = run(capsys, "cone", "check", "k=1; {1}:-1", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"k": 1, "member": False, "weights": {}, "witness": {"1": "1"}}
+
+    def test_check_a_variable_out_of_range_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "cone", "check", "k=2; {3}:1")
+        assert (code, out) == (1, "")
+        assert err == "error: bad term '{3}:1': variable out of range for k=2\n"
 
     def test_check_reads_files(self, capsys, tmp_path):
         path = tmp_path / "ineq.txt"
@@ -447,6 +510,44 @@ class TestExitCodes:
             main(["law", "verify", "no_such_law", "--n", "1", "--s-grid", "8"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_the_groups_are_ks_halt_law_and_cone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lemma", "iterate", "--s", "4", "--c", "1", "--k", "0", "--n", "1"])
+        assert exc.value.code == 2
+        assert "(choose from 'ks', 'halt', 'law', 'cone')" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("ks", "compute", "101", "--s", "-1"), "workspace bound must be >= 0"),
+            (("ks", "compute", "101", "--cap", "-1"), "cap must be >= 0"),
+            (("ks", "table", "--targets-to", "1", "--s-grid", "8", "--cap", "-1"), "cap must be >= 0"),
+            (("ks", "table", "--targets-to", "1", "--s-grid", "-8"), "workspace bound must be >= 0"),
+            (("halt", "decide", "--machine", "MACHINE", "--s", "-1"), "space bound must be >= 0"),
+            (("law", "verify", "symmetry", "--n", "-1", "--s-grid", "8"), "n must be >= 0"),
+            (("law", "verify", "symmetry", "--n", "1", "--s-grid", "-8"), "s_grid must be nonempty with s >= 0"),
+            (("law", "verify", "symmetry", "--n", "1", "--s-grid", "8", "--cap", "-1"), "cap must be >= 0"),
+            (
+                ("law", "verify", "basic", "--n", "1", "--s-grid", "8", "--i", "1", "--j", "2", "--k", "-1"),
+                "basic law needs 0 <= k <= 16, got -1",
+            ),
+            (("law", "staged", "--m", "-1", "--n", "1"), "threshold must be >= 0"),
+            (("law", "staged", "--m", "3", "--n", "1", "--stage-cap", "-1"), "stage cap must be >= 0"),
+            (("law", "typical-set", "--xs", "01,1", "--u", "-1", "--n", "2"), "workspace bound must be >= 0"),
+            (("cone", "elemental", "--k", "0"), "k must be between 1 and 6, got 0"),
+            (("cone", "elemental", "--k", "-1"), "k must be between 1 and 6, got -1"),
+        ],
+    )
+    def test_negative_values_are_a_domain_error(self, capsys, tmp_path, argv, message):
+        machine = tmp_path / "echo.txt"
+        machine.write_text(ECHO_X_TEXT)
+        code, out, err = run(capsys, *(str(machine) if a == "MACHINE" else a for a in argv))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_shannon_law_without_an_inequality_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "law", "verify", "shannon", "--n", "1", "--s-grid", "8")
+        assert (code, out, err) == (1, "", "error: shannon law needs --inequality\n")
 
     def test_domain_errors_exit_one(self, capsys):
         code, _, err = run(capsys, "ks", "compute", "102")
