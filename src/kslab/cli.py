@@ -102,6 +102,8 @@ def cmd_ks_compute(args) -> int:
 
 def cmd_ks_table(args) -> int:
     s_grid = _parse_grid(args.s_grid, "--s-grid")
+    if args.targets_to < 0:
+        raise ValueError("--targets-to must be >= 0")
     rows = len(s_grid) * count_strings_up_to(args.targets_to) * count_strings_up_to(args.conditions_to)
     if rows > _MAX_TABLE_ROWS:
         raise ValueError(f"table has over {_MAX_TABLE_ROWS} rows (targets x conditions x s values)")

@@ -435,7 +435,8 @@ class ComplexityCache:
     the next put; a file that holds only part of the header, or nothing,
     loads as empty and is rewritten from the start by the next put.  get()
     and put() use INTERPRETER_TAG: a record of another tag loads but is
-    never returned.
+    never returned.  A record is held as its (value, witness) pair, and
+    get() builds the ComplexityResult only on a hit.
     """
 
     def __init__(self, path):
@@ -474,25 +475,26 @@ class ComplexityCache:
                     condition = _hex_to_bits(x_h)
                     if target is None or condition is None:
                         raise ValueError("target and condition are mandatory")
-                    s, cap = int(s_t), int(cap_t)
-                    value = None if value_t == "-" else int(value_t)
-                    result = ComplexityResult(target, condition, s, cap, value, _hex_to_bits(wit_h))
+                    key = (tag, target, condition, int(s_t), int(cap_t))
+                    stored = (None if value_t == "-" else int(value_t), _hex_to_bits(wit_h))
                 except ValueError as exc:
                     raise ValueError(f"{self.path}:{line_no}: bad cache record") from exc
-                self._entries[(tag, target, condition, s, cap)] = result
+                self._entries[key] = stored
                 self.records_loaded += 1
 
     def get(self, y: str, x: str, s: int, cap: int):
-        return self._entries.get((INTERPRETER_TAG, y, x, s, cap))
+        stored = self._entries.get((INTERPRETER_TAG, y, x, s, cap))
+        if stored is None:
+            return None
+        return ComplexityResult(y, x, s, cap, *stored)
 
     def put(self, result: ComplexityResult) -> None:
         key = (INTERPRETER_TAG, result.target, result.condition, result.s, result.cap)
+        stored = (result.value, result.witness)
         known = self._entries.get(key)
         if known is not None:
-            if (known.value, known.witness) != (result.value, result.witness):
-                raise ValueError(
-                    f"cache conflict for {key}: stored {known.value}, new {result.value}"
-                )
+            if known != stored:
+                raise ValueError(f"cache conflict for {key}: stored {known[0]}, new {result.value}")
             return
         value = "-" if result.value is None else result.value
         record = (
@@ -519,7 +521,7 @@ class ComplexityCache:
                 written += os.write(fd, record[written:])
         finally:
             os.close(fd)
-        self._entries[key] = result
+        self._entries[key] = stored
 
 
 def cached_ks(

@@ -23,7 +23,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
+from operator import itemgetter, mul
 from pathlib import Path
 
 from ._masks import indices_of, mask_label, mask_of
@@ -188,6 +188,31 @@ def _grid_points(arity: int, n: int, s_count: int) -> list:
     return list(product(strings_up_to(n) if arity else (), repeat=arity))
 
 
+def _encoder(indices: tuple):
+    """point -> encode_subtuple(point, indices), each combination of picked components encoded once.
+
+    The memo is keyed by the components picked, so it holds one string per
+    distinct combination, never one per point.
+    """
+
+    if not indices:
+        return lambda point: ""
+    pick = itemgetter(*(i - 1 for i in indices))
+    if len(indices) == 1:
+        return pick  # a 1-tuple encodes as the bare string
+    encoded: dict = {}
+
+    def encode(point) -> str:
+        picked = pick(point)
+        try:
+            return encoded[picked]
+        except KeyError:
+            encoded[picked] = text = encode_subtuple(point, indices)
+            return text
+
+    return encode
+
+
 def _least_constant(holds, lo: int, label: str) -> int:
     """Smallest c > lo with holds(c), for holds false at lo and monotone in c.
 
@@ -233,7 +258,10 @@ def verify_law(
     at minimal c - 1.  Points with a NotFound complexity at c = 0 are
     vacuous: excluded from the search, reported in the result.  The
     shannon law applies only to a member of the Shannon cone, which
-    is_shannon decides (and certifies) before the grid is built.
+    is_shannon decides (and certifies) before the grid is built.  Each
+    distinct query (target, condition, s read) is searched once per
+    call and its value kept for the rest of the call; ks_evaluations
+    counts those searches.
     """
 
     s_grid = tuple(sorted(set(int(s) for s in s_grid)))
@@ -274,7 +302,10 @@ def verify_law(
 
     points = _grid_points(k, n, len(s_grid))
     coeffs = [coeff for coeff, _, _ in terms]
-    calls = [0]
+    readers = [(coeff < 0, _encoder(target), _encoder(cond)) for coeff, target, cond in terms]
+    # One value per distinct query (target, condition, s read) of this call;
+    # its size is the number of searches, reported as ks_evaluations.
+    values_read: dict = {}
 
     def s_prime(s: int, c: int) -> int:
         return s + c * (a * _clog2(s) + b)
@@ -282,17 +313,14 @@ def verify_law(
     def margin(point, s: int, sp: int, c: int):
         """Right side at s minus left side at sp; None if a value is NotFound."""
 
-        calls[0] += len(terms)
-        values = [
-            cached_ks(
-                encode_subtuple(point, target),
-                encode_subtuple(point, cond),
-                sp if coeff < 0 else s,
-                cap,
-                cache,
-            ).value
-            for coeff, target, cond in terms
-        ]
+        values = []
+        for left, target, cond in readers:
+            query = (target(point), cond(point), sp if left else s)
+            try:
+                value = values_read[query]
+            except KeyError:
+                value = values_read[query] = cached_ks(*query, cap, cache).value
+            values.append(value)
         if None in values:
             return None
         return sum(map(mul, coeffs, values)) + c * (_clog2(values[0]) if unit is None else unit)
@@ -350,7 +378,7 @@ def verify_law(
         vacuous_points=tuple(vacuous[:100]),
         interpreter_tag=INTERPRETER_TAG,
         caveat=CAVEAT,
-        ks_evaluations=calls[0],
+        ks_evaluations=len(values_read),
     )
 
 

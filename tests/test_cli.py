@@ -524,6 +524,7 @@ class TestExitCodes:
             (("ks", "compute", "101", "--cap", "-1"), "cap must be >= 0"),
             (("ks", "table", "--targets-to", "1", "--s-grid", "8", "--cap", "-1"), "cap must be >= 0"),
             (("ks", "table", "--targets-to", "1", "--s-grid", "-8"), "workspace bound must be >= 0"),
+            (("ks", "table", "--targets-to", "-1", "--s-grid", "8"), "--targets-to must be >= 0"),
             (("halt", "decide", "--machine", "MACHINE", "--s", "-1"), "space bound must be >= 0"),
             (("law", "verify", "symmetry", "--n", "-1", "--s-grid", "8"), "n must be >= 0"),
             (("law", "verify", "symmetry", "--n", "1", "--s-grid", "-8"), "s_grid must be nonempty with s >= 0"),

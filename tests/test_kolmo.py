@@ -344,6 +344,17 @@ class TestCache:
         with pytest.raises(ValueError):
             cache.put(ComplexityResult("101", "", 0, 14, 3, "010"))
 
+    def test_a_put_conflicting_with_a_loaded_record_is_rejected(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        ComplexityCache(path).put(ComplexityResult("101", "", 0, 14, 4, "0101"))
+        before = path.read_bytes()
+        reloaded = ComplexityCache(path)
+        with pytest.raises(ValueError, match="cache conflict"):
+            reloaded.put(ComplexityResult("101", "", 0, 14, 3, "010"))
+        with pytest.raises(ValueError, match="cache conflict"):
+            reloaded.put(ComplexityResult("101", "", 0, 14, 4, "0100"))
+        assert path.read_bytes() == before
+
     def test_cache_hits_are_authoritative(self, tmp_path):
         # A planted record proves lookups do not recompute.
         path = tmp_path / "cache.tsv"

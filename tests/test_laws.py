@@ -6,6 +6,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -299,15 +300,17 @@ class TestVerifyLawOracle:
 
     @pytest.mark.parametrize("law,n,s_grid,cap,extra", _ALL_ORACLE_CASES, ids=_ORACLE_IDS)
     def test_ks_evaluations_counts_the_ks_calls(self, monkeypatch, law, n, s_grid, cap, extra):
-        ks_query, calls = laws.cached_ks, []
+        # One call searches each distinct (target, condition, s) query once.
+        ks_query, calls = laws.cached_ks, Counter()
 
-        def counted(*args):
-            calls.append(args)
-            return ks_query(*args)
+        def counted(y, x, s, cap, cache):
+            calls[y, x, s] += 1
+            return ks_query(y, x, s, cap, cache)
 
         monkeypatch.setattr(laws, "cached_ks", counted)
         report = verify_law(law, n=n, s_grid=s_grid, cap=cap, **_oracle_kwargs(extra))
-        assert report.ks_evaluations == len(calls) > 0
+        assert set(calls.values()) == {1}
+        assert report.ks_evaluations == len(calls)
 
     def test_the_cases_cover_vacuous_points_and_nonzero_constants(self):
         found = [

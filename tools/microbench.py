@@ -11,7 +11,11 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
 * `ks_scan("1", "", 0, 24, prefix="11")`, whose time is mostly header
   parses (seconds),
 * `verify_law` on the five law grids of the benchmark's `lab-session`
-  pass, without a cache, as one total (milliseconds),
+  pass, without a cache, as one total (milliseconds), and the
+  `ks_evaluations` of those five calls, summed,
+* loading a `ComplexityCache` file of `CACHE_RECORDS` records, per record,
+  with the field parser's memo cleared first, as in a new process
+  (microseconds),
 * `is_shannon` on Zhang-Yeung (k = 4, unpermuted), on `lab-session`'s
   k = 5 member and on `k=6; {1}:1` (milliseconds each).
 
@@ -25,11 +29,15 @@ import argparse
 import json
 import random
 import sys
+import tempfile
 import time
+from itertools import islice, product
 from pathlib import Path
 
 REPS = 15
 KS_SCAN_REPS = 3
+# About the size of the file that `lab-session`'s warm pass reads.
+CACHE_RECORDS = 18_000
 SHANNON_TEXT = "k=3; {1,2}:1 {2,3}:1 {2}:-1 {1,2,3}:-1"
 
 
@@ -53,8 +61,9 @@ def main() -> int:
     from oracle import sample_machine_bits
     from workloads import LabSession
     from kslab.entropy import is_shannon, parse_inequality
-    from kslab.kolmo import ks_scan
-    from kslab.laws import verify_law
+    from kslab import kolmo
+    from kslab.kolmo import ComplexityCache, cached_ks, ks_scan
+    from kslab.laws import strings_up_to, verify_law
     from kslab.machine import MachineSpec, parse_bits, serialize_machine
 
     rng = random.Random(3)
@@ -83,6 +92,19 @@ def main() -> int:
     result["verify_law_ms"] = _best(
         lambda: [verify_law(law, cap=14, **kw) for law, kw in law_calls], REPS
     ) * 1e3
+    result["ks_evaluations"] = sum(verify_law(law, cap=14, **kw).ks_evaluations for law, kw in law_calls)
+
+    def load(path):
+        kolmo._hex_to_bits.cache_clear()
+        ComplexityCache(path)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "complexity.tsv"
+        cache = ComplexityCache(path)
+        queries = product(strings_up_to(8), strings_up_to(2), range(0, 600, 60))
+        for y, x, s in islice(queries, CACHE_RECORDS):
+            cached_ks(y, x, s, 14, cache)
+        result["cache_load_us"] = _best(lambda: load(path), REPS) * 1e6 / CACHE_RECORDS
     gen5 = oracle.elemental(5)
     member_k5 = oracle.combine(*((w, gen5[i]) for i, w in LabSession.MEMBER_K5))
     cone_checks = {
