@@ -188,18 +188,22 @@ def _grid_points(arity: int, n: int, s_count: int) -> list:
     return list(product(strings_up_to(n) if arity else (), repeat=arity))
 
 
-def _encoder(indices: tuple):
+def _encoder(indices: tuple, arity: int):
     """point -> encode_subtuple(point, indices), each combination of picked components encoded once.
 
     The memo is keyed by the components picked, so it holds one string per
-    distinct combination, never one per point.
+    distinct combination, never one per point; a term that picks every
+    component in order is keyed by the point itself, not by a copy of it.
     """
 
     if not indices:
         return lambda point: ""
-    pick = itemgetter(*(i - 1 for i in indices))
     if len(indices) == 1:
-        return pick  # a 1-tuple encodes as the bare string
+        return itemgetter(indices[0] - 1)  # a 1-tuple encodes as the bare string
+    if indices == tuple(range(1, arity + 1)):
+        pick = lambda point: point  # noqa: E731
+    else:
+        pick = itemgetter(*(i - 1 for i in indices))
     encoded: dict = {}
 
     def encode(point) -> str:
@@ -302,7 +306,7 @@ def verify_law(
 
     points = _grid_points(k, n, len(s_grid))
     coeffs = [coeff for coeff, _, _ in terms]
-    readers = [(coeff < 0, _encoder(target), _encoder(cond)) for coeff, target, cond in terms]
+    readers = [(coeff < 0, _encoder(target, k), _encoder(cond, k)) for coeff, target, cond in terms]
     # One value per distinct query (target, condition, s read) of this call;
     # its size is the number of searches, reported as ks_evaluations.
     values_read: dict = {}

@@ -265,13 +265,15 @@ ORACLE_CASES = [
 
 
 # More shapes of term: I = J, an ε intersection with vacuous points, the
-# 0-tuple, fractional coefficients, and a conditional term at n = 3.
+# 0-tuple, fractional coefficients, a conditional term at n = 3, and a
+# 1-tuple, whose whole point is one bare component.
 EXTRA_ORACLE_CASES = [
     ("basic", 2, (2, 30), 14, dict(I={1, 2}, J={1, 2}, k=3)),
     ("basic", 2, (4, 90), 8, dict(I={1}, J={3}, k=3)),
     ("basic", 1, (0, 64), 14, dict(k=0)),
     ("shannon", 2, (0, 77), 14, dict(inequality="k=2; {1}:1/3 {2}:1/3 {1,2}:-1/3")),
     ("chain_easy", 3, (0, 50), 6, {}),
+    ("basic", 3, (0, 12), 14, dict(I={1}, J=(), k=1)),
 ]
 
 _ALL_ORACLE_CASES = ORACLE_CASES + EXTRA_ORACLE_CASES
