@@ -192,18 +192,17 @@ def _encoder(indices: tuple, arity: int):
     """point -> encode_subtuple(point, indices), each combination of picked components encoded once.
 
     The memo is keyed by the components picked, so it holds one string per
-    distinct combination, never one per point; a term that picks every
-    component in order is keyed by the point itself, not by a copy of it.
+    distinct combination of them, not one per point and term; a term that
+    picks every component in order is keyed by the point itself, not by a
+    copy of it.
     """
 
     if not indices:
         return lambda point: ""
     if len(indices) == 1:
         return itemgetter(indices[0] - 1)  # a 1-tuple encodes as the bare string
-    if indices == tuple(range(1, arity + 1)):
-        pick = lambda point: point  # noqa: E731
-    else:
-        pick = itemgetter(*(i - 1 for i in indices))
+    whole = indices == tuple(range(1, arity + 1))
+    pick = (lambda point: point) if whole else itemgetter(*(i - 1 for i in indices))
     encoded: dict = {}
 
     def encode(point) -> str:
