@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from ._masks import mask_label
@@ -60,11 +61,15 @@ def _parse_grid(text: str, flag: str) -> list:
         raise ValueError(f"bad {flag} {text!r}, expected comma-separated integers") from None
 
 
-def _open_cache(args) -> ComplexityCache | None:
-    """The cache file in --cache-dir, or None without one."""
+def _open_cache(args) -> ComplexityCache | nullcontext:
+    """The cache file in --cache-dir, or a context giving None without one.
+
+    Use it in a with block: its exit writes the records put in the block,
+    also when the block raises.
+    """
 
     if not args.cache_dir:
-        return None
+        return nullcontext()
     path = Path(args.cache_dir) / "complexity.tsv"
     path.parent.mkdir(parents=True, exist_ok=True)
     return ComplexityCache(path)
@@ -104,17 +109,19 @@ def cmd_ks_table(args) -> int:
     s_grid = _parse_grid(args.s_grid, "--s-grid")
     if args.targets_to < 0:
         raise ValueError("--targets-to must be >= 0")
+    if args.conditions_to < -1:
+        raise ValueError("--conditions-to must be >= -1")
     rows = len(s_grid) * count_strings_up_to(args.targets_to) * count_strings_up_to(args.conditions_to)
     if rows > _MAX_TABLE_ROWS:
         raise ValueError(f"table has over {_MAX_TABLE_ROWS} rows (targets x conditions x s values)")
-    cache = _open_cache(args)
     conditions = strings_up_to(args.conditions_to) if args.conditions_to >= 0 else [""]
-    results = [
-        cached_ks(y, x, s, args.cap, cache)
-        for y in strings_up_to(args.targets_to)
-        for x in conditions
-        for s in s_grid
-    ]
+    with _open_cache(args) as cache:
+        results = [
+            cached_ks(y, x, s, args.cap, cache)
+            for y in strings_up_to(args.targets_to)
+            for x in conditions
+            for s in s_grid
+        ]
     if args.format == "json":
         rows = [
             {"y": r.target, "x": r.condition, "s": r.s, "cap": r.cap, "value": r.value, "witness": r.witness}
@@ -147,12 +154,10 @@ def cmd_halt_decide(args) -> int:
 
 
 def cmd_law_verify(args) -> int:
-    cache = _open_cache(args)
     kwargs = dict(
         n=args.n,
         s_grid=_parse_grid(args.s_grid, "--s-grid"),
         cap=args.cap,
-        cache=cache,
     )
     if args.law == "basic":
         kwargs["I"] = set(_parse_grid(args.i, "--i"))
@@ -162,7 +167,8 @@ def cmd_law_verify(args) -> int:
         if args.inequality is None:
             raise ValueError("shannon law needs --inequality")
         kwargs["inequality"] = parse_inequality(args.inequality)
-    report = verify_law(args.law, **kwargs)
+    with _open_cache(args) as cache:
+        report = verify_law(args.law, cache=cache, **kwargs)
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:
@@ -197,9 +203,9 @@ def cmd_law_staged(args) -> int:
 
 
 def cmd_law_typical_set(args) -> int:
-    cache = _open_cache(args)
     xs = tuple(args.xs.split(",")) if args.xs else ("",)
-    ts = typical_set(xs, args.u, args.n, args.cap, cache)
+    with _open_cache(args) as cache:
+        ts = typical_set(xs, args.u, args.n, args.cap, cache)
     if args.gap_report:
         sys.stdout.write(gap_report(ts))
         return 0

@@ -21,6 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 
 from ._masks import indices_of, mask_label, mask_of, nonempty_masks
@@ -147,13 +148,18 @@ def parse_inequality(text: str) -> LinearInequality:
     return LinearInequality(k, coeffs)
 
 
+# One tuple per k, built once: every is_shannon call reads the generators,
+# and building the 85 at k = 5 was a fifth of a call.  An invalid k raises,
+# and lru_cache stores no result for a call that raised.
+@lru_cache(maxsize=_MAX_K)
 def elemental_inequalities(k: int) -> tuple:
     """Generators of the Shannon cone, in a fixed order.
 
     First H(X_i | all others) >= 0 for i ascending, then
     I(X_i; X_j | X_S) >= 0 for i < j ascending and S ascending by mask.
     Their count is k + C(k,2) * 2^(k-2): 1, 3, 9, 28, 85, 246 for k = 1..6;
-    k above _MAX_K is refused before any is built.
+    k above _MAX_K is refused before any is built.  The tuple and its
+    frozen inequalities are shared by every caller.
     """
 
     _check_k(k)

@@ -32,6 +32,7 @@ every cache record and report carries INTERPRETER_TAG.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -393,135 +394,165 @@ def complexity_profile(
     return ComplexityProfile(strings, s, cap, entries)
 
 
+# Cached because a cache key repeats a few distinct bit strings many times:
+# `lab-session`'s 18,465 records hold about 1,500 distinct targets.
+@lru_cache(maxsize=4096)
 def _bits_to_hex(bits: str | None) -> str:
     if bits is None:
         return "-"
+    # int() would also take "0_1"; only "0" and "1" are bit strings.
+    check_bits(bits)
     # Sentinel bit keeps leading zeros; "" encodes as "1".
     return format(int("1" + bits, 2), "x")
 
 
-# Cached because a cache file repeats a few distinct fields many times (one
-# of 20,211 records written by `ks table` and `law verify` calls has at most
-# 1,480), and every load parses all of them.
-@lru_cache(maxsize=4096)
-def _hex_to_bits(text: str) -> str | None:
-    if text == "-":
-        return None
-    value = int(text, 16)
-    # int() also takes "0x3", "+3", " 3", "1_1" and "A", and "0" has no
-    # sentinel bit: only the text _bits_to_hex writes is accepted.
-    if value < 1 or "%x" % value != text:
-        raise ValueError(f"hex bit string {text!r} is not in canonical form")
-    return bin(value)[3:]
+def _cache_key(y: str, x: str, s: int, cap: int) -> str:
+    return f"{INTERPRETER_TAG}\t{_bits_to_hex(y)}\t{_bits_to_hex(x)}\t{s}\t{cap}"
 
 
 _CACHE_HEADER = "kslab-cache 1"
 _CACHE_HEADER_BYTES = (_CACHE_HEADER + "\n").encode("ascii")
+# One record line, as put writes it: hex fields carry their sentinel bit and
+# no leading zero, decimal fields are canonical, and "-" marks a NotFound
+# value or witness.  Group 1 is the key text, group 2 the stored text.
+_HEX = "[1-9a-f][0-9a-f]*"
+_DEC = "(?:0|[1-9][0-9]*)"
+_RECORD = re.compile(
+    rf"^([^\t\n]+\t{_HEX}\t{_HEX}\t{_DEC}\t{_DEC})\t((?:{_DEC}|-)\t(?:{_HEX}|-))\n", re.M
+)
 
 
 class ComplexityCache:
     """Append-only file of ks results, keyed by interpreter tag.
 
     One record per line: tag, target, condition, s, cap, value, witness,
-    tab-separated, bit strings hex-packed behind a sentinel bit.  Reloading
-    takes the last record for a key, so rewriting an entry is just
-    appending.  put() is idempotent and refuses to change the stored value
-    for a key, because a (tag, target, condition, s, cap) search has
-    exactly one correct outcome.  Each record is one O_APPEND write on a
-    descriptor opened and closed by that put, so writers sharing a file
-    never split each other's lines, and only the writer that creates the
-    file (O_EXCL) writes the header.  A last line without its newline, left
-    by a crash partway through an append, is skipped on load and cut off by
-    the next put; a file that holds only part of the header, or nothing,
-    loads as empty and is rewritten from the start by the next put.  get()
-    and put() use INTERPRETER_TAG: a record of another tag loads but is
-    never returned.  A record is held as its (value, witness) pair, and
-    get() builds the ComplexityResult only on a hit.
+    tab-separated, bit strings hex-packed behind a sentinel bit (lowercase,
+    no leading zero), s, cap and value in plain decimal, and "-" for the
+    value and witness of a NotFound.  A record is held as two texts: its
+    key, the first five fields, and its stored text, the last two.  A load
+    checks every line against one pattern that accepts only what put()
+    writes, so "+3", " 3", "03", "1_0" and "-1" are bad records there, and
+    the error names the first bad line.  Reloading takes the last record
+    for a key, so rewriting an entry is just appending.  get() builds a key
+    from its query and a ComplexityResult only on a hit.
+
+    put() is idempotent and refuses to change the stored text of a key,
+    because a (tag, target, condition, s, cap) search has exactly one
+    correct outcome.  It queues the record: the cache is a context manager,
+    and flush(), which its exit calls also when the block raises, appends
+    every queued record in one O_APPEND write on a descriptor opened and
+    closed for it.  So writers sharing a file never split each other's
+    lines, and only the writer that creates the file (O_EXCL) writes the
+    header.  A crash before the flush loses the records queued since the
+    last one; a crash during the write can tear only the last line.  A
+    last line without its newline is skipped on load and cut off by the
+    next flush; a file that holds only part of the header, or nothing,
+    loads as empty and is rewritten from the start by the next flush.
+    get() and put() use INTERPRETER_TAG: a record of another tag loads but
+    is never returned.
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        self._entries: dict = {}
+        self._entries: dict = {}  # key text -> stored text
+        self._pending: list = []  # record lines put since the last flush
         self.records_loaded = 0
         self._torn_at: int | None = None  # length of the file without its torn last line
         if self.path.exists():
             self._load()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.flush()
+
     def _load(self) -> None:
         # newline="\n": no translation, so lengths read are byte offsets.
         with open(self.path, "r", encoding="ascii", newline="\n") as fh:
-            header = fh.readline()
-            if not header.endswith("\n") and (_CACHE_HEADER + "\n").startswith(header):
-                # Empty, or torn by a crash during the first put: the next
-                # put starts the file afresh.
-                self._torn_at = 0
-                return
-            if header != _CACHE_HEADER + "\n":
-                raise ValueError(f"{self.path}: not a complexity cache (header {header.rstrip()!r})")
-            offset = len(header)
-            for line_no, line in enumerate(fh, start=2):
-                if not line.endswith("\n"):
-                    # Torn by a crash.  Cut off, not newline-terminated, by
-                    # the next put: a terminated fragment would be a bad
-                    # record to every later load.
-                    self._torn_at = offset
-                    break
-                offset += len(line)
-                if line == "\n":
-                    continue
-                try:
-                    tag, y_h, x_h, s_t, cap_t, value_t, wit_h = line[:-1].split("\t")
-                    target = _hex_to_bits(y_h)
-                    condition = _hex_to_bits(x_h)
-                    if target is None or condition is None:
-                        raise ValueError("target and condition are mandatory")
-                    key = (tag, target, condition, int(s_t), int(cap_t))
-                    stored = (None if value_t == "-" else int(value_t), _hex_to_bits(wit_h))
-                except ValueError as exc:
-                    raise ValueError(f"{self.path}:{line_no}: bad cache record") from exc
-                self._entries[key] = stored
-                self.records_loaded += 1
+            text = fh.read()
+        header, newline, body = text.partition("\n")
+        if not newline and (_CACHE_HEADER + "\n").startswith(header):
+            # Empty, or torn by a crash during the first flush: the next
+            # flush starts the file afresh.
+            self._torn_at = 0
+            return
+        if header != _CACHE_HEADER:
+            raise ValueError(f"{self.path}: not a complexity cache (header {header.rstrip()!r})")
+        end = body.rfind("\n") + 1
+        if end < len(body):
+            # Torn by a crash.  Cut off, not newline-terminated, by the next
+            # flush: a terminated fragment would be a bad record to every
+            # later load.
+            self._torn_at = len(header) + 1 + end
+            body = body[:end]
+        records = _RECORD.findall(body)
+        if len(records) != body.count("\n"):
+            # A bad record, or only blank lines, which are skipped.
+            for line_no, line in enumerate(body.split("\n")[:-1], start=2):
+                if line and not _RECORD.match(line + "\n"):
+                    raise ValueError(f"{self.path}:{line_no}: bad cache record")
+        self._entries.update(records)
+        self.records_loaded = len(records)
 
     def get(self, y: str, x: str, s: int, cap: int):
-        stored = self._entries.get((INTERPRETER_TAG, y, x, s, cap))
+        stored = self._entries.get(_cache_key(y, x, s, cap))
         if stored is None:
             return None
-        return ComplexityResult(y, x, s, cap, *stored)
+        value, witness = stored.split("\t")
+        return ComplexityResult(
+            y,
+            x,
+            s,
+            cap,
+            None if value == "-" else int(value),
+            None if witness == "-" else bin(int(witness, 16))[3:],
+        )
 
     def put(self, result: ComplexityResult) -> None:
-        key = (INTERPRETER_TAG, result.target, result.condition, result.s, result.cap)
-        stored = (result.value, result.witness)
+        key = _cache_key(result.target, result.condition, result.s, result.cap)
+        value = "-" if result.value is None else result.value
+        stored = f"{value}\t{_bits_to_hex(result.witness)}"
         known = self._entries.get(key)
         if known is not None:
             if known != stored:
-                raise ValueError(f"cache conflict for {key}: stored {known[0]}, new {result.value}")
+                raise ValueError(f"cache conflict for {key!r}: stored {known!r}, new {stored!r}")
             return
-        value = "-" if result.value is None else result.value
-        record = (
-            f"{INTERPRETER_TAG}\t{_bits_to_hex(result.target)}\t{_bits_to_hex(result.condition)}\t"
-            f"{result.s}\t{result.cap}\t{value}\t{_bits_to_hex(result.witness)}\n"
-        ).encode("ascii")
+        record = f"{key}\t{stored}\n"
+        if not _RECORD.fullmatch(record):  # a negative s, cap or value would make the file unloadable
+            raise ValueError(f"not a cache record: {record!r}")
+        self._pending.append(record)
+        self._entries[key] = stored
+
+    def flush(self) -> None:
+        """Append the queued records to the file in one write."""
+
+        if not self._pending:
+            return
+        data = "".join(self._pending).encode("ascii")
+        # Dropped before the write: a retry after a failed write could land
+        # after a torn fragment, and a bad line mid-file breaks every load.
+        self._pending = []
         try:
             fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
-        except FileNotFoundError:  # the first put, or the file was removed since the load
+        except FileNotFoundError:  # the first flush, or the file was removed since the load
             self._torn_at = None
             try:
                 fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o666)
-                record = _CACHE_HEADER_BYTES + record
+                data = _CACHE_HEADER_BYTES + data
             except FileExistsError:  # another writer created it meanwhile
                 fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
         try:
             if self._torn_at is not None:
                 os.ftruncate(fd, self._torn_at)
                 if self._torn_at == 0:
-                    record = _CACHE_HEADER_BYTES + record
+                    data = _CACHE_HEADER_BYTES + data
                 self._torn_at = None
-            written = os.write(fd, record)
-            while written < len(record):  # a regular file takes it whole unless the disk is full
-                written += os.write(fd, record[written:])
+            written = os.write(fd, data)
+            while written < len(data):  # a regular file takes it whole unless the disk is full
+                written += os.write(fd, data[written:])
         finally:
             os.close(fd)
-        self._entries[key] = stored
 
 
 def cached_ks(

@@ -59,7 +59,8 @@ CAP = 14
 
 @pytest.fixture(scope="module")
 def cache(tmp_path_factory):
-    return ComplexityCache(tmp_path_factory.mktemp("acceptance") / "complexity.tsv")
+    with ComplexityCache(tmp_path_factory.mktemp("acceptance") / "complexity.tsv") as cache:
+        yield cache
 
 
 def freeze_report(report) -> str:

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
 import json
+import os
 import time
 
 import pytest
@@ -108,6 +109,19 @@ class TestCache:
         assert (tmp_path / "complexity.tsv").exists()
         _, warm, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert warm == cold == uncached
+
+    def test_a_cached_table_appends_its_records_in_one_write(self, capsys, tmp_path, monkeypatch):
+        real_write, writes = os.write, []
+
+        def counted(fd, data):
+            writes.append(len(data))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", counted)
+        argv = ("ks", "table", "--targets-to", "3", "--conditions-to", "1", "--s-grid", "0,4")
+        code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0 and len(out.splitlines()) == 1 + 15 * 3 * 2
+        assert writes == [(tmp_path / "complexity.tsv").stat().st_size]
 
     def test_cache_dir_environment_variable_is_ignored(self, capsys, tmp_path, monkeypatch):
         # Only --cache-dir opens a cache: an inherited variable must not
@@ -525,6 +539,10 @@ class TestExitCodes:
             (("ks", "table", "--targets-to", "1", "--s-grid", "8", "--cap", "-1"), "cap must be >= 0"),
             (("ks", "table", "--targets-to", "1", "--s-grid", "-8"), "workspace bound must be >= 0"),
             (("ks", "table", "--targets-to", "-1", "--s-grid", "8"), "--targets-to must be >= 0"),
+            (
+                ("ks", "table", "--targets-to", "1", "--conditions-to", "-5", "--s-grid", "8"),
+                "--conditions-to must be >= -1",
+            ),
             (("halt", "decide", "--machine", "MACHINE", "--s", "-1"), "space bound must be >= 0"),
             (("law", "verify", "symmetry", "--n", "-1", "--s-grid", "8"), "n must be >= 0"),
             (("law", "verify", "symmetry", "--n", "1", "--s-grid", "-8"), "s_grid must be nonempty with s >= 0"),

@@ -319,10 +319,10 @@ class TestProfile:
 class TestCache:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        cache = ComplexityCache(path)
-        stored = cached_ks("10110", "101", 4, 14, cache)
-        missing = cached_ks("1" * 30, "", 0, 14, cache)
-        empty = cached_ks("", "", 0, 14, cache)
+        with ComplexityCache(path) as cache:
+            stored = cached_ks("10110", "101", 4, 14, cache)
+            missing = cached_ks("1" * 30, "", 0, 14, cache)
+            empty = cached_ks("", "", 0, 14, cache)
         reloaded = ComplexityCache(path)
         assert reloaded.get("10110", "101", 4, 14) == stored
         assert reloaded.get("1" * 30, "", 0, 14) == missing
@@ -332,10 +332,10 @@ class TestCache:
 
     def test_put_is_idempotent(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        cache = ComplexityCache(path)
-        result = cached_ks("101", "", 0, 14, cache)
-        cache.put(result)
-        cache.put(result)
+        with ComplexityCache(path) as cache:
+            result = cached_ks("101", "", 0, 14, cache)
+            cache.put(result)
+            cache.put(result)
         assert ComplexityCache(path).records_loaded == 1
 
     def test_conflicting_record_is_rejected(self, tmp_path):
@@ -346,29 +346,31 @@ class TestCache:
 
     def test_a_put_conflicting_with_a_loaded_record_is_rejected(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        ComplexityCache(path).put(ComplexityResult("101", "", 0, 14, 4, "0101"))
+        with ComplexityCache(path) as cache:
+            cache.put(ComplexityResult("101", "", 0, 14, 4, "0101"))
         before = path.read_bytes()
-        reloaded = ComplexityCache(path)
-        with pytest.raises(ValueError, match="cache conflict"):
-            reloaded.put(ComplexityResult("101", "", 0, 14, 3, "010"))
-        with pytest.raises(ValueError, match="cache conflict"):
-            reloaded.put(ComplexityResult("101", "", 0, 14, 4, "0100"))
+        with ComplexityCache(path) as reloaded:
+            with pytest.raises(ValueError, match="cache conflict"):
+                reloaded.put(ComplexityResult("101", "", 0, 14, 3, "010"))
+            with pytest.raises(ValueError, match="cache conflict"):
+                reloaded.put(ComplexityResult("101", "", 0, 14, 4, "0100"))
         assert path.read_bytes() == before
 
     def test_cache_hits_are_authoritative(self, tmp_path):
         # A planted record proves lookups do not recompute.
         path = tmp_path / "cache.tsv"
         planted = ComplexityResult("101", "", 0, 14, 9, "0" * 9)
-        ComplexityCache(path).put(planted)
+        with ComplexityCache(path) as cache:
+            cache.put(planted)
         assert cached_ks("101", "", 0, 14, ComplexityCache(path)) == planted
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        cache = ComplexityCache(path)
-        a = cached_ks("01", "", 0, 14, cache)
-        b = cached_ks("0", "1", 0, 14, cache)
-        c = cached_ks("01", "", 1, 14, cache)
-        d = cached_ks("01", "", 0, 13, cache)
+        with ComplexityCache(path) as cache:
+            a = cached_ks("01", "", 0, 14, cache)
+            b = cached_ks("0", "1", 0, 14, cache)
+            c = cached_ks("01", "", 1, 14, cache)
+            d = cached_ks("01", "", 0, 13, cache)
         assert ComplexityCache(path).records_loaded == 4
         assert {a.s, c.s} == {0, 1} and b.condition == "1" and d.cap == 13
 
@@ -380,8 +382,8 @@ class TestCache:
 
     def test_corrupt_record_is_rejected(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        cache = ComplexityCache(path)
-        cache.put(ComplexityResult("1", "", 0, 14, 2, "01"))
+        with ComplexityCache(path) as cache:
+            cache.put(ComplexityResult("1", "", 0, 14, 2, "01"))
         path.write_text(path.read_text() + "broken line\n")
         with pytest.raises(ValueError):
             ComplexityCache(path)
@@ -409,12 +411,81 @@ class TestCache:
         with pytest.raises(ValueError, match=r"cache\.tsv:3: bad cache record"):
             ComplexityCache(path)
 
+    @pytest.mark.parametrize("text", ["+3", " 3", "03", "1_0", "-1"])
+    @pytest.mark.parametrize("column", [3, 4, 5], ids=["s", "cap", "value"])
+    def test_non_canonical_decimal_field_is_rejected(self, tmp_path, column, text):
+        # int(text) accepts each of these; put writes plain decimal only.
+        fields = [INTERPRETER_TAG, "3", "1", "0", "14", "2", "5"]
+        fields[column] = text
+        path = tmp_path / "cache.tsv"
+        path.write_text(
+            "kslab-cache 1\n"
+            f"{INTERPRETER_TAG}\t3\t1\t0\t14\t2\t5\n"
+            + "\t".join(fields) + "\n"
+        )
+        with pytest.raises(ValueError, match=r"cache\.tsv:3: bad cache record"):
+            ComplexityCache(path)
+
+    def test_a_bad_record_after_blank_lines_reports_its_own_line(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_text(
+            "kslab-cache 1\n"
+            f"{INTERPRETER_TAG}\t3\t1\t0\t14\t2\t5\n"
+            "\n\n"
+            f"{INTERPRETER_TAG}\t5\t1\t0\t14\t3\t9\n"
+            "\n"
+            f"{INTERPRETER_TAG}\t5\t1\t0\t14\t3\t09\n"
+        )
+        with pytest.raises(ValueError, match=r"cache\.tsv:7: bad cache record"):
+            ComplexityCache(path)
+        path.write_text(path.read_text().rpartition(f"{INTERPRETER_TAG}")[0])
+        cache = ComplexityCache(path)  # blank lines alone are skipped
+        assert cache.records_loaded == 2 and cache.get("01", "", 0, 14).value == 3
+
+    def test_a_record_the_load_would_refuse_is_not_put(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        with ComplexityCache(path) as cache:
+            with pytest.raises(ValueError, match="not a cache record"):
+                cache.put(ComplexityResult("1", "", -1, 14, 2, "01"))
+            assert cache.get("1", "", -1, 14) is None
+        assert not path.exists()
+
+    def test_a_query_that_is_not_a_bit_string_is_refused(self, tmp_path):
+        # int("1" + "0_1", 2) reads "0_1" as "01", whose record this is.
+        path = tmp_path / "cache.tsv"
+        with ComplexityCache(path) as cache:
+            cached_ks("01", "", 0, 14, cache)
+        for cache in (cache, ComplexityCache(path)):
+            assert cache.get("01", "", 0, 14) is not None
+            with pytest.raises(ValueError, match="must consist of '0'/'1' characters"):
+                cache.get("0_1", "", 0, 14)
+            with pytest.raises(ValueError, match="must consist of '0'/'1' characters"):
+                cache.get("01", "0_1", 0, 14)
+
+    def test_a_with_block_that_raises_still_writes_its_records(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        with pytest.raises(RuntimeError, match="the command failed"):
+            with ComplexityCache(path) as cache:
+                first = cached_ks("101", "", 0, 14, cache)
+                second = cached_ks("", "1", 3, 14, cache)
+                raise RuntimeError("the command failed")
+        reloaded = ComplexityCache(path)
+        assert reloaded.records_loaded == 2
+        assert reloaded.get("101", "", 0, 14) == first and reloaded.get("", "1", 3, 14) == second
+
+    def test_records_are_queued_until_the_flush(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        with ComplexityCache(path) as cache:
+            cached_ks("101", "", 0, 14, cache)
+            assert not path.exists()
+        assert ComplexityCache(path).records_loaded == 1
+
     def test_torn_final_record_is_skipped_and_cut_off_by_the_next_put(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        cache = ComplexityCache(path)
-        first = cached_ks("101", "", 0, 14, cache)
-        second = cached_ks("0110", "1", 2, 14, cache)
-        cached_ks("11", "", 0, 14, cache)
+        with ComplexityCache(path) as cache:
+            first = cached_ks("101", "", 0, 14, cache)
+            second = cached_ks("0110", "1", 2, 14, cache)
+            cached_ks("11", "", 0, 14, cache)
         intact = path.read_bytes()
         path.write_bytes(intact[:-5])  # a crash partway through the last append
         torn = ComplexityCache(path)
@@ -422,7 +493,8 @@ class TestCache:
         assert torn.get("101", "", 0, 14) == first and torn.get("0110", "1", 2, 14) == second
         assert torn.get("11", "", 0, 14) is None
         assert path.read_bytes() == intact[:-5]  # loading alone writes nothing
-        third = cached_ks("11", "", 0, 14, torn)
+        with torn:
+            third = cached_ks("11", "", 0, 14, torn)
         reloaded = ComplexityCache(path)
         assert reloaded.records_loaded == 3 and reloaded.get("11", "", 0, 14) == third
         assert path.read_bytes() == intact
@@ -434,24 +506,28 @@ class TestCache:
         torn = ComplexityCache(path)
         assert torn.records_loaded == 0
         assert path.read_bytes() == content  # loading alone writes nothing
-        result = cached_ks("101", "", 0, 14, torn)
+        with torn:
+            result = cached_ks("101", "", 0, 14, torn)
         reloaded = ComplexityCache(path)
         assert reloaded.records_loaded == 1 and reloaded.get("101", "", 0, 14) == result
         fresh = tmp_path / "fresh.tsv"
-        ComplexityCache(fresh).put(result)
+        with ComplexityCache(fresh) as cache:
+            cache.put(result)
         assert path.read_bytes() == fresh.read_bytes()
 
     def test_file_bytes_are_pinned(self, tmp_path):
         # Written by the buffered-text put this one replaced; the format is unchanged.
         path = tmp_path / "cache.tsv"
-        cache = ComplexityCache(path)
-        cache.put(ComplexityResult("10110", "101", 4, 14, 7, "0010110"))
-        cache.put(ComplexityResult("1" * 30, "", 0, 14, None, None))
-        cache.put(ComplexityResult("", "", 0, 14, 1, "0"))
+        with ComplexityCache(path) as cache:
+            cache.put(ComplexityResult("10110", "101", 4, 14, 7, "0010110"))
+            cache.put(ComplexityResult("1" * 30, "", 0, 14, None, None))
+            cache.put(ComplexityResult("", "", 0, 14, 1, "0"))
         with open(path, "ab") as fh:  # a record written under another interpreter tag
             fh.write(b"other-tag\t5\t3\t512\t9\t3\t9\n")
-        cache.put(ComplexityResult("10110", "101", 4, 14, 7, "0010110"))
-        ComplexityCache(path).put(ComplexityResult("0", "0000", 3, 14, 2, "00"))
+        with cache:
+            cache.put(ComplexityResult("10110", "101", 4, 14, 7, "0010110"))
+        with ComplexityCache(path) as reloaded:
+            reloaded.put(ComplexityResult("0", "0000", 3, 14, 2, "00"))
         assert path.read_bytes() == (
             b"kslab-cache 1\n"
             b"kslab-v1\t36\td\t4\t14\t7\t96\n"
@@ -466,9 +542,11 @@ class TestCache:
         first, second = ComplexityCache(path), ComplexityCache(path)  # neither found a file
         results = [ks(y, "", 0, 14) for y in ("", "0", "1", "01", "110", "0110")]
         for i, result in enumerate(results):
-            (first if i % 2 else second).put(result)
-        third = ComplexityCache(path)  # found the file: appends without a header
-        third.put(ks("1010", "1", 2, 14))
+            writer = first if i % 2 else second
+            writer.put(result)
+            writer.flush()
+        with ComplexityCache(path) as third:  # found the file: appends without a header
+            third.put(ks("1010", "1", 2, 14))
         reloaded = ComplexityCache(path)
         assert reloaded.records_loaded == 7
         assert all(reloaded.get(r.target, "", 0, 14) == r for r in results)
@@ -477,8 +555,10 @@ class TestCache:
     def test_a_writer_that_found_no_file_adds_no_second_header(self, tmp_path):
         path = tmp_path / "cache.tsv"
         late = ComplexityCache(path)
-        ComplexityCache(path).put(ks("101", "", 0, 14))  # creates the file after late's load
-        late.put(ks("11", "", 0, 14))
+        with ComplexityCache(path) as early:  # creates the file after late's load
+            early.put(ks("101", "", 0, 14))
+        with late:
+            late.put(ks("11", "", 0, 14))
         lines = path.read_bytes().split(b"\n")
         assert lines[0] == b"kslab-cache 1" and b"kslab-cache 1" not in lines[1:]
         assert ComplexityCache(path).records_loaded == 2
@@ -486,7 +566,7 @@ class TestCache:
     def test_a_writer_that_loses_the_race_to_create_the_file_adds_no_header(
         self, tmp_path, monkeypatch
     ):
-        # Another writer creates the file between this put's failed append
+        # Another writer creates the file between this flush's failed append
         # open and its O_EXCL create.
         path = tmp_path / "cache.tsv"
         real_open = os.open
@@ -498,12 +578,14 @@ class TestCache:
             except FileNotFoundError:
                 if not raced:
                     raced.append(file)
-                    ComplexityCache(path).put(ks("101", "", 0, 14))
+                    with ComplexityCache(path) as other:
+                        other.put(ks("101", "", 0, 14))
                 raise
 
         with monkeypatch.context() as patched:
             patched.setattr(os, "open", racing_open)
-            ComplexityCache(path).put(ks("11", "", 0, 14))
+            with ComplexityCache(path) as cache:
+                cache.put(ks("11", "", 0, 14))
         assert raced == [path]
         lines = path.read_bytes().split(b"\n")
         assert lines[0] == b"kslab-cache 1" and b"kslab-cache 1" not in lines[1:]
@@ -512,7 +594,8 @@ class TestCache:
     def test_tag_separates_namespaces(self, tmp_path):
         # A record of another interpreter tag loads but is never returned.
         path = tmp_path / "cache.tsv"
-        ComplexityCache(path).put(ComplexityResult("0", "", 0, 14, 2, "00"))
+        with ComplexityCache(path) as cache:
+            cache.put(ComplexityResult("0", "", 0, 14, 2, "00"))
         with open(path, "ab") as fh:
             fh.write(b"other-tag\t3\t1\t0\t14\t9\t3ff\n")  # "1" at value 9
         cache = ComplexityCache(path)

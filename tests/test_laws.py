@@ -32,7 +32,8 @@ from kslab.kolmo import complexity_profile
 
 @pytest.fixture()
 def cache(tmp_path):
-    return ComplexityCache(tmp_path / "cache.tsv")
+    with ComplexityCache(tmp_path / "cache.tsv") as cache:
+        yield cache
 
 
 class TestStableLevel:

@@ -14,7 +14,10 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
   pass, without a cache, as one total (milliseconds), and the
   `ks_evaluations` of those five calls, summed,
 * loading a `ComplexityCache` file of `CACHE_RECORDS` records, per record,
-  with the field parser's memo cleared first, as in a new process
+  as in a new process (microseconds); a checkout whose load parses fields
+  through a memo, `kolmo._hex_to_bits`, has it cleared first,
+* putting `CACHE_RECORDS` records into a new `ComplexityCache` file, per
+  record, the closing `flush` included where the checkout has one
   (microseconds),
 * `is_shannon` on Zhang-Yeung (k = 4, unpermuted), on `lab-session`'s
   k = 5 member and on `k=6; {1}:1` (milliseconds each).
@@ -31,7 +34,7 @@ import random
 import sys
 import tempfile
 import time
-from itertools import islice, product
+from itertools import count, islice, product
 from pathlib import Path
 
 REPS = 15
@@ -62,7 +65,7 @@ def main() -> int:
     from workloads import LabSession
     from kslab.entropy import is_shannon, parse_inequality
     from kslab import kolmo
-    from kslab.kolmo import ComplexityCache, cached_ks, ks_scan
+    from kslab.kolmo import ComplexityCache, ks, ks_scan
     from kslab.laws import strings_up_to, verify_law
     from kslab.machine import MachineSpec, parse_bits, serialize_machine
 
@@ -94,16 +97,28 @@ def main() -> int:
     ) * 1e3
     result["ks_evaluations"] = sum(verify_law(law, cap=14, **kw).ks_evaluations for law, kw in law_calls)
 
+    # Checkouts before the one-regex load parse fields through this memo.
+    field_memo = getattr(kolmo, "_hex_to_bits", None)
+
     def load(path):
-        kolmo._hex_to_bits.cache_clear()
+        if field_memo is not None:
+            field_memo.cache_clear()
         ComplexityCache(path)
 
+    queries = product(strings_up_to(8), strings_up_to(2), range(0, 600, 60))
+    records = [ks(y, x, s, 14) for y, x, s in islice(queries, CACHE_RECORDS)]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "complexity.tsv"
-        cache = ComplexityCache(path)
-        queries = product(strings_up_to(8), strings_up_to(2), range(0, 600, 60))
-        for y, x, s in islice(queries, CACHE_RECORDS):
-            cached_ks(y, x, s, 14, cache)
+        fresh = count()
+
+        def put_all():
+            cache = ComplexityCache(Path(tmp) / f"put-{next(fresh)}.tsv")
+            for record in records:
+                cache.put(record)
+            # Checkouts before the queued put write each record in put.
+            getattr(cache, "flush", lambda: None)()
+
+        result["cache_put_us"] = _best(put_all, REPS) * 1e6 / CACHE_RECORDS
+        path = Path(tmp) / "put-0.tsv"
         result["cache_load_us"] = _best(lambda: load(path), REPS) * 1e6 / CACHE_RECORDS
     gen5 = oracle.elemental(5)
     member_k5 = oracle.combine(*((w, gen5[i]) for i, w in LabSession.MEMBER_K5))
