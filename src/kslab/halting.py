@@ -209,13 +209,11 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
     # the end marker.  Index -1 is the end marker too, which no bit matches.
     p_branch = tuple(int(bit) for bit in p) + (2,)
     x_branch = tuple(int(bit) for bit in x) + (2,)
-    # The root; the start is (0, EMPTY_STACK, EMPTY_STACK, 0, 0).
+    # The root, in the canonical halt state, is never the start (0, EMPTY_STACK, EMPTY_STACK, 0, 0).
     rst, rsl, rsr, rhp, rhx = st, sl, sr, hp, hx = pack_config(final_configuration(canon, p, x))
 
     visited = 1
     peak_live = 1
-    if st == 0 and sl == sr == EMPTY_STACK and hp == hx == 0:
-        return HaltVerdict(True, ProbeStats(visited, peak_live))
 
     # A pop's child holds one bit more, so it fits while the vertex's space,
     # its stacks' bit lengths less 2, is below s.

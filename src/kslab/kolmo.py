@@ -45,7 +45,6 @@ from .machine import (
     run,
     serialized_length,
 )
-from ._masks import indices_of, nonempty_masks
 
 __all__ = [
     "INTERPRETER_TAG",
@@ -59,8 +58,6 @@ __all__ = [
     "ks",
     "ks_scan",
     "scan_combine",
-    "complexity_profile",
-    "ComplexityProfile",
     "ComplexityCache",
     "cached_ks",
 ]
@@ -78,6 +75,10 @@ C_SIM = 16
 # every run that repeats a configuration, and no run of 2^62 steps can be
 # simulated anyway.
 _MAX_DECODE_STEPS = 2**62
+
+# Most live programs ks_scan holds at one length.  The `11` shard keeps about
+# 2^(length/2) live, so this admits its scans up to cap 32 (about 1 s).
+_MAX_LIVE = 1 << 15
 
 # Shortest general-mode program: doubled 1-state machine plus separator.
 MACHINE_MODE_MIN_LENGTH = 2 * serialized_length(1) + 2
@@ -294,7 +295,9 @@ def ks_scan(
     MACHINE_MODE_MIN_LENGTH, so the scan stays a check of ks.  Each length
     holds at most two live builtin-mode programs plus the live general-mode
     ones: the unbroken doubled headers, about 2^(length/2), and every
-    extension of a header that is a serialized machine.
+    extension of a header that is a serialized machine.  A length with
+    more than _MAX_LIVE live programs is refused (ValueError), so one
+    length's list never holds more than twice that.
 
     The optional prefix restricts the search to programs extending it,
     which lets a caller shard the space ("0", "10", "11", ...) and combine
@@ -315,6 +318,8 @@ def ks_scan(
         if length == cap or not level:
             break
         level = [grown for prog in level for grown in (prog + "0", prog + "1") if _live(grown, x, y)]
+        if len(level) > _MAX_LIVE:
+            raise ValueError(f"{len(level)} live programs of length {length + 1}, limit {_MAX_LIVE}")
     return ComplexityResult(y, x, s, cap, None, None)
 
 
@@ -343,55 +348,6 @@ def scan_combine(results) -> ComplexityResult:
         ):
             best = res
     return best if best is not None else base
-
-
-@dataclass(frozen=True)
-class ComplexityProfile:
-    """ks values for every pair of disjoint index subsets of a tuple.
-
-    entries maps (target_mask, condition_mask) to a ComplexityResult where
-    the target is the sub-tuple selected by target_mask and the condition
-    the sub-tuple of condition_mask, both encoded with encode_subtuple, so
-    mask 0 is the empty string.
-    """
-
-    strings: tuple[str, ...]
-    s: int
-    cap: int
-    entries: dict
-
-
-def complexity_profile(
-    strings,
-    s: int,
-    cap: int,
-    cache: "ComplexityCache | None" = None,
-) -> ComplexityProfile:
-    """ks of every nonempty sub-tuple given every disjoint sub-tuple.
-
-    Masks are enumerated in numeric order so profiles are deterministic
-    and two runs over the same strings touch the cache identically.
-    """
-
-    strings = tuple(strings)
-    if not strings:
-        raise ValueError("need at least one string")
-    for item in strings:
-        check_bits(item)
-    k = len(strings)
-    entries: dict = {}
-    for target_mask in nonempty_masks(k):
-        target = encode_subtuple(strings, indices_of(target_mask))
-        free = ((1 << k) - 1) ^ target_mask
-        # Disjoint condition masks are exactly the submasks of the complement.
-        cond_mask = 0
-        while True:
-            condition = encode_subtuple(strings, indices_of(cond_mask))
-            entries[(target_mask, cond_mask)] = cached_ks(target, condition, s, cap, cache)
-            if cond_mask == free:
-                break
-            cond_mask = (cond_mask - free) & free
-    return ComplexityProfile(strings, s, cap, entries)
 
 
 # Cached because a cache key repeats a few distinct bit strings many times:

@@ -26,19 +26,18 @@ from itertools import product
 from operator import itemgetter, mul
 from pathlib import Path
 
-from ._masks import indices_of, mask_label, mask_of
+from ._masks import indices_of, mask_label, mask_of, nonempty_masks
 from .entropy import LinearInequality, entropy_vector, is_shannon
 from .kolmo import (
     INTERPRETER_TAG,
     MAX_CLOSED_FORM_SPACE,
     ComplexityCache,
-    ComplexityProfile,
     cached_ks,
-    complexity_profile,
     encode_pair,
     encode_subtuple,
     ks,
 )
+from .machine import check_bits
 
 __all__ = [
     "LAW_NAMES",
@@ -214,6 +213,29 @@ def _encoder(indices: tuple, arity: int):
             return text
 
     return encode
+
+
+def _profile_readers(k: int) -> list:
+    """((target_mask, condition_mask), target reader, condition reader) of a k-tuple's profile.
+
+    Target masks ascend, and each one's disjoint condition masks ascend from 0 (ε).
+    """
+
+    return [
+        ((target, cond), _encoder(indices_of(target), k), _encoder(indices_of(cond), k))
+        for target in nonempty_masks(k)
+        for cond in range(1 << k)
+        if not cond & target
+    ]
+
+
+def _profile(point, readers, s: int, cap: int, cache: ComplexityCache | None) -> dict:
+    """{(target_mask, condition_mask): KS(target | condition) at s, or None if NotFound}."""
+
+    return {
+        key: cached_ks(target(point), cond(point), s, cap, cache).value
+        for key, target, cond in readers
+    }
 
 
 def _least_constant(holds, lo: int, label: str) -> int:
@@ -467,7 +489,7 @@ class TypicalSet:
     profile at the generous bound u_star is coordinatewise <= the base
     tuple's profile at u, with NotFound treated as infinity.  The base
     tuple is always a member because complexity never increases with
-    space.
+    space.  base_profile is the base tuple's profile at u, from _profile.
     """
 
     xs: tuple
@@ -476,17 +498,13 @@ class TypicalSet:
     n: int
     cap: int
     members: tuple
-    base_profile: ComplexityProfile
+    base_profile: dict
 
 
-def _dominated(cand: ComplexityProfile, base: ComplexityProfile) -> bool:
-    for key, base_entry in base.entries.items():
-        cand_value = cand.entries[key].value
-        if base_entry.value is None:
-            continue
-        if cand_value is None or cand_value > base_entry.value:
-            return False
-    return True
+def _dominated(cand: dict, base: dict) -> bool:
+    """cand <= base at every entry, NotFound counting as infinity."""
+
+    return all(b is None or cand[key] is not None and cand[key] <= b for key, b in base.items())
 
 
 def typical_set(
@@ -511,13 +529,16 @@ def typical_set(
         raise ValueError("typical sets are limited to n <= 2")
     if any(len(comp) > n for comp in xs):
         raise ValueError("base tuple exceeds the length bound")
+    for comp in xs:
+        check_bits(comp)  # before any query, so a bad base writes no cache record
     u_star = 4 * u + 1024
-    base = complexity_profile(xs, u, cap, cache)
-    members = []
-    for cand in product(strings_up_to(n), repeat=k):
-        prof = complexity_profile(cand, u_star, cap, cache)
-        if _dominated(prof, base):
-            members.append(cand)
+    readers = _profile_readers(k)
+    base = _profile(xs, readers, u, cap, cache)
+    members = [
+        cand
+        for cand in product(strings_up_to(n), repeat=k)
+        if _dominated(_profile(cand, readers, u_star, cap, cache), base)
+    ]
     return TypicalSet(xs, u, u_star, n, cap, tuple(members), base)
 
 
@@ -540,11 +561,10 @@ def gap_report(ts: TypicalSet) -> str:
         f"members={len(ts.members)} tag={INTERPRETER_TAG}",
         "I\tJ\tH_bits\tKS\tgap",
     ]
-    for tmask, cmask in sorted(ts.base_profile.entries):
-        entry = ts.base_profile.entries[(tmask, cmask)]
+    for (tmask, cmask), value in sorted(ts.base_profile.items()):
         cond_h = h(tmask | cmask) - h(cmask)
-        ks_text = "NotFound" if entry.value is None else str(entry.value)
-        gap = "" if entry.value is None else f"{entry.value - cond_h:+.6f}"
+        ks_text = "NotFound" if value is None else str(value)
+        gap = "" if value is None else f"{value - cond_h:+.6f}"
         lines.append(
             f"{mask_label(tmask)}\t{mask_label(cmask)}\t{cond_h:.6f}\t{ks_text}\t{gap}"
         )

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from kslab.entropy import LinearInequality
 from kslab.kolmo import (
-    ComplexityProfile,
     ComplexityResult,
     ReferenceParseError,
     ReferenceRunError,
@@ -314,13 +313,10 @@ def evaluate(inequality: LinearInequality, vector: dict) -> float:
     return sum(float(c) * vector[m] for m, c in inequality.coeffs)
 
 
-def profile_level_vector(profile: ComplexityProfile) -> tuple:
+def profile_level_vector(profile: dict, cap: int) -> tuple:
     """Profile as a nonincreasing-in-s integer vector; NotFound maps to cap+1."""
 
-    return tuple(
-        profile.entries[key].value if profile.entries[key].value is not None else profile.cap + 1
-        for key in sorted(profile.entries)
-    )
+    return tuple(cap + 1 if profile[key] is None else profile[key] for key in sorted(profile))
 
 
 def find_stable_level(levels) -> int:

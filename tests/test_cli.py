@@ -556,6 +556,7 @@ class TestExitCodes:
             (("law", "typical-set", "--xs", "01,1", "--u", "-1", "--n", "2"), "workspace bound must be >= 0"),
             (("cone", "elemental", "--k", "0"), "k must be between 1 and 6, got 0"),
             (("cone", "elemental", "--k", "-1"), "k must be between 1 and 6, got -1"),
+            (("cone", "check", "k=2; {0}:1"), "variable indices are 1-based, got 0"),
         ],
     )
     def test_negative_values_are_a_domain_error(self, capsys, tmp_path, argv, message):

@@ -19,6 +19,7 @@ from conftest import (
     sample_machine_bits,
     seesaw_spec,
 )
+from kslab import kolmo
 from kslab.kolmo import (
     C_SIM,
     INTERPRETER_TAG,
@@ -29,7 +30,6 @@ from kslab.kolmo import (
     ReferenceParseError,
     ReferenceRunError,
     cached_ks,
-    complexity_profile,
     decode_pair,
     encode_pair,
     encode_subtuple,
@@ -296,24 +296,17 @@ class TestScanOracle:
             ks_scan(y, x, s, cap, prefix=prefix)
         assert str(from_scan.value) == str(from_ks.value)
 
+    def test_the_benchmark_scans_are_admitted(self):
+        for cap in (16, 17, 24):
+            assert ks_scan("1", "", 0, cap, prefix="11").value is None
 
-class TestProfile:
-    def test_entry_count_is_pairs_of_disjoint_masks(self):
-        for k in (1, 2, 3):
-            strings = ["0"] * k
-            profile = complexity_profile(strings, 4, 14)
-            assert len(profile.entries) == 3**k - 2**k
-
-    def test_entries_match_direct_queries(self):
-        profile = complexity_profile(["0", "1", "1"], 6, 14)
-        assert profile.entries[(0b001, 0)].value == ks("0", "", 6, 14).value
-        assert profile.entries[(0b011, 0b100)].value == ks(encode_pair("0", "1"), "1", 6, 14).value
-        assert profile.entries[(0b111, 0)].value == ks("0000001111011", "", 6, 14).value
-
-    def test_condition_mask_zero_means_empty_condition(self):
-        profile = complexity_profile(["01"], 4, 14)
-        entry = profile.entries[(1, 0)]
-        assert entry.condition == ""
+    def test_refused_one_live_program_past_the_limit(self, monkeypatch):
+        # The `11` shard's largest length below cap 16 holds 128 live programs, first at length 15.
+        monkeypatch.setattr(kolmo, "_MAX_LIVE", 128)
+        assert ks_scan("1", "", 0, 16, prefix="11").value is None
+        monkeypatch.setattr(kolmo, "_MAX_LIVE", 127)
+        with pytest.raises(ValueError, match="^128 live programs of length 15, limit 127$"):
+            ks_scan("1", "", 0, 16, prefix="11")
 
 
 class TestCache:

@@ -26,8 +26,7 @@ from kslab.laws import (
     typical_set,
     verify_law,
 )
-from kslab.laws import _least_constant
-from kslab.kolmo import complexity_profile
+from kslab.laws import _least_constant, _profile, _profile_readers
 
 
 @pytest.fixture()
@@ -425,17 +424,23 @@ class TestTypicalSets:
 
     def test_members_are_profile_dominated(self, cache):
         ts = typical_set(("0",), 8, 1, 14, cache=cache)
-        base_levels = profile_level_vector(ts.base_profile)
+        base_levels = profile_level_vector(ts.base_profile, ts.cap)
         for member in ts.members:
-            prof = complexity_profile(member, ts.u_star, ts.cap, cache)
+            prof = _profile(member, _profile_readers(1), ts.u_star, ts.cap, cache)
             assert all(
-                c <= b for c, b in zip(profile_level_vector(prof), base_levels)
+                c <= b for c, b in zip(profile_level_vector(prof, ts.cap), base_levels)
             )
+
+    def test_an_all_notfound_base_dominates_every_tuple(self, cache):
+        # At cap 0 no query is found, so every base entry is skipped.
+        ts = typical_set(("0",), 0, 1, 0, cache=cache)
+        assert set(ts.base_profile.values()) == {None}
+        assert ts.members == (("",), ("0",), ("1",))
 
     def test_counting_bound(self, cache):
         ts = typical_set(("01", "1"), 8, 2, 14, cache=cache)
         full_mask = (1 << len(ts.xs)) - 1
-        m = ts.base_profile.entries[(full_mask, 0)].value
+        m = ts.base_profile[(full_mask, 0)]
         assert m is not None
         assert len(ts.members) <= 2 ** (m + 1) - 1
 
@@ -454,17 +459,37 @@ class TestTypicalSets:
         lines = text.splitlines()
         assert lines[0].startswith("base=01,1 u=8 u*=1056 n=2 cap=14 members=21")
         assert lines[1] == "I\tJ\tH_bits\tKS\tgap"
-        assert len(lines) == 2 + len(ts.base_profile.entries)
+        assert len(lines) == 2 + len(ts.base_profile)
         first = lines[2].split("\t")
         assert first[0] == "{1}" and "." in first[2]
 
     def test_profiles_stabilize_along_a_space_ladder(self, cache):
         levels = [
-            profile_level_vector(complexity_profile(("01", "1"), s, 14, cache))
+            profile_level_vector(_profile(("01", "1"), _profile_readers(2), s, 14, cache), 14)
             for s in (1, 2, 4, 8, 16)
         ]
         idx = find_stable_level(levels)
         assert levels[idx] == levels[idx + 1]
+
+
+class TestProfile:
+    def test_entry_count_is_pairs_of_disjoint_masks(self):
+        for k in (1, 2, 3):
+            strings = ("0",) * k
+            profile = _profile(strings, _profile_readers(k), 4, 14, None)
+            assert len(profile) == 3**k - 2**k
+
+    def test_entries_match_direct_queries(self):
+        profile = _profile(("0", "1", "1"), _profile_readers(3), 6, 14, None)
+        assert profile[(0b001, 0)] == ks("0", "", 6, 14).value
+        assert profile[(0b011, 0b100)] == ks(encode_pair("0", "1"), "1", 6, 14).value
+        assert profile[(0b111, 0)] == ks("0000001111011", "", 6, 14).value
+
+    def test_condition_mask_zero_means_empty_condition(self):
+        profile = _profile(("01",), _profile_readers(1), 4, 14, None)
+        # Given itself, "01" is the 2-bit echo "10"; given nothing, the 3-bit literal "001".
+        assert ks("01", "01", 4, 14).value == 2
+        assert profile[(1, 0)] == ks("01", "", 4, 14).value == 3
 
 
 class TestBaselines:

@@ -13,12 +13,11 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
 * `verify_law` on the five law grids of the benchmark's `lab-session`
   pass, without a cache, as one total (milliseconds), and the
   `ks_evaluations` of those five calls, summed,
-* loading a `ComplexityCache` file of `CACHE_RECORDS` records, per record,
-  as in a new process (microseconds); a checkout whose load parses fields
-  through a memo, `kolmo._hex_to_bits`, has it cleared first,
-* putting `CACHE_RECORDS` records into a new `ComplexityCache` file, per
-  record, the closing `flush` included where the checkout has one
+* `typical_set(("01", "1"), 8, 2, 14)` without a cache (milliseconds),
+* loading a `ComplexityCache` file of `CACHE_RECORDS` records, per record
   (microseconds),
+* putting `CACHE_RECORDS` records into a new `ComplexityCache` file, per
+  record, the closing `flush` included (microseconds),
 * `is_shannon` on Zhang-Yeung (k = 4, unpermuted), on `lab-session`'s
   k = 5 member and on `k=6; {1}:1` (milliseconds each).
 
@@ -64,9 +63,8 @@ def main() -> int:
     from oracle import sample_machine_bits
     from workloads import LabSession
     from kslab.entropy import is_shannon, parse_inequality
-    from kslab import kolmo
     from kslab.kolmo import ComplexityCache, ks, ks_scan
-    from kslab.laws import strings_up_to, verify_law
+    from kslab.laws import strings_up_to, typical_set, verify_law
     from kslab.machine import MachineSpec, parse_bits, serialize_machine
 
     rng = random.Random(3)
@@ -96,14 +94,7 @@ def main() -> int:
         lambda: [verify_law(law, cap=14, **kw) for law, kw in law_calls], REPS
     ) * 1e3
     result["ks_evaluations"] = sum(verify_law(law, cap=14, **kw).ks_evaluations for law, kw in law_calls)
-
-    # Checkouts before the one-regex load parse fields through this memo.
-    field_memo = getattr(kolmo, "_hex_to_bits", None)
-
-    def load(path):
-        if field_memo is not None:
-            field_memo.cache_clear()
-        ComplexityCache(path)
+    result["typical_set_ms"] = _best(lambda: typical_set(("01", "1"), 8, 2, 14), REPS) * 1e3
 
     queries = product(strings_up_to(8), strings_up_to(2), range(0, 600, 60))
     records = [ks(y, x, s, 14) for y, x, s in islice(queries, CACHE_RECORDS)]
@@ -114,12 +105,11 @@ def main() -> int:
             cache = ComplexityCache(Path(tmp) / f"put-{next(fresh)}.tsv")
             for record in records:
                 cache.put(record)
-            # Checkouts before the queued put write each record in put.
-            getattr(cache, "flush", lambda: None)()
+            cache.flush()
 
         result["cache_put_us"] = _best(put_all, REPS) * 1e6 / CACHE_RECORDS
         path = Path(tmp) / "put-0.tsv"
-        result["cache_load_us"] = _best(lambda: load(path), REPS) * 1e6 / CACHE_RECORDS
+        result["cache_load_us"] = _best(lambda: ComplexityCache(path), REPS) * 1e6 / CACHE_RECORDS
     gen5 = oracle.elemental(5)
     member_k5 = oracle.combine(*((w, gen5[i]) for i, w in LabSession.MEMBER_K5))
     cone_checks = {
