@@ -28,6 +28,7 @@ from .kolmo import (
     ks,
 )
 from .laws import (
+    _MAX_GRID_POINTS,
     LAW_NAMES,
     BaselineMismatch,
     baseline_name,
@@ -49,9 +50,6 @@ __all__ = [
     "cmd_law_verify",
     "main",
 ]
-
-# Largest ks table, counted before any row is built, as the law grids are.
-_MAX_TABLE_ROWS = 500_000
 
 
 def _parse_grid(text: str, flag: str) -> list:
@@ -112,8 +110,9 @@ def cmd_ks_table(args) -> int:
     if args.conditions_to < -1:
         raise ValueError("--conditions-to must be >= -1")
     rows = len(s_grid) * count_strings_up_to(args.targets_to) * count_strings_up_to(args.conditions_to)
-    if rows > _MAX_TABLE_ROWS:
-        raise ValueError(f"table has over {_MAX_TABLE_ROWS} rows (targets x conditions x s values)")
+    # A table is a grid of points too, refused before any row is built.
+    if rows > _MAX_GRID_POINTS:
+        raise ValueError(f"table has over {_MAX_GRID_POINTS} rows (targets x conditions x s values)")
     conditions = strings_up_to(args.conditions_to) if args.conditions_to >= 0 else [""]
     with _open_cache(args) as cache:
         results = [

@@ -45,7 +45,6 @@ from .machine import (
     check_bits,
     compile_spec,
     final_configuration,
-    pack_config,
 )
 
 
@@ -210,7 +209,7 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
     p_branch = tuple(int(bit) for bit in p) + (2,)
     x_branch = tuple(int(bit) for bit in x) + (2,)
     # The root, in the canonical halt state, is never the start (0, EMPTY_STACK, EMPTY_STACK, 0, 0).
-    rst, rsl, rsr, rhp, rhx = st, sl, sr, hp, hx = pack_config(final_configuration(canon, p, x))
+    rst, rsl, rsr, rhp, rhx = st, sl, sr, hp, hx = final_configuration(canon, p, x)
 
     visited = 1
     peak_live = 1

@@ -296,8 +296,10 @@ def ks_scan(
     holds at most two live builtin-mode programs plus the live general-mode
     ones: the unbroken doubled headers, about 2^(length/2), and every
     extension of a header that is a serialized machine.  A length with
-    more than _MAX_LIVE live programs is refused (ValueError), so one
-    length's list never holds more than twice that.
+    more than _MAX_LIVE live general-mode (`11`-prefixed) programs is
+    refused (ValueError), so a whole scan is refused exactly when its
+    `11` shard is.  An admitted length's list holds at most _MAX_LIVE + 2
+    programs, and the list grown from it at most 2 * _MAX_LIVE + 2.
 
     The optional prefix restricts the search to programs extending it,
     which lets a caller shard the space ("0", "10", "11", ...) and combine
@@ -318,8 +320,9 @@ def ks_scan(
         if length == cap or not level:
             break
         level = [grown for prog in level for grown in (prog + "0", prog + "1") if _live(grown, x, y)]
-        if len(level) > _MAX_LIVE:
-            raise ValueError(f"{len(level)} live programs of length {length + 1}, limit {_MAX_LIVE}")
+        general = sum(prog.startswith("11") for prog in level)
+        if general > _MAX_LIVE:
+            raise ValueError(f"{general} live programs of length {length + 1}, limit {_MAX_LIVE}")
     return ComplexityResult(y, x, s, cap, None, None)
 
 

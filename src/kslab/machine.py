@@ -99,24 +99,7 @@ _OPERANDS: dict[Op, tuple[str, ...]] = {
 _SHAPES = {(used.count("bit"), len(used) - used.count("bit")) for used in _OPERANDS.values()}
 
 
-def halt() -> Instruction:
-    return Instruction(Op.HALT)
-
-
-def pop_l(nxt: int) -> Instruction:
-    return Instruction(Op.POP_L, 0, nxt)
-
-
-def pop_r(nxt: int) -> Instruction:
-    return Instruction(Op.POP_R, 0, nxt)
-
-
-def read_p(on0: int, on1: int, on_end: int) -> Instruction:
-    return Instruction(Op.READ_P, 0, on0, on1, on_end)
-
-
-def read_x(on0: int, on1: int, on_end: int) -> Instruction:
-    return Instruction(Op.READ_X, 0, on0, on1, on_end)
+_HALT = Instruction(Op.HALT)
 
 
 @dataclass(frozen=True)
@@ -159,6 +142,12 @@ def _validate_instruction(ins: Instruction, state_count: int) -> None:
                 raise ValueError(f"instruction bit must be 0 or 1, got {value}")
         elif not 0 < value < state_count:
             raise ValueError(f"state operand {value} out of range for {state_count} states")
+
+
+# The string-configuration simulator: `Configuration`, `initial_configuration`,
+# `step` and its result types, `_top_index` and `MachineSpec.instruction`.  The
+# package runs only the packed form below; these stay because the benchmark's
+# oracle (`perfbench/oracle.py`) and the tests check that form against them.
 
 
 class Configuration(NamedTuple):
@@ -277,16 +266,6 @@ PackedConfig = tuple[int, int, int, int, int]
 
 def compile_spec(spec: MachineSpec) -> tuple[tuple[int, int, int, int, int], ...]:
     return tuple((int(i.op), i.bit, i.t0, i.t1, i.t2) for i in spec.instructions)
-
-
-def pack_config(cfg: Configuration) -> PackedConfig:
-    return (
-        cfg.state,
-        int("1" + cfg.stack_l, 2),
-        int("1" + cfg.stack_r, 2),
-        cfg.head_p,
-        cfg.head_x,
-    )
 
 
 def _execute(
@@ -539,7 +518,7 @@ def parse_machine(text: str) -> MachineSpec:
         seen_lines[idx] = lineno
     if state_count is None:
         raise MachineFormatError("empty machine description")
-    instructions = tuple(table.get(i, halt()) for i in range(9 * state_count))
+    instructions = tuple(table.get(i, _HALT) for i in range(9 * state_count))
     return MachineSpec(state_count, instructions)
 
 
@@ -647,28 +626,27 @@ def canonicalize(spec: MachineSpec) -> MachineSpec:
     adv_p = n + 2
     adv_x = n + 3
     halt_state = n + 4
-    to_drain = read_p(drain_l, drain_l, drain_l)
+    to_drain = Instruction(Op.READ_P, 0, drain_l, drain_l, drain_l)
+    to_drain_r = Instruction(Op.READ_P, 0, drain_r, drain_r, drain_r)
+    to_adv_p = Instruction(Op.READ_P, 0, adv_p, adv_p, adv_p)
     instructions = [to_drain if ins.op is Op.HALT else ins for ins in spec.instructions]
     for ta in range(3):
         for tb in range(3):
-            instructions.append(pop_l(drain_l) if ta != TOP_EMPTY else read_p(drain_r, drain_r, drain_r))
+            instructions.append(Instruction(Op.POP_L, 0, drain_l) if ta != TOP_EMPTY else to_drain_r)
     for ta in range(3):
         for tb in range(3):
-            instructions.append(pop_r(drain_r) if tb != TOP_EMPTY else read_p(adv_p, adv_p, adv_p))
-    instructions.extend([read_p(adv_p, adv_p, adv_x)] * 9)
-    instructions.extend([read_x(adv_x, adv_x, halt_state)] * 9)
-    instructions.extend([halt()] * 9)
+            instructions.append(Instruction(Op.POP_R, 0, drain_r) if tb != TOP_EMPTY else to_adv_p)
+    instructions.extend([Instruction(Op.READ_P, 0, adv_p, adv_p, adv_x)] * 9)
+    instructions.extend([Instruction(Op.READ_X, 0, adv_x, adv_x, halt_state)] * 9)
+    instructions.extend([_HALT] * 9)
     return MachineSpec(n + 5, tuple(instructions))
 
 
-def canonical_halt_state(canonical: MachineSpec) -> int:
-    return canonical.state_count - 1
+def final_configuration(canonical: MachineSpec, p: str, x: str) -> PackedConfig:
+    """The packed configuration in which canonical machines execute halt:
+    the last state, both stacks empty, both heads at the end markers."""
 
-
-def final_configuration(canonical: MachineSpec, p: str, x: str) -> Configuration:
-    """The single configuration in which canonical machines execute halt."""
-
-    return Configuration(canonical_halt_state(canonical), "", "", len(p), len(x))
+    return (canonical.state_count - 1, EMPTY_STACK, EMPTY_STACK, len(p), len(x))
 
 
 __all__ = [
@@ -683,7 +661,6 @@ __all__ = [
     "compile_spec",
     "final_configuration",
     "initial_configuration",
-    "pack_config",
     "parse_bits",
     "parse_machine",
     "record_width",

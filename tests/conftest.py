@@ -27,14 +27,12 @@ from kslab.kolmo import (
 )
 from kslab.machine import (
     Configuration,
-    Instruction,
     MachineSpec,
     Op,
     StepKind,
     Verdict,
     canonicalize,
     check_bits,
-    final_configuration,
     initial_configuration,
     parse_bits,
     parse_machine,
@@ -144,10 +142,6 @@ def brute_scan(y: str, x: str, s: int, cap: int, prefix: str = "") -> Complexity
     return ComplexityResult(y, x, s, cap, None, None)
 
 
-def push_l(bit: int, nxt: int) -> Instruction:
-    return Instruction(Op.PUSH_L, bit, nxt)
-
-
 def trace(spec: MachineSpec, p: str, x: str, s: int, step_limit: int):
     """Yield the configurations of a bounded run, starting at the initial one.
 
@@ -250,7 +244,9 @@ def oracle_backward(spec: MachineSpec, p: str, x: str, s: int, visited=None) -> 
     def children(cfg):
         return iter([c for c in inverse.get(cfg, ()) if c.space <= s])
 
-    root, start = final_configuration(canon, p, x), initial_configuration()
+    # The root: canonical machines halt in their last state, drained and at both ends.
+    root = Configuration(canon.state_count - 1, "", "", len(p), len(x))
+    start = initial_configuration()
     count, live = 1, 1
     if visited is not None:
         visited.append(root)

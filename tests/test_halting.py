@@ -27,18 +27,18 @@ from kslab.halting import (
 )
 from kslab.machine import (
     Configuration,
+    Instruction,
     MachineSpec,
     Op,
     StepKind,
     Verdict,
     canonicalize,
-    halt,
     parse_machine,
     step,
 )
 
 WRITE_LOOP = parse_machine("states: 1\n0 _ _ -> write 0 0\n")
-IMMEDIATE_HALT = MachineSpec(1, tuple([halt()] * 9))
+IMMEDIATE_HALT = MachineSpec(1, (Instruction(Op.HALT),) * 9)
 
 
 class TestCounts:

@@ -239,6 +239,10 @@ class TestScanOracle:
         with pytest.raises(ValueError):
             scan_combine([ks_scan("1", "", 0, 3), ks_scan("0", "", 0, 3)])
 
+    def test_scan_combine_refuses_no_shards(self):
+        with pytest.raises(ValueError, match="^nothing to combine$"):
+            scan_combine([])
+
     def test_empty_program_never_produces_output(self):
         # The length-0 program is not covered by first-bit shards; it must
         # be unparsable for sharding to be safe.
@@ -304,9 +308,17 @@ class TestScanOracle:
         # The `11` shard's largest length below cap 16 holds 128 live programs, first at length 15.
         monkeypatch.setattr(kolmo, "_MAX_LIVE", 128)
         assert ks_scan("1", "", 0, 16, prefix="11").value is None
+        # A whole scan holds the literal and echo programs too, which the
+        # limit does not count: it is admitted exactly when its `11` shard is.
+        y = "1" * 40
+        whole = ks_scan(y, "", 0, 16)
+        assert whole == scan_combine(ks_scan(y, "", 0, 16, prefix=pfx) for pfx in ("0", "10", "11"))
+        assert whole.value is None
         monkeypatch.setattr(kolmo, "_MAX_LIVE", 127)
         with pytest.raises(ValueError, match="^128 live programs of length 15, limit 127$"):
             ks_scan("1", "", 0, 16, prefix="11")
+        with pytest.raises(ValueError, match="^128 live programs of length 15, limit 127$"):
+            ks_scan(y, "", 0, 16)
 
 
 class TestCache:

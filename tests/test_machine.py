@@ -12,7 +12,6 @@ from conftest import (
     all_bits,
     echo_x_spec,
     push_forever_spec,
-    push_l,
     sample_machine_bits,
     sample_spec,
     seesaw_spec,
@@ -21,6 +20,7 @@ from conftest import (
 )
 from kslab.halting import config_count
 from kslab.machine import (
+    EMPTY_STACK,
     BitsParseError,
     Configuration,
     Instruction,
@@ -28,16 +28,11 @@ from kslab.machine import (
     MachineSpec,
     Op,
     Verdict,
-    canonical_halt_state,
     canonicalize,
     final_configuration,
-    halt,
     initial_configuration,
     parse_bits,
     parse_machine,
-    pop_l,
-    read_p,
-    read_x,
     record_width,
     run,
     serialize_machine,
@@ -47,6 +42,7 @@ from kslab.machine import (
 )
 
 BITS = st.text(alphabet="01", max_size=6)
+HALT = Instruction(Op.HALT)
 
 # The fields each opcode uses, stated here independently of the machine module.
 USED_FIELDS = {
@@ -71,15 +67,10 @@ def _param_id(value):
 def _table_with(ins, states):
     """A table whose first entry is ins and every other entry halt."""
 
-    return (ins,) + (halt(),) * (9 * states - 1)
+    return (ins,) + (HALT,) * (9 * states - 1)
 
 
 class TestInstructions:
-    def test_factories_produce_validated_instructions(self):
-        assert halt() == Instruction(Op.HALT)
-        assert push_l(1, 3).t0 == 3
-        assert read_p(0, 1, 2) == Instruction(Op.READ_P, 0, 0, 1, 2)
-
     @pytest.mark.parametrize("states", [1, 3])
     @pytest.mark.parametrize("op,field", UNUSED, ids=_param_id)
     def test_unused_fields_must_stay_zero(self, op, field, states):
@@ -101,7 +92,11 @@ class TestInstructions:
 
     def test_instruction_count_must_match(self):
         with pytest.raises(ValueError):
-            MachineSpec(2, tuple([halt()] * 9))
+            MachineSpec(2, tuple([HALT] * 9))
+
+    def test_state_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="state_count must be >= 1"):
+            MachineSpec(0, ())
 
 
 class TestStep:
@@ -170,7 +165,7 @@ class TestRun:
         assert result.max_space == 0
 
     def test_halting_does_not_count_a_step(self):
-        spec = MachineSpec(1, tuple([halt()] * 9))
+        spec = MachineSpec(1, tuple([HALT] * 9))
         result = run(spec, "", "", 0, 10)
         assert result.verdict is Verdict.HALTED
         assert result.steps == 0
@@ -236,7 +231,7 @@ class TestRun:
         assert stops[99] == 128
 
     def test_rejects_negative_bounds(self):
-        spec = MachineSpec(1, tuple([halt()] * 9))
+        spec = MachineSpec(1, tuple([HALT] * 9))
         with pytest.raises(ValueError):
             run(spec, "", "", -1, 10)
         with pytest.raises(ValueError):
@@ -251,8 +246,8 @@ class TestRun:
 class TestTextFormat:
     def test_unlisted_entries_default_to_halt(self):
         spec = parse_machine("states: 2\n0 _ _ -> pushL 1 1\n")
-        assert spec.instruction(1, 0, 0) == halt()
-        assert spec.instruction(0, 1, 0) == halt()
+        assert spec.instruction(1, 0, 0) == HALT
+        assert spec.instruction(0, 1, 0) == HALT
 
     def test_comments_and_blank_lines_ignored(self):
         spec = parse_machine("# top\n\nstates: 1\n0 _ _ -> halt  # inline\n")
@@ -276,6 +271,10 @@ class TestTextFormat:
             "states: 1\n0 _ _ -> popR\n",             # arity
             "states: 1\n0 _ _ -> popL 0 0\n",         # arity
             "states: 1\n0 2 _ -> halt\n",             # bad top symbol
+            "states: 1\nq _ _ -> halt\n",             # non-decimal state
+            "states: 1\n-1 _ _ -> halt\n",            # negative state
+            "states: 1\n0 _ _ halt\n",                # no arrow
+            "states: 1\n0 _ _ ->\n",                  # no instruction
             "states: 1\n0 _ _ -> halt\n0 _ _ -> halt\n",  # duplicate entry
         ],
     )
@@ -291,6 +290,12 @@ class TestTextFormat:
         assert excinfo.value.line == 2
         assert parse_machine("states: 4096\n").state_count == 4096
 
+    @pytest.mark.parametrize("text", ["", "\n# only a comment\n"])
+    def test_empty_description_is_refused_without_a_line(self, text):
+        with pytest.raises(MachineFormatError, match="^empty machine description$") as excinfo:
+            parse_machine(text)
+        assert excinfo.value.line is None
+
     def test_error_carries_line_number(self):
         try:
             parse_machine("states: 1\n0 _ _ -> popL 9\n")
@@ -304,7 +309,7 @@ class TestBitFormat:
     @pytest.mark.parametrize("n,length", [(1, 38), (2, 111), (3, 247), (4, 329)])
     def test_serialized_lengths(self, n, length):
         assert serialized_length(n) == length
-        spec = MachineSpec(n, tuple([halt()] * (9 * n)))
+        spec = MachineSpec(n, tuple([HALT] * (9 * n)))
         assert len(serialize_machine(spec)) == length
 
     @pytest.mark.parametrize("n,wd,rw", [(1, 0, 4), (2, 1, 6), (3, 2, 9), (4, 2, 9)])
@@ -389,7 +394,8 @@ class TestCanonicalize:
         spec = echo_x_spec()
         canon = canonicalize(spec)
         assert canon.state_count == spec.state_count + 5
-        assert canonical_halt_state(canon) == spec.state_count + 4
+        assert final_configuration(canon, "", "")[0] == spec.state_count + 4
+        assert {ins.op for ins in canon.instructions[-9:]} == {Op.HALT}
 
     def test_preserves_output_space_and_verdict(self):
         rng = random.Random(23)
@@ -416,8 +422,9 @@ class TestCanonicalize:
         p, x = "01", "110"
         steps = list(trace(canon, p, x, 6, 10000))
         final = steps[-1]
-        assert final == final_configuration(canon, p, x)
         assert (final.stack_l, final.stack_r) == ("", "")
+        packed = (final.state, EMPTY_STACK, EMPTY_STACK, final.head_p, final.head_x)
+        assert packed == final_configuration(canon, p, x)
         assert final.head_p == len(p) and final.head_x == len(x)
 
     def test_canonical_machine_drains_stacks_and_tapes(self):

@@ -19,7 +19,10 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
 * putting `CACHE_RECORDS` records into a new `ComplexityCache` file, per
   record, the closing `flush` included (microseconds),
 * `is_shannon` on Zhang-Yeung (k = 4, unpermuted), on `lab-session`'s
-  k = 5 member and on `k=6; {1}:1` (milliseconds each).
+  k = 5 member and on `k=6; {1}:1` (milliseconds each),
+* each of `decide_backward`, `decide_forward` and `decide_counter` on
+  the cases of the benchmark's `decider-sweep` at seed 7, as the
+  `configurations_visited` of those calls, summed, per second.
 
 Machines come from the benchmark's own rejection sampler, seeded, so every
 checkout times the same inputs.  Prints one JSON object.
@@ -61,8 +64,9 @@ def main() -> int:
 
     import oracle
     from oracle import sample_machine_bits
-    from workloads import LabSession
+    from workloads import DeciderSweep, LabSession
     from kslab.entropy import is_shannon, parse_inequality
+    from kslab.halting import decide_backward, decide_counter, decide_forward
     from kslab.kolmo import ComplexityCache, ks, ks_scan
     from kslab.laws import strings_up_to, typical_set, verify_law
     from kslab.machine import MachineSpec, parse_bits, serialize_machine
@@ -120,6 +124,11 @@ def main() -> int:
     for name, text in cone_checks.items():
         inequality = parse_inequality(text)
         result[name] = _best(lambda: is_shannon(inequality), REPS) * 1e3
+    cases = DeciderSweep(root, None, 7, False).cases
+    for decide in (decide_backward, decide_forward, decide_counter):
+        configs = sum(decide(*case).probe_stats.configurations_visited for case in cases)
+        seconds = _best(lambda: [decide(*case) for case in cases], REPS)
+        result[f"{decide.__name__}_configs_per_s"] = configs / seconds
     print(json.dumps({k: round(v, 4) if isinstance(v, float) else v for k, v in result.items()}))
     return 0
 
