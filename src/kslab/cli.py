@@ -28,10 +28,10 @@ from .kolmo import (
     ks,
 )
 from .laws import (
-    _MAX_GRID_POINTS,
     LAW_NAMES,
     BaselineMismatch,
     baseline_name,
+    check_points,
     count_strings_up_to,
     freeze_or_check,
     gap_report,
@@ -107,13 +107,12 @@ def cmd_ks_table(args) -> int:
     s_grid = _parse_grid(args.s_grid, "--s-grid")
     if args.targets_to < 0:
         raise ValueError("--targets-to must be >= 0")
-    if args.conditions_to < -1:
-        raise ValueError("--conditions-to must be >= -1")
-    rows = len(s_grid) * count_strings_up_to(args.targets_to) * count_strings_up_to(args.conditions_to)
+    if args.conditions_to < 0:
+        raise ValueError("--conditions-to must be >= 0")
     # A table is a grid of points too, refused before any row is built.
-    if rows > _MAX_GRID_POINTS:
-        raise ValueError(f"table has over {_MAX_GRID_POINTS} rows (targets x conditions x s values)")
-    conditions = strings_up_to(args.conditions_to) if args.conditions_to >= 0 else [""]
+    rows = len(s_grid) * count_strings_up_to(args.targets_to) * count_strings_up_to(args.conditions_to)
+    check_points(rows, "table (targets x conditions x s values)")
+    conditions = strings_up_to(args.conditions_to)
     with _open_cache(args) as cache:
         results = [
             cached_ks(y, x, s, args.cap, cache)
@@ -179,7 +178,7 @@ def cmd_law_verify(args) -> int:
 
 
 def cmd_law_staged(args) -> int:
-    ordinal = staged_enumeration(args.x, args.m, args.n, (args.x, args.target_y), args.stage_cap)
+    ordinal = staged_enumeration(args.x, args.m, args.n, (args.x, args.target_y))
     if args.format == "json":
         print(
             json.dumps(
@@ -300,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = ks_group.add_parser("table", help="grid of complexities")
     p.add_argument("--targets-to", type=int, required=True, help="max target length")
-    p.add_argument("--conditions-to", type=int, default=-1, help="max condition length")
+    p.add_argument("--conditions-to", type=int, default=0, help="max condition length")
     p.add_argument("--s-grid", required=True, help="comma-separated space bounds")
     p.add_argument("--cap", type=int, default=14)
     _add_format_flag(p, default="csv", choices=("csv", "json"))
@@ -345,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-y", default="")
     p.add_argument("--m", type=int, required=True, help="complexity threshold")
     p.add_argument("--n", type=int, required=True, help="max length of enumerated strings")
-    p.add_argument("--stage-cap", type=int, default=8)
     _add_format_flag(p)
     p.set_defaults(func=cmd_law_staged)
 

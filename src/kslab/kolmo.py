@@ -327,30 +327,15 @@ def ks_scan(
 
 
 def scan_combine(results) -> ComplexityResult:
-    """Merge shard results: shortest wins, lexicographic witness on ties."""
+    """Merge shard results: shortest wins, lexicographic witness on ties, else the first shard."""
 
     results = list(results)
     if not results:
         raise ValueError("nothing to combine")
-    base = results[0]
-    best = None
-    for res in results:
-        if (res.target, res.condition, res.s, res.cap) != (
-            base.target,
-            base.condition,
-            base.s,
-            base.cap,
-        ):
-            raise ValueError("shards describe different searches")
-        if res.value is None:
-            continue
-        if (
-            best is None
-            or res.value < best.value
-            or (res.value == best.value and res.witness < best.witness)
-        ):
-            best = res
-    return best if best is not None else base
+    if len({(res.target, res.condition, res.s, res.cap) for res in results}) > 1:
+        raise ValueError("shards describe different searches")
+    found = (res for res in results if res.value is not None)
+    return min(found, key=lambda res: (res.value, res.witness), default=results[0])
 
 
 # Cached because a cache key repeats a few distinct bit strings many times:

@@ -41,6 +41,7 @@ from .machine import check_bits
 
 __all__ = [
     "LAW_NAMES",
+    "check_points",
     "verify_law",
     "staged_enumeration",
     "typical_set",
@@ -171,19 +172,26 @@ class LawReport:
         )
 
 
-def _grid_points(arity: int, n: int, s_count: int) -> list:
-    """All arity-tuples of strings of length <= n, refused past the limit.
+def check_points(total: int, what: str) -> None:
+    """Refuse a grid of more than _MAX_GRID_POINTS points, before it is built.
 
-    The grid is counted before it is built.  A component is one of the
-    2^(n+1) - 1 strings of length <= n, so arity * n > 64 means over 2^64
-    points, and a 0-tuple grid has one point per s whatever n is.
+    A total of 2^64 or more is reported as such, not as a count:
+    count_strings_up_to saturates there.
     """
 
-    if arity * n > 64:
-        raise ValueError(f"grid has over 2^64 points, limit {_MAX_GRID_POINTS}")
-    total = (2 ** (n + 1) - 1 if arity else 1) ** arity * s_count
     if total > _MAX_GRID_POINTS:
-        raise ValueError(f"grid has {total} points, limit {_MAX_GRID_POINTS}")
+        count = "over 2^64" if total >> 64 else total
+        raise ValueError(f"{what} has {count} points, limit {_MAX_GRID_POINTS}")
+
+
+def _grid_points(arity: int, n: int, s_count: int) -> list:
+    """All arity-tuples of strings of length <= n, counted by check_points first.
+
+    The tuples count even with no s, as they are built anyway; a 0-tuple
+    grid builds no string, whatever n is.
+    """
+
+    check_points(count_strings_up_to(n) ** arity * max(s_count, 1), "grid")
     return list(product(strings_up_to(n) if arity else (), repeat=arity))
 
 
@@ -416,7 +424,6 @@ class StageOrdinal:
     ordinal < total_enumerated holds by construction.
     """
 
-    target: tuple
     threshold: int
     ordinal: int
     s_hit: int
@@ -433,52 +440,39 @@ def staged_sets(x: str, m: int, n: int, s_max: int):
     itself: qualifying means found at or below the threshold.  Stages
     start at s = 0 because programs can succeed without any workspace.
 
-    Bounded by the points built, not by s_max: a stage is refused before
-    it is built when it would take the points (candidates times stages)
-    past _MAX_GRID_POINTS.
+    The points of all stages (candidates times stages) are counted by
+    _grid_points before the first stage is built.
     """
 
     if m < 0:
         raise ValueError("threshold must be >= 0")
-    per_stage = count_strings_up_to(n)
-    if per_stage > _MAX_GRID_POINTS:
-        raise ValueError(f"n = {n} gives over {_MAX_GRID_POINTS} points per stage")
-    pairs = [(y, encode_pair(x, y)) for y in strings_up_to(n)]
+    pairs = [(y, encode_pair(x, y)) for (y,) in _grid_points(1, n, s_max + 1)]
     before = [None] * len(pairs)
     for s in range(s_max + 1):
-        if per_stage * (s + 1) > _MAX_GRID_POINTS:
-            raise ValueError(
-                f"stages 0..{s} have {per_stage * (s + 1)} points, limit {_MAX_GRID_POINTS}"
-            )
         now = [ks(pair, "", s, m).value for _, pair in pairs]
         yield [y for (y, _), v, b in zip(pairs, now, before) if v is not None and b is None]
         before = now
 
 
-def staged_enumeration(x: str, m: int, n: int, target: tuple, stage_cap: int = 8) -> StageOrdinal:
-    """Run stages until the target pair appears; error past stage_cap.
+def staged_enumeration(x: str, m: int, n: int, target: tuple) -> StageOrdinal:
+    """Run stages s = 0..MAX_CLOSED_FORM_SPACE until the target pair appears.
 
-    Builds no stage after the target's, and none past s =
-    MAX_CLOSED_FORM_SPACE: the searches' cap m is at most
-    MAX_CLOSED_FORM_CAP (ks refuses a larger one), and no program that
-    short is charged more workspace, so no later stage can add a pair.
+    Builds no stage after the target's.  No later stage can add a pair:
+    the searches' cap m is at most MAX_CLOSED_FORM_CAP (ks refuses a
+    larger one), and no program that short is charged more workspace.
     """
 
     tx, ty = target
     if tx != x:
         raise ValueError("target pair must have the enumerated x as first component")
-    if len(ty) > n:
+    if len(check_bits(ty)) > n:
         raise ValueError("target second component exceeds the length bound")
-    if stage_cap < 0:
-        raise ValueError("stage cap must be >= 0")
     listed = 0
-    for s, stage in enumerate(staged_sets(x, m, n, min(stage_cap, MAX_CLOSED_FORM_SPACE))):
+    for s, stage in enumerate(staged_sets(x, m, n, MAX_CLOSED_FORM_SPACE)):
         if ty in stage:
-            return StageOrdinal((x, ty), m, listed + stage.index(ty), s, listed + len(stage))
+            return StageOrdinal(m, listed + stage.index(ty), s, listed + len(stage))
         listed += len(stage)
-    raise ValueError(
-        f"pair ({x!r}, {ty!r}) never reaches threshold {m} within stage cap {stage_cap}"
-    )
+    raise ValueError(f"pair ({x!r}, {ty!r}) never reaches threshold {m}")
 
 
 @dataclass(frozen=True)
@@ -536,7 +530,7 @@ def typical_set(
     base = _profile(xs, readers, u, cap, cache)
     members = [
         cand
-        for cand in product(strings_up_to(n), repeat=k)
+        for cand in _grid_points(k, n, 1)
         if _dominated(_profile(cand, readers, u_star, cap, cache), base)
     ]
     return TypicalSet(xs, u, u_star, n, cap, tuple(members), base)

@@ -75,6 +75,13 @@ class TestKsCommands:
         code, second, _ = run(capsys, *argv)
         assert code == 0 and second == first
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_conditions_default_to_the_empty_string_alone(self, capsys, fmt):
+        argv = ("ks", "table", "--targets-to", "2", "--s-grid", "0,8", "--format", fmt)
+        code, default, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--conditions-to", "0") == (0, default, "")
+
     def test_table_json_format(self, capsys):
         code, out, _ = run(
             capsys, "ks", "table", "--targets-to", "1", "--s-grid", "8", "--format", "json"
@@ -345,12 +352,9 @@ class TestLawCommands:
         assert json.loads(out) == {"ordinal": 0, "stage": 0, "threshold": 3, "total": 1, "x": "", "y": ""}
 
     def test_staged_stops_at_the_target_stage(self, capsys):
-        argv = ("law", "staged", "--x", "", "--target-y", "", "--m", "3", "--n", "1")
-        code, capped, _ = run(capsys, *argv, "--stage-cap", "8")
-        assert (code, capped) == (0, "ordinal: 0\nstage: 0\ntotal: 1\n")
         start = time.perf_counter()
-        code, out, _ = run(capsys, *argv, "--stage-cap", "10000000")
-        assert (code, out) == (0, capped)
+        code, out, _ = run(capsys, "law", "staged", "--x", "", "--target-y", "", "--m", "3", "--n", "1")
+        assert (code, out) == (0, "ordinal: 0\nstage: 0\ntotal: 1\n")
         assert time.perf_counter() - start < 1
 
     def test_staged_refuses_a_stage_above_the_point_limit(self, capsys):
@@ -369,11 +373,10 @@ class TestLawCommands:
 
     def test_staged_unreachable_stops_after_the_last_stage_that_can_add_a_pair(self, capsys):
         # No program of length <= m is charged workspace, so stage 0 is the last
-        # stage that can list a pair, whatever the stage cap.
+        # stage that can list a pair.
         start = time.perf_counter()
         code, out, err = run(
-            capsys, "law", "staged", "--x", "", "--target-y", "1", "--m", "1", "--n", "1",
-            "--stage-cap", "10000000",
+            capsys, "law", "staged", "--x", "", "--target-y", "1", "--m", "1", "--n", "1"
         )
         assert code == 1 and out == "" and "never reaches threshold" in err
         assert time.perf_counter() - start < 1
@@ -541,7 +544,11 @@ class TestExitCodes:
             (("ks", "table", "--targets-to", "-1", "--s-grid", "8"), "--targets-to must be >= 0"),
             (
                 ("ks", "table", "--targets-to", "1", "--conditions-to", "-5", "--s-grid", "8"),
-                "--conditions-to must be >= -1",
+                "--conditions-to must be >= 0",
+            ),
+            (
+                ("ks", "table", "--targets-to", "1", "--conditions-to", "-1", "--s-grid", "8"),
+                "--conditions-to must be >= 0",
             ),
             (("halt", "decide", "--machine", "MACHINE", "--s", "-1"), "space bound must be >= 0"),
             (("law", "verify", "symmetry", "--n", "-1", "--s-grid", "8"), "n must be >= 0"),
@@ -552,7 +559,6 @@ class TestExitCodes:
                 "basic law needs 0 <= k <= 16, got -1",
             ),
             (("law", "staged", "--m", "-1", "--n", "1"), "threshold must be >= 0"),
-            (("law", "staged", "--m", "3", "--n", "1", "--stage-cap", "-1"), "stage cap must be >= 0"),
             (("law", "typical-set", "--xs", "01,1", "--u", "-1", "--n", "2"), "workspace bound must be >= 0"),
             (("cone", "elemental", "--k", "0"), "k must be between 1 and 6, got 0"),
             (("cone", "elemental", "--k", "-1"), "k must be between 1 and 6, got -1"),

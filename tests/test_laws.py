@@ -369,7 +369,7 @@ class TestStagedEnumeration:
         with pytest.raises(ValueError):
             list(staged_sets("", -1, 1, 2))
         with pytest.raises(ValueError):
-            staged_enumeration("", 1, 1, ("", "1"), stage_cap=3)
+            staged_enumeration("", 1, 1, ("", "1"))
 
     def test_ordinal_and_total_match_the_listed_stages(self):
         rng = random.Random(9)
@@ -379,7 +379,7 @@ class TestStagedEnumeration:
             stages = list(staged_sets(x, m, 2, 4))
             listed = [y for stage in stages for y in stage]
             for y in listed:
-                out = staged_enumeration(x, m, 2, (x, y), stage_cap=4)
+                out = staged_enumeration(x, m, 2, (x, y))
                 assert y in stages[out.s_hit]
                 assert out.ordinal == listed.index(y)
                 assert out.total_enumerated == sum(len(stage) for stage in stages[: out.s_hit + 1])
@@ -388,21 +388,22 @@ class TestStagedEnumeration:
         monkeypatch.setattr(laws, "_MAX_GRID_POINTS", 9)
         # n = 1 has 3 candidates per stage: stages 0..2 fit the limit, stage 3 does not.
         assert len(list(staged_sets("", 1, 1, 2))) == 3
-        with pytest.raises(ValueError, match="points, limit 9"):
-            list(staged_sets("", 1, 1, 3))
-        # staged_enumeration reads stage 0 only, whatever its stage cap.
+        # staged_enumeration reads stage 0 only.
         with pytest.raises(ValueError, match="never reaches threshold"):
-            staged_enumeration("", 1, 1, ("", "1"), stage_cap=10**7)
-        assert staged_enumeration("", 3, 1, ("", ""), stage_cap=10**7).s_hit == 0
+            staged_enumeration("", 1, 1, ("", "1"))
+        assert staged_enumeration("", 3, 1, ("", "")).s_hit == 0
         # n = 3 has 15 candidates: one stage is already over the limit.
-        with pytest.raises(ValueError, match="per stage"):
+        with pytest.raises(ValueError, match="grid has 15 points, limit 9"):
             list(staged_sets("", 3, 3, 0))
-
-    def test_negative_stage_cap_is_refused_before_any_stage(self, monkeypatch):
-        # The pair is reachable at stage 0; a negative cap must not read as "never reaches".
+        # All stages' points are counted before the first stage is built.
         monkeypatch.setattr(laws, "ks", None)
-        with pytest.raises(ValueError, match="stage cap must be >= 0"):
-            staged_enumeration("", 3, 1, ("", ""), stage_cap=-1)
+        with pytest.raises(ValueError, match="grid has 12 points, limit 9"):
+            list(staged_sets("", 1, 1, 3))
+
+    def test_a_target_that_is_not_a_bit_string_is_refused_before_any_stage(self, monkeypatch):
+        monkeypatch.setattr(laws, "ks", None)
+        with pytest.raises(ValueError, match="must consist of '0'/'1' characters, got '2'"):
+            staged_enumeration("", 3, 1, ("", "2"))
 
 
 class TestTypicalSets:

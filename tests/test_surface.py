@@ -5,7 +5,8 @@ the package or by the benchmark under `perfbench/`; an export that only
 the tests reach is API that no measurement needs.  Likewise every public
 method or property of a class in `src/kslab` must be read somewhere in
 `src/kslab`, `perfbench/` or `tools/`.  And every name the benchmark's
-tracer patches must still exist.
+tracer patches must still exist.  No module imports another's
+underscore name, save the one shared private loop.
 """
 
 import ast
@@ -84,3 +85,17 @@ def test_the_benchmark_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert patched and all(getattr(owner, attr) is original for owner, attr, original in patched)
+
+
+def test_no_module_imports_another_modules_private_name():
+    # The one shared private name is the machine's run loop, which the
+    # halting deciders drive directly.
+    imported = {
+        (module.stem, node.module, alias.name)
+        for module in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert imported == {("halting", "machine", "_execute")}
