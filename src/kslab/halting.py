@@ -20,7 +20,9 @@ instruction before its combined stack length ever exceeds s?":
   its parent (one forward step, then a table lookup of the vertex's index
   among the parent's children), so at most three configurations are held at
   any moment.  The moves are not separate functions: one loop runs them over
-  the current vertex's fields, with no call and no tuple per move.
+  the current vertex's fields, with no call and no tuple per move.  Only
+  the table entries that a run from the start may execute are inverted, so
+  subtrees that no run can enter are never walked.
 
 Each refuses, before any step, an input whose `config_count` passes
 `_MAX_CONFIGS`, so its time is bounded by that count.  All three agree on
@@ -100,6 +102,46 @@ _Buckets = tuple[tuple[_Recipe, ...], ...]
 _ANY_TOP = -1
 
 
+def _reachable_entries(spec: MachineSpec) -> set[int]:
+    """The table entries (q * 3 + a) * 3 + b that a run from the start may execute.
+
+    A worklist over the table from the start's entry (0, empty, empty): a
+    push sets the new top to the pushed bit, a pop of a nonempty stack
+    leaves any of 0, 1 or empty on top, a write or a read keeps both tops,
+    and a read may go to any of its three targets.  The set holds every
+    entry some run executes, and perhaps more.  It does not depend on the
+    tapes or on s.
+    """
+
+    reached = {8}  # (0, empty, empty)
+    work = [8]
+    while work:
+        entry = work.pop()
+        a, b = entry // 3 % 3, entry % 3
+        ins = spec.instructions[entry]
+        op = ins.op
+        if op is Op.PUSH_L:
+            successors = [(ins.t0, ins.bit, b)]
+        elif op is Op.PUSH_R:
+            successors = [(ins.t0, a, ins.bit)]
+        elif op is Op.POP_L:
+            successors = [(ins.t0, top, b) for top in range(3)] if a != 2 else []
+        elif op is Op.POP_R:
+            successors = [(ins.t0, a, top) for top in range(3)] if b != 2 else []
+        elif op is Op.WRITE:
+            successors = [(ins.t0, a, b)]
+        elif op is Op.HALT:
+            successors = []
+        else:  # READ_P, READ_X
+            successors = [(t, a, b) for t in (ins.t0, ins.t1, ins.t2)]
+        for q, ta, tb in successors:
+            nxt = (q * 3 + ta) * 3 + tb
+            if nxt not in reached:
+                reached.add(nxt)
+                work.append(nxt)
+    return reached
+
+
 @lru_cache(maxsize=256)
 def _inverse_index(spec: MachineSpec) -> tuple[_Buckets, tuple[dict[int, int], ...]]:
     """The recipe buckets of `spec`, and where each recipe sits in them.
@@ -109,16 +151,21 @@ def _inverse_index(spec: MachineSpec) -> tuple[_Buckets, tuple[dict[int, int], .
     inverted table entry and branch is 0, 1 or 2 for a read's 0, 1 and end
     branches and 0 for every other instruction.  No key inverts a halt or a
     pop guarded by an empty top.
+
+    Only entries in `_reachable_entries` are inverted.  Every configuration
+    of a run from the start executes one of them, so the pruned tree holds
+    the start whenever the full tree does.
     """
 
     # Per target state: (sort key, recipe, required L-top, required R-top, position key).
     by_target: list[list[tuple[tuple[int, ...], _Recipe, int, int, int]]] = [
         [] for _ in range(spec.state_count)
     ]
+    reachable = _reachable_entries(spec)
     for entry, ins in enumerate(spec.instructions):
         q, a, b = entry // 9, entry // 3 % 3, entry % 3
         op = ins.op
-        if op is Op.HALT:
+        if op is Op.HALT or entry not in reachable:
             continue
         # (target state, arg, required L-top of C, required R-top of C, sort bit)
         if op is Op.PUSH_L:
@@ -157,10 +204,12 @@ def _inverse_index(spec: MachineSpec) -> tuple[_Buckets, tuple[dict[int, int], .
 
 
 # Largest config_count of the machine a decider explores; a larger one is
-# refused before any step.  On a 1-state write loop the largest admitted
-# calls take at most 0.35 s for decide_backward at s = 12 (589,830
-# configurations of the canonical machine) and 0.55 s for decide_counter at
-# s = 15 (983,041); each one's next s takes up to 0.7 s and 1.3 s
+# refused before any step.  The largest admitted calls take 0.27-0.31 s for
+# decide_backward at s = 12 (589,830 configurations of the canonical
+# machine, 167,851 visited) on the tests' LOOP_WITH_REACHABLE_HALTS, a
+# 1-state machine that never halts although the prune keeps two of its
+# halts, and at most 0.55 s for decide_counter at s = 15 (983,041) on a
+# 1-state write loop; each one's next s takes up to 0.6 s and 1.3 s
 # (CPython 3.11, 2-vCPU VM).
 _MAX_CONFIGS = 1_000_000
 
@@ -195,9 +244,10 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
     (down, or across to the next sibling after an up), and, when there is
     none, up to the parent, by one forward step, with idx set to the
     vertex's index in the parent's bucket.  It holds only the current
-    vertex, one neighbour and the comparison target.  Refused up front
-    (ValueError) when the canonical machine's config_count passes
-    _MAX_CONFIGS.
+    vertex, one neighbour and the comparison target.  Children that execute
+    an entry outside `_reachable_entries` are skipped: no run from the start
+    passes through them.  Refused up front (ValueError) when the canonical
+    machine's config_count passes _MAX_CONFIGS.
     """
 
     canon = canonicalize(spec)

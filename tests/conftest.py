@@ -2,10 +2,11 @@
 
 The machine sampler is imported from the benchmark's `perfbench/oracle.py`.
 Also the helpers only tests call: an instruction builder, a configuration
-trace, a brute-force inverse of `step` and a slow backward tour over it,
-a tuple decoder, seeded random draws, an inequality's value on an entropy
-vector, profile level vectors and their stable level, and a dense
-phase-1 simplex that the cone decision is checked against.
+trace, the table entries a run can reach, a brute-force inverse of `step`
+and a slow backward tour over it, a tuple decoder, seeded random draws,
+an inequality's value on an entropy vector, profile level vectors and
+their stable level, and a dense phase-1 simplex that the cone decision
+is checked against.
 """
 
 from __future__ import annotations
@@ -222,6 +223,52 @@ def predecessors(spec: MachineSpec, p: str, x: str, s: int) -> dict:
     return inverse
 
 
+def tops(cfg: Configuration) -> tuple[int, int]:
+    """The stack tops of `cfg`: 0, 1, or 2 for an empty stack."""
+
+    return (int(cfg.stack_l[-1]) if cfg.stack_l else 2, int(cfg.stack_r[-1]) if cfg.stack_r else 2)
+
+
+def table_entry(cfg: Configuration) -> int:
+    """Index (state * 3 + L top) * 3 + R top of the table entry `cfg` executes."""
+
+    top_l, top_r = tops(cfg)
+    return (cfg.state * 3 + top_l) * 3 + top_r
+
+
+def reachable_entries(spec: MachineSpec) -> set:
+    """Table entries that `step` reaches from the start, stepping stand-ins.
+
+    An entry (state, a, b) stands for the configurations in that state with
+    the L stacks "", or "a", "0a" and "1a" when a is a bit (likewise R), so
+    that a pop leaves each top it can leave.  Each is stepped with both
+    heads at 0 on the tapes "0", "1" and "", which take a read's three
+    branches.  The set holds the start's entry and every entry that a
+    stand-in of an entry in the set steps into.
+    """
+
+    def stacks(top):
+        return [""] if top == 2 else [below + "01"[top] for below in ("", "0", "1")]
+
+    start = table_entry(initial_configuration())
+    reached = {start}
+    work = [start]
+    while work:
+        entry = work.pop()
+        top_l, top_r = entry // 3 % 3, entry % 3
+        for sl in stacks(top_l):
+            for sr in stacks(top_r):
+                for tape in ("0", "1", ""):
+                    kind, successor, _ = step(spec, Configuration(entry // 9, sl, sr, 0, 0), tape, tape)
+                    if kind is not StepKind.NEXT:
+                        continue
+                    nxt = table_entry(successor)
+                    if nxt not in reached:
+                        reached.add(nxt)
+                        work.append(nxt)
+    return reached
+
+
 # Space of the inverse `oracle_backward` builds: one serves every s up to it.
 ORACLE_SPACE = 4
 
@@ -231,18 +278,20 @@ def oracle_backward(spec: MachineSpec, p: str, x: str, s: int, visited=None) -> 
 
     A depth-first search with an explicit stack over the termination tree of
     the canonicalized machine.  A vertex's children are its `predecessors`
-    within max(s, ORACLE_SPACE) that have space <= s, in canonical order.
-    The search stops at the initial configuration.  Live configurations: 1
-    until a child is visited, 2 until the search first returns from a vertex
-    other than the root, then 3.  Every visited configuration is appended to
-    the list `visited`, if one is given.
+    within max(s, ORACLE_SPACE) that have space <= s and execute an entry
+    in `reachable_entries`, in canonical order.  The search stops at the
+    initial configuration.  Live configurations: 1 until a child is visited,
+    2 until the search first returns from a vertex other than the root,
+    then 3.  Every visited configuration is appended to the list `visited`,
+    if one is given.
     """
 
     canon = canonicalize(spec)
     inverse = predecessors(canon, p, x, max(s, ORACLE_SPACE))
+    reachable = reachable_entries(canon)
 
     def children(cfg):
-        return iter([c for c in inverse.get(cfg, ()) if c.space <= s])
+        return iter([c for c in inverse.get(cfg, ()) if c.space <= s and table_entry(c) in reachable])
 
     # The root: canonical machines halt in their last state, drained and at both ends.
     root = Configuration(canon.state_count - 1, "", "", len(p), len(x))

@@ -84,6 +84,9 @@ def decider_sweep():
     cases = 0
     disagreements = 0
     peak_live = 0
+    # Cases whose backward search visited only the root: no run of the
+    # machine can execute an instruction that leads to it.
+    root_only = 0
     started = time.perf_counter()
     for _ in range(budget):
         spec = parse_bits(sample_machine_bits(rng, rng.choice((1, 2, 3))))
@@ -95,6 +98,7 @@ def decider_sweep():
                     c = decide_counter(spec, p, x, s)
                     cases += 1
                     peak_live = max(peak_live, b.probe_stats.peak_live_configurations)
+                    root_only += b.probe_stats.configurations_visited == 1
                     if not (
                         b.terminates_within_s
                         == f.terminates_within_s
@@ -107,6 +111,7 @@ def decider_sweep():
         "cases": cases,
         "disagreements": disagreements,
         "peak_live": peak_live,
+        "root_only": root_only,
         "elapsed": elapsed,
     }
 
@@ -116,7 +121,8 @@ def test_criterion_01_decider_equivalence(decider_sweep):
     rate = d["elapsed"] / d["machines"] if d["machines"] else 0.0
     print(
         f"criterion 1: {d['machines']} machines x {d['cases'] // max(d['machines'], 1)} "
-        f"cases, {d['disagreements']} disagreements, {rate:.2f} s/machine"
+        f"cases, {d['disagreements']} disagreements, {d['root_only']} backward searches "
+        f"ended at the root, {rate:.2f} s/machine"
     )
     assert d["machines"] >= 1 and d["cases"] == d["machines"] * 735
     assert d["disagreements"] == 0

@@ -12,9 +12,12 @@ from conftest import (
     oracle_backward,
     predecessors,
     push_forever_spec,
+    reachable_entries,
     sample_spec,
     seesaw_spec,
     simulate,
+    table_entry,
+    tops,
 )
 from kslab import halting
 from kslab.halting import (
@@ -33,11 +36,21 @@ from kslab.machine import (
     StepKind,
     Verdict,
     canonicalize,
+    initial_configuration,
     parse_machine,
     step,
 )
 
 WRITE_LOOP = parse_machine("states: 1\n0 _ _ -> write 0 0\n")
+# Pushes 1 on L and on R, pops both and starts over, in space 2.  For all
+# the prune knows, its pops may leave a 0 on top, so it keeps the halts at
+# tops (0, 1) and (1, 0), which no run executes; the backward search walks
+# their tree.  Of the 1-state tables that a hill climb tried, its largest
+# admitted decide_backward call (s = 12) took longest.
+LOOP_WITH_REACHABLE_HALTS = parse_machine(
+    "states: 1\n0 _ _ -> pushL 1 0\n0 1 _ -> pushR 1 0\n0 1 1 -> popL 0\n"
+    "0 _ 1 -> popR 0\n0 _ 0 -> pushL 1 0\n"
+)
 IMMEDIATE_HALT = MachineSpec(1, (Instruction(Op.HALT),) * 9)
 
 
@@ -76,17 +89,6 @@ class TestCounts:
         assert config_count(spec, p, x, s) == total
 
 
-def tops(cfg):
-    return (int(cfg.stack_l[-1]) if cfg.stack_l else 2, int(cfg.stack_r[-1]) if cfg.stack_r else 2)
-
-
-def bucket_key(cfg):
-    """Index of the bucket of `cfg` in `_inverse_index`: (state, L top, R top)."""
-
-    top_l, top_r = tops(cfg)
-    return (cfg.state * 3 + top_l) * 3 + top_r
-
-
 def random_bits(rng, max_len):
     return "".join(rng.choice("01") for _ in range(rng.randint(0, max_len)))
 
@@ -96,37 +98,45 @@ class TestPredecessors:
         spec = canonicalize(push_forever_spec())
         cfg = Configuration(0, "", "", 0, 0)
         assert cfg not in predecessors(spec, "", "", 3)
-        assert _inverse_index(spec)[0][bucket_key(cfg)] == ()
+        assert _inverse_index(spec)[0][table_entry(cfg)] == ()
 
     def test_push_inverts_to_stack_minus_top(self):
         spec = canonicalize(parse_machine("states: 2\n0 _ _ -> pushL 1 1\n"))
         cfg = Configuration(1, "1", "", 0, 0)
         assert Configuration(0, "", "", 0, 0) in predecessors(spec, "", "", 2)[cfg]
         # Undoing the push from state 0 must leave an empty L top.
-        assert (int(Op.PUSH_L), 0, 2) in _inverse_index(spec)[0][bucket_key(cfg)]
+        assert (int(Op.PUSH_L), 0, 2) in _inverse_index(spec)[0][table_entry(cfg)]
 
     def test_matches_brute_force_inverse_of_step(self):
         # The instruction each predecessor executes is inverted in its
-        # target's bucket, at the index `positions` gives it, and the
-        # predecessors' indices ascend in canonical order.
+        # target's bucket, at the index `positions` gives it, when a run
+        # from the start can execute it, and the predecessors' indices
+        # ascend in canonical order.  A predecessor that executes an entry
+        # no run reaches has no key.
         rng = random.Random(71)
-        checked = 0
-        for _ in range(25):
+        checked = unreachable = 0
+        for _ in range(125):
             spec = canonicalize(sample_spec(rng, 2))
             p, x, s = random_bits(rng, 2), random_bits(rng, 2), rng.randint(0, 3)
             buckets, positions = _inverse_index(spec)
+            reachable = reachable_entries(spec)
             for cfg, sources in predecessors(spec, p, x, s).items():
-                target = bucket_key(cfg)
+                target = table_entry(cfg)
                 found = []
                 for source in sources:
                     q, op, _, a, b, branch = canonical_key(spec, p, x, source)
+                    key = ((q * 3 + a) * 3 + b) * 3 + branch
+                    if table_entry(source) not in reachable:
+                        assert key not in positions[target], (cfg, source, p, x, s)
+                        unreachable += 1
+                        continue
                     arg = {Op.PUSH_L: a, Op.PUSH_R: b, Op.POP_L: a, Op.POP_R: b}.get(Op(op), branch)
-                    i = positions[target][((q * 3 + a) * 3 + b) * 3 + branch]
+                    i = positions[target][key]
                     assert buckets[target][i] == (op, q, arg), (cfg, source, p, x, s)
                     found.append(i)
                 assert found == sorted(set(found)), (cfg, p, x, s)
                 checked += len(found)
-        assert checked > 1000
+        assert checked > 1000 and unreachable > 1000
 
 
 def apply_recipe(recipe, cfg, p, x, s):
@@ -174,10 +184,13 @@ class TestRelocation:
         # must return the index of the recipe that yielded the child.
         rng = random.Random(4141)
         checked = end_branches = shared_targets = 0
-        for _ in range(40):
+        for _ in range(200):
             spec = canonicalize(sample_spec(rng, 3))
             p, x, s = random_bits(rng, 3), random_bits(rng, 2), rng.randint(0, 4)
             buckets, positions = _inverse_index(spec)
+            # Only entries that a run from the start can execute have keys.
+            reachable = reachable_entries(spec)
+            assert all(key // 3 in reachable for bucket in positions for key in bucket), spec
             for _ in range(150):
                 l_len = rng.randint(0, s)
                 parent = Configuration(
@@ -187,7 +200,7 @@ class TestRelocation:
                     rng.randint(0, len(p)),
                     rng.randint(0, len(x)),
                 )
-                for idx, recipe in enumerate(buckets[bucket_key(parent)]):
+                for idx, recipe in enumerate(buckets[table_entry(parent)]):
                     child = apply_recipe(recipe, parent, p, x, s)
                     if child is None:
                         continue
@@ -200,11 +213,49 @@ class TestRelocation:
                         branch = int(tape[head]) if head < len(tape) else 2
                         end_branches += branch == 2
                         shared_targets += branch < 2 and ins.t0 == ins.t1
-                    entry = bucket_key(child)
-                    assert positions[bucket_key(parent)][entry * 3 + branch] == idx, (child, p, x, s)
+                    entry = table_entry(child)
+                    assert positions[table_entry(parent)][entry * 3 + branch] == idx, (child, p, x, s)
                     checked += 1
         assert checked > 2000
         assert end_branches > 100 and shared_targets > 100
+
+
+class TestReachableEntries:
+    def test_every_entry_a_run_executes_is_reachable(self):
+        # The backward search inverts only these entries, so it finds the
+        # start only if every configuration of a run from the start executes
+        # one of them.  Each run of a canonical machine, on every pair of
+        # tapes of length <= 2 at s = 4 (a run within a smaller s is a
+        # prefix of it), is followed with `step` until it halts, aborts,
+        # passes s or repeats a configuration.
+        rng = random.Random(2323)
+        executed = pops_leaving_a_bit = 0
+        for _ in range(300):
+            spec = canonicalize(sample_spec(rng, 3))
+            reachable = halting._reachable_entries(spec)
+            for p in all_bits(2):
+                for x in all_bits(2):
+                    cfg, seen = initial_configuration(), set()
+                    while cfg.space <= 4 and cfg not in seen:
+                        seen.add(cfg)
+                        assert table_entry(cfg) in reachable, (spec, p, x, cfg)
+                        executed += 1
+                        op = spec.instruction(cfg.state, *tops(cfg)).op
+                        pops_leaving_a_bit += (op is Op.POP_L and len(cfg.stack_l) > 1) or (
+                            op is Op.POP_R and len(cfg.stack_r) > 1
+                        )
+                        kind, cfg, _ = step(spec, cfg, p, x)
+                        if kind is not StepKind.NEXT:
+                            break
+        assert executed > 50_000 and pops_leaving_a_bit > 100
+
+    def test_keeps_halts_that_a_pop_may_uncover(self):
+        # LOOP_WITH_REACHABLE_HALTS pops only 1s, but the set does not
+        # track what lies below a top: it keeps the halts at entries 1 and
+        # 3, tops (0, 1) and (1, 0).
+        reachable = halting._reachable_entries(LOOP_WITH_REACHABLE_HALTS)
+        assert sorted(reachable) == [1, 3, 4, 5, 6, 7, 8]
+        assert not decide_forward(LOOP_WITH_REACHABLE_HALTS, "", "", 12).terminates_within_s
 
 
 class TestBackward:
@@ -224,16 +275,20 @@ class TestBackward:
     # (terminates_within_s, configurations_visited, peak_live_configurations)
     # at s = 0..4.  A search that finds the start stops there, so its count
     # depends on the order in which children are visited: these pins fix the
-    # canonical child order.  Sampled machines are sample_spec(Random(seed), 3)
-    # on p = "10", x = "1".
+    # canonical child order.  No run of push_forever or write_loop can reach
+    # a halt entry, so their searches end at the root.  Sampled machines are
+    # sample_spec(Random(seed), 3) on p = "10", x = "1".
     PINNED_STATS = {
-        "echo": [(True, 9, 3), (True, 13, 3), (True, 21, 3), (True, 37, 3), (True, 69, 3)],
-        "push_forever": [(False, 5, 3), (False, 13, 3), (False, 36, 3), (False, 96, 3), (False, 244, 3)],
-        "write_loop": [(False, 5, 3), (False, 15, 3), (False, 43, 3), (False, 115, 3), (False, 291, 3)],
-        "seesaw": [(False, 6, 3), (False, 19, 3), (False, 59, 3), (False, 163, 3), (False, 419, 3)],
-        45: [(False, 21, 3), (False, 57, 3), (False, 165, 3), (False, 453, 3), (True, 487, 3)],
-        225: [(True, 28, 3), (True, 63, 3), (True, 149, 3), (True, 353, 3), (True, 825, 3)],
-        242: [(False, 27, 3), (True, 55, 3), (True, 128, 3), (True, 306, 3), (True, 726, 3)],
+        "echo": [(True, 9, 3)] * 5,
+        "push_forever": [(False, 1, 1)] * 5,
+        "write_loop": [(False, 1, 1)] * 5,
+        "seesaw": [(False, 5, 3), (False, 9, 3), (False, 19, 3), (False, 39, 3), (False, 79, 3)],
+        "loop_with_reachable_halts": [
+            (False, 4, 3), (False, 8, 3), (False, 24, 3), (False, 72, 3), (False, 199, 3)
+        ],
+        45: [(False, 15, 3), (False, 33, 3), (False, 93, 3), (False, 261, 3), (True, 259, 3)],
+        225: [(True, 28, 3)] * 5,
+        242: [(False, 21, 3), (True, 35, 3), (True, 60, 3), (True, 110, 3), (True, 210, 3)],
     }
 
     @pytest.mark.parametrize("machine", list(PINNED_STATS))
@@ -243,6 +298,7 @@ class TestBackward:
             "push_forever": (push_forever_spec(), "", ""),
             "write_loop": (WRITE_LOOP, "", ""),
             "seesaw": (seesaw_spec(), "", ""),
+            "loop_with_reachable_halts": (LOOP_WITH_REACHABLE_HALTS, "", ""),
         }
         if machine in named:
             spec, p, x = named[machine]

@@ -22,7 +22,12 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
   k = 5 member and on `k=6; {1}:1` (milliseconds each),
 * each of `decide_backward`, `decide_forward` and `decide_counter` on
   the cases of the benchmark's `decider-sweep` at seed 7, as the
-  `configurations_visited` of those calls, summed, per second.
+  `configurations_visited` of those calls, summed, per second.  No run
+  of those machines can reach a halt, so `decide_backward` visits only
+  the root there;
+* `decide_backward` on the acceptance test's grid (|p| <= 3, |x| <= 2,
+  s <= 6) for the machines of its stream that halt (`HALTING_MACHINES`),
+  whose searches walk a tree, in configurations per second.
 
 Machines come from the benchmark's own rejection sampler, seeded, so every
 checkout times the same inputs.  Prints one JSON object.
@@ -44,6 +49,8 @@ KS_SCAN_REPS = 3
 # About the size of the file that `lab-session`'s warm pass reads.
 CACHE_RECORDS = 18_000
 SHANNON_TEXT = "k=3; {1,2}:1 {2,3}:1 {2}:-1 {1,2,3}:-1"
+# Indexes, in the acceptance test's machine stream, of the machines that halt.
+HALTING_MACHINES = (11, 17, 40, 42, 45)
 
 
 def _best(fn, reps: int) -> float:
@@ -64,7 +71,7 @@ def main() -> int:
 
     import oracle
     from oracle import sample_machine_bits
-    from workloads import DeciderSweep, LabSession
+    from workloads import ACCEPT_SEED, DeciderSweep, LabSession
     from kslab.entropy import is_shannon, parse_inequality
     from kslab.halting import decide_backward, decide_counter, decide_forward
     from kslab.kolmo import ComplexityCache, ks, ks_scan
@@ -129,6 +136,20 @@ def main() -> int:
         configs = sum(decide(*case).probe_stats.configurations_visited for case in cases)
         seconds = _best(lambda: [decide(*case) for case in cases], REPS)
         result[f"{decide.__name__}_configs_per_s"] = configs / seconds
+    mrng = random.Random(ACCEPT_SEED)
+    stream = [
+        parse_bits(sample_machine_bits(mrng, mrng.choice((1, 2, 3)))) for _ in range(max(HALTING_MACHINES) + 1)
+    ]
+    cases = [
+        (stream[i], p, x, s)
+        for i in HALTING_MACHINES
+        for p in strings_up_to(3)
+        for x in strings_up_to(2)
+        for s in range(7)
+    ]
+    configs = sum(decide_backward(*case).probe_stats.configurations_visited for case in cases)
+    seconds = _best(lambda: [decide_backward(*case) for case in cases], REPS)
+    result["decide_backward_halting_configs_per_s"] = configs / seconds
     print(json.dumps({k: round(v, 4) if isinstance(v, float) else v for k, v in result.items()}))
     return 0
 
