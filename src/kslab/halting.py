@@ -7,10 +7,13 @@ instruction before its combined stack length ever exceeds s?":
   `kslab.machine` with `machine.run`, and the three differ only in how they
   detect a loop.  The forward decider keeps a set of visited
   configurations, and a repeat proves an infinite loop.  The counter
-  decider keeps nothing but a step counter: by pigeonhole, a run within
-  space s longer than `config_count` steps has repeated a configuration and
-  therefore loops forever.  (`run` keeps one saved configuration and stops
-  at the first repeat that Brent's check sees.)
+  decider keeps nothing but a step counter, counted per head phase: both
+  heads are one-way, so while neither moves the run stays among the
+  |Q| * `stack_pair_count(s)` configurations with those heads, and by
+  pigeonhole a phase within space s longer than that many steps has
+  repeated a configuration and therefore loops forever.  (`run` keeps one
+  saved configuration and stops at the first repeat that Brent's check
+  sees.)
 * `decide_backward` explores, in constant auxiliary configuration storage, the
   tree of configurations that reach the unique final configuration of the
   canonicalized machine, and reports whether the initial configuration is in
@@ -143,8 +146,10 @@ def _reachable_entries(spec: MachineSpec) -> set[int]:
 
 
 @lru_cache(maxsize=256)
-def _inverse_index(spec: MachineSpec) -> tuple[_Buckets, tuple[dict[int, int], ...]]:
-    """The recipe buckets of `spec`, and where each recipe sits in them.
+def _inverse_index(
+    spec: MachineSpec,
+) -> tuple[_Buckets, tuple[dict[int, int], ...], tuple[tuple[int, int, int, int, int], ...]]:
+    """The recipe buckets of `spec`, where each recipe sits in them, and `compile_spec(spec)`.
 
     The second part maps, per bucket, source entry * 3 + branch to the
     recipe's index in the bucket, where entry = (q * 3 + a) * 3 + b is the
@@ -200,7 +205,7 @@ def _inverse_index(spec: MachineSpec) -> tuple[_Buckets, tuple[dict[int, int], .
                 ]
                 buckets.append(tuple(recipe for recipe, _ in fits))
                 positions.append({key: i for i, (_, key) in enumerate(fits)})
-    return tuple(buckets), tuple(positions)
+    return tuple(buckets), tuple(positions), compile_spec(spec)
 
 
 # Largest config_count of the machine a decider explores; a larger one is
@@ -208,9 +213,11 @@ def _inverse_index(spec: MachineSpec) -> tuple[_Buckets, tuple[dict[int, int], .
 # decide_backward at s = 12 (589,830 configurations of the canonical
 # machine, 167,851 visited) on the tests' LOOP_WITH_REACHABLE_HALTS, a
 # 1-state machine that never halts although the prune keeps two of its
-# halts, and at most 0.55 s for decide_counter at s = 15 (983,041) on a
-# 1-state write loop; each one's next s takes up to 0.6 s and 1.3 s
-# (CPython 3.11, 2-vCPU VM).
+# halts, and 0.27-0.34 s for decide_counter at s = 15 on a 1-state write
+# loop on empty tapes, where no head moves and N is config_count, so it runs
+# all 983,041 steps; each one's next s takes up to 0.6 s and 0.95 s
+# (CPython 3.11, 2-vCPU VM).  On other tapes the per-phase count stops that
+# loop after N steps: 458,753 for p = "1" at s = 14 (config_count 917,506).
 _MAX_CONFIGS = 1_000_000
 
 
@@ -252,8 +259,7 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
 
     canon = canonicalize(spec)
     _check_inputs(canon, p, x, s)
-    prog = compile_spec(canon)
-    buckets, positions = _inverse_index(canon)
+    buckets, positions, prog = _inverse_index(canon)
     # The branch a read takes at each head position: the bit there, or 2 at
     # the end marker.  Index -1 is the end marker too, which no bit matches.
     p_branch = tuple(int(bit) for bit in p) + (2,)
@@ -370,18 +376,25 @@ def decide_forward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
 
 
 def decide_counter(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
-    """Pigeonhole decider: simulate for at most config_count(spec, p, x, s) steps.
+    """Pigeonhole decider: simulate for at most N steps per head phase.
 
-    A run that neither halts nor leaves the space bound within that many steps
-    has revisited a configuration and therefore never halts.  Keeps no visited
-    set and no output; aborts early only on events (space overflow, abnormal
-    pop) after which halting is impossible.  The executed halt counts as a
+    N = |Q| * stack_pair_count(s) counts the configurations within space s
+    at fixed head positions.  A phase is a stretch of the run in which
+    neither head moves; no opcode moves a head back, so a configuration can
+    recur only within its phase.  A phase that lasts N steps has visited
+    N + 1 configurations with the same heads, so it has revisited one and
+    the run never halts.  The limit starts at N and every read that moves a
+    head sets it to N steps past that read, so a run stops within
+    (|p| + |x| + 1) * N <= config_count steps.  Keeps no visited set and
+    no output; aborts early only on events (space overflow, abnormal pop)
+    after which halting is impossible.  The executed halt counts as a
     visited configuration.  Refused up front (ValueError) when
     config_count passes _MAX_CONFIGS.
     """
 
-    limit = _check_inputs(spec, p, x, s)
-    verdict, _, steps = _execute(compile_spec(spec), p, x, s, limit, None, None)
+    _check_inputs(spec, p, x, s)
+    phase = spec.state_count * stack_pair_count(s)
+    verdict, _, steps = _execute(compile_spec(spec), p, x, s, phase, None, None, phase=phase)
     halted = verdict is Verdict.HALTED
     return HaltVerdict(halted, ProbeStats(steps + halted, 1))
 

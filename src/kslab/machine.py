@@ -251,13 +251,13 @@ def step(spec: MachineSpec, cfg: Configuration, p: str, x: str) -> StepResult:
 # One loop executes this form: `_execute`, behind `run` and the forward and
 # counter deciders, which differ only in how the loop detects a repeated
 # configuration: Brent's check (`run`), a visited set (forward) or not at all
-# (counter, which relies on its step limit).  It keeps the configuration in
-# locals rather than taking one step per call, because a call and a tuple
-# built and unpacked on every step more than double its cost: 0.32 s against
-# 0.80 s for 1.04 M steps of step-limit runs of sampled machines (2-vCPU VM,
-# CPython 3.11).  The backward decider, which moves between arbitrary
-# configurations, inlines its own single forward step (`decide_backward` in
-# `kslab.halting`).
+# (counter, which relies on a step limit re-armed at each head move).  It
+# keeps the configuration in locals rather than taking one step per call,
+# because a call and a tuple built and unpacked on every step more than
+# double its cost: 0.32 s against 0.80 s for 1.04 M steps of step-limit runs
+# of sampled machines (2-vCPU VM, CPython 3.11).  The backward decider, which
+# moves between arbitrary configurations, inlines its own single forward step
+# (`decide_backward` in `kslab.halting`).
 
 EMPTY_STACK = 1
 
@@ -277,6 +277,7 @@ def _execute(
     out: Optional[list[str]],
     seen: Optional[set[PackedConfig]],
     brent: bool = False,
+    phase: int = 0,
 ) -> tuple[Verdict, int, int]:
     """Run `prog` from the initial configuration; returns (verdict, max_space, steps).
 
@@ -291,6 +292,10 @@ def _execute(
       saved, first the initial one; each step's configuration is compared
       with it, and after `power` comparisons the current configuration is
       saved instead and `power` doubles.
+
+    With `phase` positive, every read that moves a head sets the step
+    limit to `phase` steps past that read (`decide_counter`'s per-phase
+    count); a read at the end marker moves no head and leaves it.
     """
 
     lp, lx = len(p), len(x)
@@ -345,12 +350,16 @@ def _execute(
             else:
                 st = t0 if p[hp] == "0" else t1
                 hp += 1
+                if phase:
+                    limit = steps + phase
         else:
             if hx >= lx:
                 st = t2
             else:
                 st = t0 if x[hx] == "0" else t1
                 hx += 1
+                if phase:
+                    limit = steps + phase
         if detect:
             if brent:
                 if st == bst and sl == bsl and sr == bsr and hp == bhp and hx == bhx:

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     all_bits,
     canonical_key,
+    copy_p_spec,
     echo_x_spec,
     oracle_backward,
     predecessors,
@@ -52,6 +53,10 @@ LOOP_WITH_REACHABLE_HALTS = parse_machine(
     "0 _ 1 -> popR 0\n0 _ 0 -> pushL 1 0\n"
 )
 IMMEDIATE_HALT = MachineSpec(1, (Instruction(Op.HALT),) * 9)
+# Reads p forever: its head moves once per bit, then sits at the end marker.
+READ_P_FOREVER = parse_machine("states: 1\n0 _ _ -> readP 0 0 0\n")
+# Reads p to the end marker, then writes forever in state 1.
+READ_P_THEN_WRITE_LOOP = parse_machine("states: 2\n0 _ _ -> readP 0 0 1\n1 _ _ -> write 0 1\n")
 
 
 class TestCounts:
@@ -118,7 +123,7 @@ class TestPredecessors:
         for _ in range(125):
             spec = canonicalize(sample_spec(rng, 2))
             p, x, s = random_bits(rng, 2), random_bits(rng, 2), rng.randint(0, 3)
-            buckets, positions = _inverse_index(spec)
+            buckets, positions, _ = _inverse_index(spec)
             reachable = reachable_entries(spec)
             for cfg, sources in predecessors(spec, p, x, s).items():
                 target = table_entry(cfg)
@@ -187,7 +192,7 @@ class TestRelocation:
         for _ in range(200):
             spec = canonicalize(sample_spec(rng, 3))
             p, x, s = random_bits(rng, 3), random_bits(rng, 2), rng.randint(0, 4)
-            buckets, positions = _inverse_index(spec)
+            buckets, positions, _ = _inverse_index(spec)
             # Only entries that a run from the start can execute have keys.
             reachable = reachable_entries(spec)
             assert all(key // 3 in reachable for bucket in positions for key in bucket), spec
@@ -394,6 +399,47 @@ class TestCounter:
         assert verdict.probe_stats.configurations_visited == config_count(WRITE_LOOP, "", "", 12)
         assert peak < 64 * 1024
 
+    @pytest.mark.parametrize("p", ["", "11"])
+    def test_reading_the_end_marker_forever_is_stopped(self, p):
+        # The head never moves after len(p) reads, so one phase of N steps
+        # follows them.
+        verdict = decide_counter(READ_P_FOREVER, p, "", 2)
+        assert not verdict.terminates_within_s
+        assert verdict.probe_stats.configurations_visited == len(p) + stack_pair_count(2)
+
+    def test_an_end_marker_read_does_not_re_arm(self):
+        # Three head moves (steps 1-3) re-arm the limit to step 3 + N; the
+        # end-marker read at step 4 moves no head, so the write loop after
+        # it ends the run there.
+        n = READ_P_THEN_WRITE_LOOP.state_count * stack_pair_count(2)
+        verdict = decide_counter(READ_P_THEN_WRITE_LOOP, "101", "", 2)
+        assert not verdict.terminates_within_s
+        assert verdict.probe_stats.configurations_visited == 3 + n
+
+    def test_agrees_with_the_reference_within_the_per_phase_bound(self):
+        # Sampled cases with |p|, |x| <= 4.  A run stops within
+        # (|p| + |x| + 1) * N steps, N = |Q| * stack_pair_count(s); the
+        # reference runs to config_count.  Halting runs longer than N make
+        # the re-arm necessary; sampled machines seldom have them, so a
+        # fifth of the cases copy a tape to the output at s = 0: 2|tape| + 1
+        # steps against N = 4.
+        rng = random.Random(2424)
+        readers = (echo_x_spec(), copy_p_spec())
+        halts_after_n = 0
+        for _ in range(400):
+            if rng.random() < 0.2:
+                spec, s = rng.choice(readers), 0
+            else:
+                spec, s = sample_spec(rng, 3), rng.randint(0, 3)
+            p, x = random_bits(rng, 4), random_bits(rng, 4)
+            n = spec.state_count * stack_pair_count(s)
+            verdict, _, _, steps = simulate(spec, p, x, s, config_count(spec, p, x, s))
+            got = decide_counter(spec, p, x, s)
+            assert got.terminates_within_s == (verdict is Verdict.HALTED), (spec, p, x, s)
+            assert got.probe_stats.configurations_visited <= (len(p) + len(x) + 1) * n, (spec, p, x, s)
+            halts_after_n += verdict is Verdict.HALTED and steps > n
+        assert halts_after_n > 30
+
 
 class TestBudget:
     @pytest.mark.parametrize("decider", [decide_backward, decide_forward, decide_counter])
@@ -477,6 +523,39 @@ class TestCrossChecks:
                     break
                 seen.add(cfg)
             assert outcome is not None, "pigeonhole bound violated"
+
+    def test_runs_repeat_a_configuration_within_n_steps_of_a_head_move(self):
+        # decide_counter's per-phase bound: heads never move back, so a run
+        # within space s ends, leaves the bound or repeats a configuration
+        # within N = |Q| * stack_pair_count(s) steps of its last head move.
+        rng = random.Random(1980)
+        repeats_after_a_move = 0
+        for _ in range(300):
+            spec = sample_spec(rng, 3)
+            p, x, s = random_bits(rng, 3), random_bits(rng, 3), rng.randint(0, 3)
+            n = spec.state_count * stack_pair_count(s)
+            cfg = initial_configuration()
+            seen = {cfg}
+            since_move = moves = 0
+            while True:
+                result = step(spec, cfg, p, x)
+                if result.kind is not StepKind.NEXT:
+                    break
+                nxt = result.config
+                since_move += 1
+                if nxt.space > s:
+                    break
+                if (nxt.head_p, nxt.head_x) != (cfg.head_p, cfg.head_x):
+                    # Configurations of earlier phases hold other heads.
+                    seen, since_move = set(), 0
+                    moves += 1
+                elif nxt in seen:
+                    repeats_after_a_move += moves > 0
+                    break
+                assert since_move < n, ("per-phase pigeonhole bound violated", spec, p, x, s)
+                seen.add(nxt)
+                cfg = nxt
+        assert repeats_after_a_move > 20
 
     def test_backward_agrees_on_canonicalized_input_too(self):
         spec = canonicalize(echo_x_spec())

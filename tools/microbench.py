@@ -24,7 +24,9 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
   the cases of the benchmark's `decider-sweep` at seed 7, as the
   `configurations_visited` of those calls, summed, per second.  No run
   of those machines can reach a halt, so `decide_backward` visits only
-  the root there;
+  the root there; and, exactly, the steps that `decide_counter` executes
+  on those cases (its `configurations_visited` less the executed halt),
+  which the benchmark gives only as rate times time;
 * `decide_backward` on the acceptance test's grid (|p| <= 3, |x| <= 2,
   s <= 6) for the machines of its stream that halt (`HALTING_MACHINES`),
   whose searches walk a tree, in configurations per second.
@@ -136,6 +138,10 @@ def main() -> int:
         configs = sum(decide(*case).probe_stats.configurations_visited for case in cases)
         seconds = _best(lambda: [decide(*case) for case in cases], REPS)
         result[f"{decide.__name__}_configs_per_s"] = configs / seconds
+    verdicts = [decide_counter(*case) for case in cases]
+    result["decide_counter_steps"] = sum(
+        v.probe_stats.configurations_visited - v.terminates_within_s for v in verdicts
+    )
     mrng = random.Random(ACCEPT_SEED)
     stream = [
         parse_bits(sample_machine_bits(mrng, mrng.choice((1, 2, 3)))) for _ in range(max(HALTING_MACHINES) + 1)
