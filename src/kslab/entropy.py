@@ -133,6 +133,8 @@ def parse_inequality(text: str) -> LinearInequality:
         indices = [int(i) for i in inner.split(",")] if inner else []
         if any(i > k for i in indices):
             raise ValueError(f"bad term {term!r}: variable out of range for k={k}")
+        if len(set(indices)) < len(indices):
+            raise ValueError(f"bad term {term!r}: a variable is repeated")
         mask = mask_of(indices)
         if mask == 0:
             raise ValueError(f"bad term {term!r}: subset must be nonempty")

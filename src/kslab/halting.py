@@ -3,17 +3,17 @@
 Three deciders answer "does the machine, run on (p, x), execute a halt
 instruction before its combined stack length ever exceeds s?":
 
-* `decide_forward` and `decide_counter` share the packed execution loop of
-  `kslab.machine` with `machine.run`, and the three differ only in how they
-  detect a loop.  The forward decider keeps a set of visited
-  configurations, and a repeat proves an infinite loop.  The counter
-  decider keeps nothing but a step counter, counted per head phase: both
-  heads are one-way, so while neither moves the run stays among the
-  |Q| * `stack_pair_count(s)` configurations with those heads, and by
-  pigeonhole a phase within space s longer than that many steps has
-  repeated a configuration and therefore loops forever.  (`run` keeps one
-  saved configuration and stops at the first repeat that Brent's check
-  sees.)
+* `decide_forward` and `decide_counter` run the machine's packed table,
+  `MachineSpec.table`, in the execution loop of `kslab.machine` that
+  `machine.run` uses, and the three differ only in how they detect a loop.
+  The forward decider keeps a set of visited configurations, and a repeat
+  proves an infinite loop.  The counter decider keeps nothing but a step
+  counter, counted per head phase: both heads are one-way, so while neither
+  moves the run stays among the |Q| * `stack_pair_count(s)` configurations
+  with those heads, and by pigeonhole a phase within space s longer than
+  that many steps has repeated a configuration and therefore loops forever.
+  (`run` keeps one saved configuration and stops at the first repeat that
+  Brent's check sees.)
 * `decide_backward` explores, in constant auxiliary configuration storage, the
   tree of configurations that reach the unique final configuration of the
   canonicalized machine, and reports whether the initial configuration is in
@@ -23,8 +23,10 @@ instruction before its combined stack length ever exceeds s?":
   its parent (one forward step, then a table lookup of the vertex's index
   among the parent's children), so at most three configurations are held at
   any moment.  The moves are not separate functions: one loop runs them over
-  the current vertex's fields, with no call and no tuple per move.  Only
-  the table entries that a run from the start may execute are inverted, so
+  the current vertex's fields, with no call and no tuple per move.  One
+  inversion of each entry of the canonical machine's packed table
+  (`_inversions`) gives both the entries that a run from the start may
+  execute and the recipes that invert them; no other entry is inverted, so
   subtrees that no run can enter are never walked.
 
 Each refuses, before any step, an input whose `config_count` passes
@@ -43,12 +45,10 @@ from functools import lru_cache
 from .machine import (
     EMPTY_STACK,
     MachineSpec,
-    Op,
     Verdict,
     _execute,
     canonicalize,
     check_bits,
-    compile_spec,
     final_configuration,
 )
 
@@ -101,96 +101,91 @@ def config_count(spec: MachineSpec, p: str, x: str, s: int) -> int:
 # for a read (0, 1, or 2 for the end marker), else 0.
 _Recipe = tuple[int, int, int]
 _Buckets = tuple[tuple[_Recipe, ...], ...]
+_Inversion = tuple[int, int, int, int, int]
 
 _ANY_TOP = -1
 
 
-def _reachable_entries(spec: MachineSpec) -> set[int]:
+def _inversions(prog: tuple[tuple[int, int, int, int, int], ...]) -> tuple[tuple[_Inversion, ...], ...]:
+    """Per entry (q * 3 + a) * 3 + b of the packed table, the steps it takes.
+
+    Each step is (target state, arg, L-top, R-top, sort bit): arg as in a
+    recipe, the stack tops the step leaves (`_ANY_TOP` for the top a pop
+    uncovers, which may be 0, 1 or empty) and the pushed or popped bit.  A
+    read takes three steps, one per branch in the order 0, 1, end; a halt
+    and a pop guarded by an empty top take none.
+    """
+
+    out = []
+    for entry, (op, bit, t0, t1, t2) in enumerate(prog):
+        a, b = entry // 3 % 3, entry % 3
+        if op == 1:  # PUSH_L: undoing it leaves a top that must match the guard a
+            steps = [(t0, a, bit, b, bit)]
+        elif op == 2:  # PUSH_R
+            steps = [(t0, b, a, bit, bit)]
+        elif op == 3:  # POP_L: pops the guard's bit; an empty-top guard cannot pop
+            steps = [(t0, a, _ANY_TOP, b, a)] if a != 2 else []
+        elif op == 4:  # POP_R
+            steps = [(t0, b, a, _ANY_TOP, b)] if b != 2 else []
+        elif op == 5:  # WRITE
+            steps = [(t0, 0, a, b, 0)]
+        elif op == 0:  # HALT
+            steps = []
+        else:  # READ_P, READ_X
+            steps = [(t, branch, a, b, 0) for branch, t in enumerate((t0, t1, t2))]
+        out.append(tuple(steps))
+    return tuple(out)
+
+
+def _reachable_entries(inversions: tuple[tuple[_Inversion, ...], ...]) -> set[int]:
     """The table entries (q * 3 + a) * 3 + b that a run from the start may execute.
 
-    A worklist over the table from the start's entry (0, empty, empty): a
-    push sets the new top to the pushed bit, a pop of a nonempty stack
-    leaves any of 0, 1 or empty on top, a write or a read keeps both tops,
-    and a read may go to any of its three targets.  The set holds every
-    entry some run executes, and perhaps more.  It does not depend on the
-    tapes or on s.
+    A worklist over `_inversions` from the start's entry (0, empty, empty):
+    each step of an entry reaches its target with the tops it leaves, every
+    top where a pop uncovers one.  The set holds every entry some run
+    executes, and perhaps more.  It does not depend on the tapes or on s.
     """
 
     reached = {8}  # (0, empty, empty)
     work = [8]
     while work:
-        entry = work.pop()
-        a, b = entry // 3 % 3, entry % 3
-        ins = spec.instructions[entry]
-        op = ins.op
-        if op is Op.PUSH_L:
-            successors = [(ins.t0, ins.bit, b)]
-        elif op is Op.PUSH_R:
-            successors = [(ins.t0, a, ins.bit)]
-        elif op is Op.POP_L:
-            successors = [(ins.t0, top, b) for top in range(3)] if a != 2 else []
-        elif op is Op.POP_R:
-            successors = [(ins.t0, a, top) for top in range(3)] if b != 2 else []
-        elif op is Op.WRITE:
-            successors = [(ins.t0, a, b)]
-        elif op is Op.HALT:
-            successors = []
-        else:  # READ_P, READ_X
-            successors = [(t, a, b) for t in (ins.t0, ins.t1, ins.t2)]
-        for q, ta, tb in successors:
-            nxt = (q * 3 + ta) * 3 + tb
-            if nxt not in reached:
-                reached.add(nxt)
-                work.append(nxt)
+        for target, _, need_l, need_r, _ in inversions[work.pop()]:
+            for ta in range(3) if need_l == _ANY_TOP else (need_l,):
+                for tb in range(3) if need_r == _ANY_TOP else (need_r,):
+                    nxt = (target * 3 + ta) * 3 + tb
+                    if nxt not in reached:
+                        reached.add(nxt)
+                        work.append(nxt)
     return reached
 
 
 @lru_cache(maxsize=256)
-def _inverse_index(
-    spec: MachineSpec,
-) -> tuple[_Buckets, tuple[dict[int, int], ...], tuple[tuple[int, int, int, int, int], ...]]:
-    """The recipe buckets of `spec`, where each recipe sits in them, and `compile_spec(spec)`.
+def _inverse_index(spec: MachineSpec) -> tuple[_Buckets, tuple[dict[int, int], ...]]:
+    """The recipe buckets of `spec` and where each recipe sits in them.
 
-    The second part maps, per bucket, source entry * 3 + branch to the
-    recipe's index in the bucket, where entry = (q * 3 + a) * 3 + b is the
-    inverted table entry and branch is 0, 1 or 2 for a read's 0, 1 and end
-    branches and 0 for every other instruction.  No key inverts a halt or a
-    pop guarded by an empty top.
+    Both come from `_inversions(spec.table)`.  The second part maps, per
+    bucket, source entry * 3 + branch to the recipe's index in the bucket,
+    where entry = (q * 3 + a) * 3 + b is the inverted table entry and branch
+    is 0, 1 or 2 for a read's 0, 1 and end branches and 0 for every other
+    instruction.  No key inverts a halt or a pop guarded by an empty top.
 
     Only entries in `_reachable_entries` are inverted.  Every configuration
     of a run from the start executes one of them, so the pruned tree holds
     the start whenever the full tree does.
     """
 
+    prog = spec.table
+    inversions = _inversions(prog)
     # Per target state: (sort key, recipe, required L-top, required R-top, position key).
     by_target: list[list[tuple[tuple[int, ...], _Recipe, int, int, int]]] = [
         [] for _ in range(spec.state_count)
     ]
-    reachable = _reachable_entries(spec)
-    for entry, ins in enumerate(spec.instructions):
+    for entry in _reachable_entries(inversions):
         q, a, b = entry // 9, entry // 3 % 3, entry % 3
-        op = ins.op
-        if op is Op.HALT or entry not in reachable:
-            continue
-        # (target state, arg, required L-top of C, required R-top of C, sort bit)
-        if op is Op.PUSH_L:
-            # Undoing the push leaves a top that must match the guard a.
-            inversions = [(ins.t0, a, ins.bit, b, ins.bit)]
-        elif op is Op.PUSH_R:
-            inversions = [(ins.t0, b, a, ins.bit, ins.bit)]
-        elif op is Op.POP_L:
-            # The predecessor's L-top is the popped bit, which must match the
-            # entry's guard; an empty-top guard cannot pop.
-            inversions = [(ins.t0, a, _ANY_TOP, b, a)] if a != 2 else []
-        elif op is Op.POP_R:
-            inversions = [(ins.t0, b, a, _ANY_TOP, b)] if b != 2 else []
-        elif op is Op.WRITE:
-            inversions = [(ins.t0, 0, a, b, 0)]
-        else:  # READ_P, READ_X
-            inversions = [(t, branch, a, b, 0) for branch, t in enumerate((ins.t0, ins.t1, ins.t2))]
-        for branch, (target, arg, need_l, need_r, bit) in enumerate(inversions):
-            sort_key = (q, int(op), bit, a, b, branch)
-            by_target[target].append((sort_key, (int(op), q, arg), need_l, need_r, entry * 3 + branch))
+        op = prog[entry][0]
+        for branch, (target, arg, need_l, need_r, bit) in enumerate(inversions[entry]):
+            sort_key = (q, op, bit, a, b, branch)
+            by_target[target].append((sort_key, (op, q, arg), need_l, need_r, entry * 3 + branch))
 
     buckets: list[tuple[_Recipe, ...]] = []
     positions: list[dict[int, int]] = []
@@ -205,7 +200,7 @@ def _inverse_index(
                 ]
                 buckets.append(tuple(recipe for recipe, _ in fits))
                 positions.append({key: i for i, (_, key) in enumerate(fits)})
-    return tuple(buckets), tuple(positions), compile_spec(spec)
+    return tuple(buckets), tuple(positions)
 
 
 # Largest config_count of the machine a decider explores; a larger one is
@@ -259,7 +254,8 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
 
     canon = canonicalize(spec)
     _check_inputs(canon, p, x, s)
-    buckets, positions, prog = _inverse_index(canon)
+    buckets, positions = _inverse_index(canon)
+    prog = canon.table
     # The branch a read takes at each head position: the bit there, or 2 at
     # the end marker.  Index -1 is the end marker too, which no bit matches.
     p_branch = tuple(int(bit) for bit in p) + (2,)
@@ -371,7 +367,7 @@ def decide_forward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
     # A run within space s repeats a configuration before config_count steps,
     # so the step limit never ends this run; a repeat does, as STEP_LIMIT.
     seen = {(0, EMPTY_STACK, EMPTY_STACK, 0, 0)}
-    verdict, _, _ = _execute(compile_spec(spec), p, x, s, limit, None, seen)
+    verdict, _, _ = _execute(spec.table, p, x, s, limit, None, seen)
     return HaltVerdict(verdict is Verdict.HALTED, ProbeStats(len(seen), len(seen)))
 
 
@@ -394,7 +390,7 @@ def decide_counter(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
 
     _check_inputs(spec, p, x, s)
     phase = spec.state_count * stack_pair_count(s)
-    verdict, _, steps = _execute(compile_spec(spec), p, x, s, phase, None, None, phase=phase)
+    verdict, _, steps = _execute(spec.table, p, x, s, phase, None, None, phase=phase)
     halted = verdict is Verdict.HALTED
     return HaltVerdict(halted, ProbeStats(steps + halted, 1))
 

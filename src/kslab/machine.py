@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 
@@ -124,6 +124,12 @@ class MachineSpec:
 
     def instruction(self, state: int, top_l: int, top_r: int) -> Instruction:
         return self.instructions[(state * 3 + top_l) * 3 + top_r]
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """The plain-int rows (op, bit, t0, t1, t2) that `_execute` runs; `==` ignores it."""
+
+        return tuple([(int(op), bit, t0, t1, t2) for op, bit, t0, t1, t2 in self.instructions])
 
 
 def _validate_instruction(ins: Instruction, state_count: int) -> None:
@@ -244,9 +250,10 @@ def step(spec: MachineSpec, cfg: Configuration, p: str, x: str) -> StepResult:
 # ---------- fast packed execution ----------
 #
 # Hot loops (deciders, the reference interpreter, exhaustive searches) run on a
-# compiled form: the table as a flat tuple of plain-int rows, stacks as
-# sentinel integers (1 = empty; push b => v*2+b; pop => v//2; top => v&1), and
-# configurations as 5-int tuples (state, sl, sr, hp, hx).
+# packed form: the table as `MachineSpec.table`, plain-int rows built once per
+# machine (exact ints: CPython's fast int comparisons skip `Op` members),
+# stacks as sentinel integers (1 = empty; push b => v*2+b; pop => v//2; top =>
+# v&1), and configurations as 5-int tuples (state, sl, sr, hp, hx).
 #
 # One loop executes this form: `_execute`, behind `run` and the forward and
 # counter deciders, which differ only in how the loop detects a repeated
@@ -262,10 +269,6 @@ def step(spec: MachineSpec, cfg: Configuration, p: str, x: str) -> StepResult:
 EMPTY_STACK = 1
 
 PackedConfig = tuple[int, int, int, int, int]
-
-
-def compile_spec(spec: MachineSpec) -> tuple[tuple[int, int, int, int, int], ...]:
-    return tuple((int(i.op), i.bit, i.t0, i.t1, i.t2) for i in spec.instructions)
 
 
 def _execute(
@@ -407,7 +410,7 @@ def run(
     if step_limit < 0:
         raise ValueError("step_limit must be >= 0")
     out: list[str] = []
-    verdict, max_space, steps = _execute(compile_spec(spec), p, x, s, step_limit, out, None, brent=True)
+    verdict, max_space, steps = _execute(spec.table, p, x, s, step_limit, out, None, brent=True)
     return RunResult(verdict, "".join(out), max_space, steps)
 
 
@@ -662,12 +665,10 @@ __all__ = [
     "BitsParseError",
     "EMPTY_STACK",
     "MachineSpec",
-    "Op",
     "StepKind",
     "Verdict",
     "canonicalize",
     "check_bits",
-    "compile_spec",
     "final_configuration",
     "initial_configuration",
     "parse_bits",

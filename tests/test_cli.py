@@ -454,6 +454,11 @@ class TestConeCommands:
         assert (code, out) == (1, "")
         assert err == "error: bad term '{3}:1': variable out of range for k=2\n"
 
+    def test_check_a_repeated_variable_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "cone", "check", "k=3; {1,1}:1")
+        assert (code, out) == (1, "")
+        assert err == "error: bad term '{1,1}:1': a variable is repeated\n"
+
     def test_check_reads_files(self, capsys, tmp_path):
         path = tmp_path / "ineq.txt"
         path.write_text("k=2; {1}:1\n")

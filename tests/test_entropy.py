@@ -130,7 +130,7 @@ class TestInequalities:
     @pytest.mark.parametrize(
         "bad",
         ["", "3; {1}:1", "k=2; 1:1", "k=2; {}:1", "k=2; {1}:", "k=2; {1}:1 {1}:2", "k=2; {3}:1",
-         "k=2; {1}:1/0"],
+         "k=2; {1}:1/0", "k=3; {1,1}:1"],
     )
     def test_parse_rejects_malformed_inequalities(self, bad):
         with pytest.raises(ValueError):

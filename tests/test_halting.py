@@ -39,6 +39,7 @@ from kslab.machine import (
     canonicalize,
     initial_configuration,
     parse_machine,
+    run,
     step,
 )
 
@@ -123,7 +124,7 @@ class TestPredecessors:
         for _ in range(125):
             spec = canonicalize(sample_spec(rng, 2))
             p, x, s = random_bits(rng, 2), random_bits(rng, 2), rng.randint(0, 3)
-            buckets, positions, _ = _inverse_index(spec)
+            buckets, positions = _inverse_index(spec)
             reachable = reachable_entries(spec)
             for cfg, sources in predecessors(spec, p, x, s).items():
                 target = table_entry(cfg)
@@ -192,7 +193,7 @@ class TestRelocation:
         for _ in range(200):
             spec = canonicalize(sample_spec(rng, 3))
             p, x, s = random_bits(rng, 3), random_bits(rng, 2), rng.randint(0, 4)
-            buckets, positions, _ = _inverse_index(spec)
+            buckets, positions = _inverse_index(spec)
             # Only entries that a run from the start can execute have keys.
             reachable = reachable_entries(spec)
             assert all(key // 3 in reachable for bucket in positions for key in bucket), spec
@@ -237,7 +238,7 @@ class TestReachableEntries:
         executed = pops_leaving_a_bit = 0
         for _ in range(300):
             spec = canonicalize(sample_spec(rng, 3))
-            reachable = halting._reachable_entries(spec)
+            reachable = halting._reachable_entries(halting._inversions(spec.table))
             for p in all_bits(2):
                 for x in all_bits(2):
                     cfg, seen = initial_configuration(), set()
@@ -254,13 +255,52 @@ class TestReachableEntries:
                             break
         assert executed > 50_000 and pops_leaving_a_bit > 100
 
+    def test_equals_the_stepped_oracle(self):
+        # The worklist over `_inversions` reaches exactly the entries that
+        # `conftest.reachable_entries` reaches by stepping stand-ins with
+        # `step`, neither more nor fewer.
+        rng = random.Random(2525)
+        popping = 0
+        for _ in range(300):
+            canon = canonicalize(sample_spec(rng, 3))
+            reachable = halting._reachable_entries(halting._inversions(canon.table))
+            assert reachable == reachable_entries(canon), canon
+            # Reachable pops of a bit, which may leave any top below it.
+            for entry in reachable:
+                op, a, b = canon.table[entry][0], entry // 3 % 3, entry % 3
+                popping += (op == 3 and a < 2) or (op == 4 and b < 2)
+        assert popping > 30
+
     def test_keeps_halts_that_a_pop_may_uncover(self):
         # LOOP_WITH_REACHABLE_HALTS pops only 1s, but the set does not
         # track what lies below a top: it keeps the halts at entries 1 and
         # 3, tops (0, 1) and (1, 0).
-        reachable = halting._reachable_entries(LOOP_WITH_REACHABLE_HALTS)
+        reachable = halting._reachable_entries(halting._inversions(LOOP_WITH_REACHABLE_HALTS.table))
         assert sorted(reachable) == [1, 3, 4, 5, 6, 7, 8]
         assert not decide_forward(LOOP_WITH_REACHABLE_HALTS, "", "", 12).terminates_within_s
+
+
+class TestPackedTable:
+    def test_is_built_once_in_plain_ints(self):
+        # `run` and every decider read the one table a machine carries, and
+        # its fields are exact ints, not `Op` members or bools, which would
+        # take `_execute` off CPython's fast int comparisons.
+        rng = random.Random(2626)
+        for _ in range(150):
+            spec = sample_spec(rng, 3)
+            canon = canonicalize(spec)
+            tables = spec.table, canon.table
+            for machine, table in zip((spec, canon), tables):
+                assert table == tuple(tuple(ins) for ins in machine.instructions)
+                assert all(type(field) is int for row in table for field in row)
+            p, x, s = random_bits(rng, 2), random_bits(rng, 2), rng.randint(0, 3)
+            run(spec, p, x, s, 200)
+            for decide in (decide_forward, decide_counter, decide_backward):
+                decide(spec, p, x, s)
+            assert spec.table is tables[0] and canonicalize(spec).table is tables[1]
+            # The cached table is no field: equality and hash ignore it.
+            fresh = MachineSpec(spec.state_count, spec.instructions)
+            assert fresh == spec and hash(fresh) == hash(spec)
 
 
 class TestBackward:

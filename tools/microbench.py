@@ -22,11 +22,13 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
   k = 5 member and on `k=6; {1}:1` (milliseconds each),
 * each of `decide_backward`, `decide_forward` and `decide_counter` on
   the cases of the benchmark's `decider-sweep` at seed 7, as the
-  `configurations_visited` of those calls, summed, per second.  No run
-  of those machines can reach a halt, so `decide_backward` visits only
-  the root there; and, exactly, the steps that `decide_counter` executes
-  on those cases (its `configurations_visited` less the executed halt),
-  which the benchmark gives only as rate times time;
+  `configurations_visited` of those calls, summed, per second, and as
+  microseconds per call.  No run of those machines can reach a halt, so
+  `decide_backward` visits only the root there and its time per call is
+  the fixed cost that configurations per second hides; and, exactly, the
+  steps that `decide_counter` executes on those cases (its
+  `configurations_visited` less the executed halt), which the benchmark
+  gives only as rate times time;
 * `decide_backward` on the acceptance test's grid (|p| <= 3, |x| <= 2,
   s <= 6) for the machines of its stream that halt (`HALTING_MACHINES`),
   whose searches walk a tree, in configurations per second.
@@ -138,6 +140,7 @@ def main() -> int:
         configs = sum(decide(*case).probe_stats.configurations_visited for case in cases)
         seconds = _best(lambda: [decide(*case) for case in cases], REPS)
         result[f"{decide.__name__}_configs_per_s"] = configs / seconds
+        result[f"{decide.__name__}_us_per_call"] = seconds * 1e6 / len(cases)
     verdicts = [decide_counter(*case) for case in cases]
     result["decide_counter_steps"] = sum(
         v.probe_stats.configurations_visited - v.terminates_within_s for v in verdicts
