@@ -160,10 +160,11 @@ def _reachable_entries(inversions: tuple[tuple[_Inversion, ...], ...]) -> set[in
 
 
 @lru_cache(maxsize=256)
-def _inverse_index(spec: MachineSpec) -> tuple[_Buckets, tuple[dict[int, int], ...]]:
-    """The recipe buckets of `spec` and where each recipe sits in them.
+def _inverse_index(spec: MachineSpec) -> tuple[MachineSpec, _Buckets, tuple[dict[int, int], ...]]:
+    """`canonicalize(spec)`, its recipe buckets and where each recipe sits in them.
 
-    Both come from `_inversions(spec.table)`.  The second part maps, per
+    Cached by the machine given, so a repeated call hashes only `spec`.
+    Both index parts come from `_inversions(canon.table)`.  Positions map, per
     bucket, source entry * 3 + branch to the recipe's index in the bucket,
     where entry = (q * 3 + a) * 3 + b is the inverted table entry and branch
     is 0, 1 or 2 for a read's 0, 1 and end branches and 0 for every other
@@ -174,11 +175,12 @@ def _inverse_index(spec: MachineSpec) -> tuple[_Buckets, tuple[dict[int, int], .
     the start whenever the full tree does.
     """
 
-    prog = spec.table
+    canon = canonicalize(spec)
+    prog = canon.table
     inversions = _inversions(prog)
     # Per target state: (sort key, recipe, required L-top, required R-top, position key).
     by_target: list[list[tuple[tuple[int, ...], _Recipe, int, int, int]]] = [
-        [] for _ in range(spec.state_count)
+        [] for _ in range(canon.state_count)
     ]
     for entry in _reachable_entries(inversions):
         q, a, b = entry // 9, entry // 3 % 3, entry % 3
@@ -200,7 +202,7 @@ def _inverse_index(spec: MachineSpec) -> tuple[_Buckets, tuple[dict[int, int], .
                 ]
                 buckets.append(tuple(recipe for recipe, _ in fits))
                 positions.append({key: i for i, (_, key) in enumerate(fits)})
-    return tuple(buckets), tuple(positions)
+    return canon, tuple(buckets), tuple(positions)
 
 
 # Largest config_count of the machine a decider explores; a larger one is
@@ -252,9 +254,8 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
     machine's config_count passes _MAX_CONFIGS.
     """
 
-    canon = canonicalize(spec)
+    canon, buckets, positions = _inverse_index(spec)
     _check_inputs(canon, p, x, s)
-    buckets, positions = _inverse_index(canon)
     prog = canon.table
     # The branch a read takes at each head position: the bit there, or 2 at
     # the end marker.  Index -1 is the end marker too, which no bit matches.

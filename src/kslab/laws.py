@@ -76,9 +76,9 @@ LAW_NAMES = (*_PAIR_LAWS, "basic", "shannon")
 
 _MAX_GRID_POINTS = 500_000
 
-# Largest tuple arity of basic, checked before any 1 << k is formed.  With
-# n >= 1 the point limit already refuses k >= 12; at n = 0 every k has one
-# point per s, so only this bound keeps k (and the tuple built) small.
+# Largest tuple arity of basic and typical sets, checked before 1 << k or
+# 3**k is formed.  With n >= 1 the point limit already refuses k >= 12; at
+# n = 0 every k has one point per s, so only this bound keeps k small.
 _MAX_ARITY = 16
 
 # verify_law gives up on a point that still fails at this constant.
@@ -330,8 +330,6 @@ def verify_law(
         unit = _clog2(n)
     else:
         raise ValueError(f"unknown law {law!r}, expected one of {LAW_NAMES}")
-    if k >= 2 and n > 3:
-        raise ValueError("laws over k >= 2 components are limited to n <= 3")
 
     points = _grid_points(k, n, len(s_grid))
     coeffs = [coeff for coeff, _, _ in terms]
@@ -512,25 +510,26 @@ def typical_set(
 
     The unbounded complexity a profile entry stands for is proxied by
     u_star = 4u + 1024; profiles here stabilize far below that, which
-    the tests confirm by pigeonhole.
+    the tests confirm by pigeonhole.  check_points counts the work before
+    any query: candidates times entries, the pairs of disjoint masks with
+    a nonempty target.
     """
 
     xs = tuple(xs)
     k = len(xs)
-    if not 1 <= k <= 2:
-        raise ValueError("typical sets are limited to k <= 2")
-    if n > 2:
-        raise ValueError("typical sets are limited to n <= 2")
+    if not 1 <= k <= _MAX_ARITY:
+        raise ValueError(f"typical sets need 1 <= k <= {_MAX_ARITY}, got {k}")
     if any(len(comp) > n for comp in xs):
         raise ValueError("base tuple exceeds the length bound")
     for comp in xs:
         check_bits(comp)  # before any query, so a bad base writes no cache record
+    check_points(count_strings_up_to(n) ** k * (3**k - 2**k), "typical set (candidates x entries)")
     u_star = 4 * u + 1024
     readers = _profile_readers(k)
     base = _profile(xs, readers, u, cap, cache)
     members = [
         cand
-        for cand in _grid_points(k, n, 1)
+        for cand in product(strings_up_to(n), repeat=k)
         if _dominated(_profile(cand, readers, u_star, cap, cache), base)
     ]
     return TypicalSet(xs, u, u_star, n, cap, tuple(members), base)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 
@@ -617,7 +617,6 @@ def serialized_length(state_count: int) -> int:
 # ---------- canonicalization ----------
 
 
-@lru_cache(maxsize=256)
 def canonicalize(spec: MachineSpec) -> MachineSpec:
     """Give halting runs a unique final configuration.
 

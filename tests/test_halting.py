@@ -101,17 +101,17 @@ def random_bits(rng, max_len):
 
 class TestPredecessors:
     def test_initial_configuration_of_push_only_machine_has_no_predecessors(self):
-        spec = canonicalize(push_forever_spec())
+        canon, buckets, _ = _inverse_index(push_forever_spec())
         cfg = Configuration(0, "", "", 0, 0)
-        assert cfg not in predecessors(spec, "", "", 3)
-        assert _inverse_index(spec)[0][table_entry(cfg)] == ()
+        assert cfg not in predecessors(canon, "", "", 3)
+        assert buckets[table_entry(cfg)] == ()
 
     def test_push_inverts_to_stack_minus_top(self):
-        spec = canonicalize(parse_machine("states: 2\n0 _ _ -> pushL 1 1\n"))
+        canon, buckets, _ = _inverse_index(parse_machine("states: 2\n0 _ _ -> pushL 1 1\n"))
         cfg = Configuration(1, "1", "", 0, 0)
-        assert Configuration(0, "", "", 0, 0) in predecessors(spec, "", "", 2)[cfg]
+        assert Configuration(0, "", "", 0, 0) in predecessors(canon, "", "", 2)[cfg]
         # Undoing the push from state 0 must leave an empty L top.
-        assert (int(Op.PUSH_L), 0, 2) in _inverse_index(spec)[0][table_entry(cfg)]
+        assert (int(Op.PUSH_L), 0, 2) in buckets[table_entry(cfg)]
 
     def test_matches_brute_force_inverse_of_step(self):
         # The instruction each predecessor executes is inverted in its
@@ -122,9 +122,8 @@ class TestPredecessors:
         rng = random.Random(71)
         checked = unreachable = 0
         for _ in range(125):
-            spec = canonicalize(sample_spec(rng, 2))
+            spec, buckets, positions = _inverse_index(sample_spec(rng, 2))
             p, x, s = random_bits(rng, 2), random_bits(rng, 2), rng.randint(0, 3)
-            buckets, positions = _inverse_index(spec)
             reachable = reachable_entries(spec)
             for cfg, sources in predecessors(spec, p, x, s).items():
                 target = table_entry(cfg)
@@ -191,9 +190,8 @@ class TestRelocation:
         rng = random.Random(4141)
         checked = end_branches = shared_targets = 0
         for _ in range(200):
-            spec = canonicalize(sample_spec(rng, 3))
+            spec, buckets, positions = _inverse_index(sample_spec(rng, 3))
             p, x, s = random_bits(rng, 3), random_bits(rng, 2), rng.randint(0, 4)
-            buckets, positions = _inverse_index(spec)
             # Only entries that a run from the start can execute have keys.
             reachable = reachable_entries(spec)
             assert all(key // 3 in reachable for bucket in positions for key in bucket), spec
@@ -288,7 +286,8 @@ class TestPackedTable:
         rng = random.Random(2626)
         for _ in range(150):
             spec = sample_spec(rng, 3)
-            canon = canonicalize(spec)
+            canon = _inverse_index(spec)[0]
+            assert canon == canonicalize(spec)
             tables = spec.table, canon.table
             for machine, table in zip((spec, canon), tables):
                 assert table == tuple(tuple(ins) for ins in machine.instructions)
@@ -297,7 +296,7 @@ class TestPackedTable:
             run(spec, p, x, s, 200)
             for decide in (decide_forward, decide_counter, decide_backward):
                 decide(spec, p, x, s)
-            assert spec.table is tables[0] and canonicalize(spec).table is tables[1]
+            assert spec.table is tables[0] and _inverse_index(spec)[0].table is tables[1]
             # The cached table is no field: equality and hash ignore it.
             fresh = MachineSpec(spec.state_count, spec.instructions)
             assert fresh == spec and hash(fresh) == hash(spec)

@@ -132,8 +132,6 @@ class TestVerifyLaw:
         with pytest.raises(ValueError):
             verify_law("no_such_law", n=1, s_grid=(8,), cap=14, cache=cache)
         with pytest.raises(ValueError):
-            verify_law("pair_swap", n=4, s_grid=(8,), cap=14, cache=cache)
-        with pytest.raises(ValueError):
             verify_law("pair_swap", n=1, s_grid=(), cap=14, cache=cache)
         with pytest.raises(ValueError):
             verify_law("pair_swap", n=-1, s_grid=(8,), cap=14, cache=cache)
@@ -150,6 +148,29 @@ class TestVerifyLaw:
             verify_law("shannon", n=1, s_grid=(8,), cap=14, inequality=non_member, cache=cache)
         with pytest.raises(ValueError, match="needs an inequality"):
             verify_law("shannon", n=1, s_grid=(8,), cap=14, cache=cache)
+
+    # minimal_c at n = 1..6, s = 0, cap 77, under kslab-v1.  The law claims a
+    # constant for pair_swap, yet c == n: no swap program exists below 78
+    # bits, so the constant measures the interpreter, not the law.
+    V1_CURVES = {
+        "pair_swap": [1, 2, 3, 4, 5, 6],
+        "chain_easy": [1, 2, 2, 3, 4, 4],
+        "symmetry": [0, 0, 0, 0, 0, 0],
+    }
+
+    @pytest.mark.parametrize("law", sorted(V1_CURVES))
+    def test_pair_law_curves_under_v1(self, law):
+        assert INTERPRETER_TAG == "kslab-v1"
+        curve = [verify_law(law, n=n, s_grid=(0,), cap=77).minimal_c for n in range(1, 7)]
+        assert curve == self.V1_CURVES[law]
+
+    def test_the_point_limit_is_the_only_gate(self, monkeypatch):
+        monkeypatch.setattr(laws, "_MAX_GRID_POINTS", 1000)
+        for law in ("pair_swap", "chain_easy", "symmetry"):
+            # 31^2 = 961 pairs fit the limit, 63^2 = 3969 do not.
+            assert verify_law(law, n=4, s_grid=(0,), cap=77).points_total == 961
+            with pytest.raises(ValueError, match="grid has 3969 points, limit 1000"):
+                verify_law(law, n=5, s_grid=(0,), cap=77)
 
     def test_oversized_grids_are_rejected_up_front(self, cache):
         start = time.perf_counter()
@@ -446,12 +467,27 @@ class TestTypicalSets:
         assert len(ts.members) <= 2 ** (m + 1) - 1
 
     def test_guards(self, cache):
-        with pytest.raises(ValueError):
-            typical_set(("0", "1", "0"), 8, 2, 14, cache=cache)
-        with pytest.raises(ValueError):
-            typical_set(("0",), 8, 3, 14, cache=cache)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="typical sets need 1 <= k <= 16, got 0"):
+            typical_set((), 8, 2, 14, cache=cache)
+        with pytest.raises(ValueError, match="base tuple exceeds the length bound"):
             typical_set(("010",), 8, 2, 14, cache=cache)
+        # k = 3 and n = 3 are within the point limit.
+        assert ("0", "1", "0") in typical_set(("0", "1", "0"), 8, 1, 14, cache=cache).members
+        assert ("010",) in typical_set(("010",), 8, 3, 14, cache=cache).members
+
+    def test_the_point_limit_is_the_only_gate(self, monkeypatch, cache, tmp_path):
+        # Both refusals come before any query: the arity before 3**k is
+        # formed, then the work, candidates x profile entries, which at
+        # k = 2, n = 8 is 511^2 x (3^2 - 2^2).
+        monkeypatch.setattr(laws, "cached_ks", None)
+        with pytest.raises(ValueError, match="typical sets need 1 <= k <= 16, got 17"):
+            typical_set(("",) * 17, 8, 0, 14, cache=cache)
+        with pytest.raises(
+            ValueError, match=r"typical set \(candidates x entries\) has 1305605 points, limit 500000"
+        ):
+            typical_set(("0", "1"), 8, 8, 14, cache=cache)
+        cache.flush()
+        assert not (tmp_path / "cache.tsv").exists()
 
     def test_gap_report_is_reproducible_text(self, cache):
         ts = typical_set(("01", "1"), 8, 2, 14, cache=cache)
