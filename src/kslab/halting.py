@@ -9,9 +9,11 @@ instruction before its combined stack length ever exceeds s?":
   The forward decider keeps a set of visited configurations, and a repeat
   proves an infinite loop.  The counter decider keeps nothing but a step
   counter, counted per head phase: both heads are one-way, so while neither
-  moves the run stays among the |Q| * `stack_pair_count(s)` configurations
-  with those heads, and by pigeonhole a phase within space s longer than
-  that many steps has repeated a configuration and therefore loops forever.
+  moves the run stays among the |Q| * `stack_pair_count(s, a, b)`
+  configurations with those heads whose stacks hold only bits the table
+  pushes (a and b of them), and by pigeonhole a phase within space s
+  longer than that many steps has repeated a configuration and therefore
+  loops forever.
   (`run` keeps one saved configuration and stops at the first repeat that
   Brent's check sees.)
 * `decide_backward` explores, in constant auxiliary configuration storage, the
@@ -65,15 +67,23 @@ class HaltVerdict:
     probe_stats: ProbeStats
 
 
-def stack_pair_count(s: int) -> int:
-    """Number of stack pairs (L, R) with |L| + |R| <= s.
+def stack_pair_count(s: int, left: int = 2, right: int = 2) -> int:
+    """Number of stack pairs (L, R) with |L| + |R| <= s, L over `left` bits, R over `right`.
 
-    Sum over l = 0..s of (l+1) * 2^l, in closed form s * 2^(s+1) + 1.
+    Sum over l + r <= s of left^l * right^r, with 0^0 = 1.  For two bits
+    on each stack, the closed form s * 2^(s+1) + 1.
     """
 
     if s < 0:
         return 0
-    return s * 2 ** (s + 1) + 1
+    if left == right == 2:  # config_count's case, on every decider call
+        return s * 2 ** (s + 1) + 1
+    # Summed by length t = l + r: words(t) = left * words(t - 1) + right^t.
+    total = words = 0
+    for t in range(s + 1):
+        words = words * left + right**t
+        total += words
+    return total
 
 
 def config_count(spec: MachineSpec, p: str, x: str, s: int) -> int:
@@ -210,11 +220,13 @@ def _inverse_index(spec: MachineSpec) -> tuple[MachineSpec, _Buckets, tuple[dict
 # decide_backward at s = 12 (589,830 configurations of the canonical
 # machine, 167,851 visited) on the tests' LOOP_WITH_REACHABLE_HALTS, a
 # 1-state machine that never halts although the prune keeps two of its
-# halts, and 0.27-0.34 s for decide_counter at s = 15 on a 1-state write
-# loop on empty tapes, where no head moves and N is config_count, so it runs
-# all 983,041 steps; each one's next s takes up to 0.6 s and 0.95 s
-# (CPython 3.11, 2-vCPU VM).  On other tapes the per-phase count stops that
-# loop after N steps: 458,753 for p = "1" at s = 14 (config_count 917,506).
+# halts, and 0.14-0.28 s for decide_counter at s = 15 on the tests'
+# WRITE_LOOP_BESIDE_PUSHES on empty tapes: a 1-state write loop whose table
+# also pushes both bits on both stacks, so that N is config_count and no
+# head moves, and it runs all 983,041 steps; each one's next s takes up to
+# 0.6 s and 0.56 s (CPython 3.11, 2-vCPU VM).  On other tapes the per-phase
+# count stops that loop after N steps: 458,753 for p = "1" at s = 14
+# (config_count 917,506).
 _MAX_CONFIGS = 1_000_000
 
 
@@ -375,22 +387,27 @@ def decide_forward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
 def decide_counter(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
     """Pigeonhole decider: simulate for at most N steps per head phase.
 
-    N = |Q| * stack_pair_count(s) counts the configurations within space s
-    at fixed head positions.  A phase is a stretch of the run in which
-    neither head moves; no opcode moves a head back, so a configuration can
-    recur only within its phase.  A phase that lasts N steps has visited
-    N + 1 configurations with the same heads, so it has revisited one and
-    the run never halts.  The limit starts at N and every read that moves a
-    head sets it to N steps past that read, so a run stops within
-    (|p| + |x| + 1) * N <= config_count steps.  Keeps no visited set and
-    no output; aborts early only on events (space overflow, abnormal pop)
-    after which halting is impossible.  The executed halt counts as a
-    visited configuration.  Refused up front (ValueError) when
-    config_count passes _MAX_CONFIGS.
+    N = |Q| * stack_pair_count(s, a, b), where a and b are
+    `spec.pushed_bit_counts`: the distinct bits that the table's PUSH_L
+    and PUSH_R entries push.  Stacks start empty, so every word a run
+    builds is over those bits, and N counts the configurations within
+    space s that a run can reach at fixed head positions.  The whole table
+    is read, not only the entries a run may execute, so this decider shares
+    nothing with `decide_backward`'s prune.  A phase is a stretch of the
+    run in which neither head moves; no opcode moves a head back, so a
+    configuration can recur only within its phase.  A phase that lasts N
+    steps has visited N + 1 configurations with the same heads, so it has
+    revisited one and the run never halts.  The limit starts at N and
+    every read that moves a head sets it to N steps past that read, so a
+    run stops within (|p| + |x| + 1) * N <= config_count steps.  Keeps no
+    visited set and no output; aborts early only on events (space
+    overflow, abnormal pop) after which halting is impossible.  The
+    executed halt counts as a visited configuration.  Refused up front
+    (ValueError) when config_count passes _MAX_CONFIGS.
     """
 
     _check_inputs(spec, p, x, s)
-    phase = spec.state_count * stack_pair_count(s)
+    phase = spec.state_count * stack_pair_count(s, *spec.pushed_bit_counts)
     verdict, _, steps = _execute(spec.table, p, x, s, phase, None, None, phase=phase)
     halted = verdict is Verdict.HALTED
     return HaltVerdict(halted, ProbeStats(steps + halted, 1))

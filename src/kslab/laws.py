@@ -493,10 +493,20 @@ class TypicalSet:
     base_profile: dict
 
 
-def _dominated(cand: dict, base: dict) -> bool:
-    """cand <= base at every entry, NotFound counting as infinity."""
+def _dominated(cand, readers, base: dict, s: int, cap: int, cache: ComplexityCache | None) -> bool:
+    """cand's profile at s <= base at every entry, NotFound counting as infinity.
 
-    return all(b is None or cand[key] is not None and cand[key] <= b for key, b in base.items())
+    Reads cand's entries one at a time, skips those where base is NotFound
+    and stops at the first that exceeds base.
+    """
+
+    for key, target, cond in readers:
+        bound = base[key]
+        if bound is not None:
+            value = cached_ks(target(cand), cond(cand), s, cap, cache).value
+            if value is None or value > bound:
+                return False
+    return True
 
 
 def typical_set(
@@ -530,7 +540,7 @@ def typical_set(
     members = [
         cand
         for cand in product(strings_up_to(n), repeat=k)
-        if _dominated(_profile(cand, readers, u_star, cap, cache), base)
+        if _dominated(cand, readers, base, u_star, cap, cache)
     ]
     return TypicalSet(xs, u, u_star, n, cap, tuple(members), base)
 

@@ -131,6 +131,18 @@ class MachineSpec:
 
         return tuple([(int(op), bit, t0, t1, t2) for op, bit, t0, t1, t2 in self.instructions])
 
+    @cached_property
+    def pushed_bit_counts(self) -> tuple[int, int]:
+        """How many distinct bits the PUSH_L and the PUSH_R entries push (0, 1 or 2 each).
+
+        Stacks start empty, so every word a run builds on L (R) is over that
+        many bits, whichever entries the run executes; `==` ignores it.
+        """
+
+        left = {bit for op, bit, *_ in self.table if op == Op.PUSH_L}
+        right = {bit for op, bit, *_ in self.table if op == Op.PUSH_R}
+        return len(left), len(right)
+
 
 def _validate_instruction(ins: Instruction, state_count: int) -> None:
     used = _OPERANDS.get(ins.op)

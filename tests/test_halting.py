@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -44,6 +45,12 @@ from kslab.machine import (
 )
 
 WRITE_LOOP = parse_machine("states: 1\n0 _ _ -> write 0 0\n")
+# WRITE_LOOP beside pushes of 0 and 1 on both stacks that no run reaches
+# (its stacks stay empty), so decide_counter's N is |Q| * stack_pair_count(s).
+WRITE_LOOP_BESIDE_PUSHES = parse_machine(
+    "states: 1\n0 _ _ -> write 0 0\n0 0 0 -> pushL 0 0\n0 0 1 -> pushL 1 0\n"
+    "0 1 0 -> pushR 0 0\n0 1 1 -> pushR 1 0\n"
+)
 # Pushes 1 on L and on R, pops both and starts over, in space 2.  For all
 # the prune knows, its pops may leave a 0 on top, so it keeps the halts at
 # tops (0, 1) and (1, 0), which no run executes; the backward search walks
@@ -58,6 +65,30 @@ IMMEDIATE_HALT = MachineSpec(1, (Instruction(Op.HALT),) * 9)
 READ_P_FOREVER = parse_machine("states: 1\n0 _ _ -> readP 0 0 0\n")
 # Reads p to the end marker, then writes forever in state 1.
 READ_P_THEN_WRITE_LOOP = parse_machine("states: 2\n0 _ _ -> readP 0 0 1\n1 _ _ -> write 0 1\n")
+# Reads p, pushing a 0 on R per bit, then counts R up in binary (low bit on
+# top) from 0^|p|, carrying 1s over to L and back, until the count
+# overflows and the machine halts: 2^|p| counts in one phase with no head
+# move, within space |p|.
+BINARY_COUNTER = parse_machine(
+    "states: 7\n"
+    + "".join(
+        f"{q} {a} {b} -> {ins}\n"
+        for q, ins in ((0, "readP 1 1 2"), (1, "pushR 0 0"), (3, "pushL 1 2"), (4, "pushR 1 5"), (6, "pushR 0 5"))
+        for a in "01_"
+        for b in "01_"
+    )
+    + "".join(f"2 {a} 1 -> popR 3\n2 {a} 0 -> popR 4\n" for a in "01_")
+    + "".join(f"5 1 {b} -> popL 6\n5 _ {b} -> write 0 2\n" for b in "01_")
+)
+
+
+def phase_bound(spec, s):
+    """decide_counter's N: |Q| * stack_pair_count(s, a, b), where a (b) is the
+    number of distinct bits that spec's PUSH_L (PUSH_R) instructions push."""
+
+    a = len({ins.bit for ins in spec.instructions if ins.op is Op.PUSH_L})
+    b = len({ins.bit for ins in spec.instructions if ins.op is Op.PUSH_R})
+    return spec.state_count * stack_pair_count(s, a, b)
 
 
 class TestCounts:
@@ -66,14 +97,20 @@ class TestCounts:
         assert stack_pair_count(s) == count
 
     def test_stack_pair_count_matches_enumeration(self):
+        # Every pair of words over a left alphabet of 0, 1 or 2 bits and a
+        # right one of 0, 1 or 2 bits; the empty word is over every alphabet.
         for s in range(6):
-            pairs = sum(
-                1
-                for l_len in range(s + 1)
-                for r_len in range(s + 1 - l_len)
-                for _ in range(2 ** (l_len + r_len))
-            )
-            assert stack_pair_count(s) == pairs
+            for left in range(3):
+                for right in range(3):
+                    pairs = sum(
+                        1
+                        for l_len in range(s + 1)
+                        for r_len in range(s + 1 - l_len)
+                        for _ in product(range(left), repeat=l_len)
+                        for _ in product(range(right), repeat=r_len)
+                    )
+                    assert stack_pair_count(s, left, right) == pairs, (s, left, right)
+            assert stack_pair_count(s) == stack_pair_count(s, 2, 2)
 
     def test_config_count_examples(self):
         one_state = IMMEDIATE_HALT
@@ -429,35 +466,50 @@ class TestCounter:
 
     def test_write_loop_keeps_no_output(self):
         # 98,305 steps: one kept output bit per step would peak near 0.8 MB.
+        # The unreachable pushes keep N at stack_pair_count(12), config_count.
+        spec = WRITE_LOOP_BESIDE_PUSHES
         tracemalloc.start()
         try:
-            verdict = decide_counter(WRITE_LOOP, "", "", 12)
+            verdict = decide_counter(spec, "", "", 12)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert verdict.probe_stats.configurations_visited == config_count(WRITE_LOOP, "", "", 12)
+        assert not verdict.terminates_within_s
+        assert verdict.probe_stats.configurations_visited == config_count(spec, "", "", 12) == 98_305
         assert peak < 64 * 1024
+
+    def test_a_long_halting_phase_runs_to_its_halt(self):
+        # BINARY_COUNTER pushes only 1s on L but both bits on R.  Its last
+        # phase, after the 2|p| steps of reads and pushes, outlasts a bound
+        # that counted R's words over one bit, and the counter must not cut it.
+        spec, p = BINARY_COUNTER, "0" * 6
+        verdict, _, max_space, steps = simulate(spec, p, "", 6, config_count(spec, p, "", 6))
+        assert (verdict, max_space) == (Verdict.HALTED, 6)
+        assert spec.state_count * stack_pair_count(6, 1, 1) < steps - 2 * len(p) < phase_bound(spec, 6)
+        assert decide_counter(spec, p, "", 6).terminates_within_s
+        assert not decide_counter(spec, p, "", 5).terminates_within_s
 
     @pytest.mark.parametrize("p", ["", "11"])
     def test_reading_the_end_marker_forever_is_stopped(self, p):
         # The head never moves after len(p) reads, so one phase of N steps
-        # follows them.
+        # follows them; the table pushes nothing, so N = |Q| = 1.
+        n = phase_bound(READ_P_FOREVER, 2)
         verdict = decide_counter(READ_P_FOREVER, p, "", 2)
         assert not verdict.terminates_within_s
-        assert verdict.probe_stats.configurations_visited == len(p) + stack_pair_count(2)
+        assert verdict.probe_stats.configurations_visited == len(p) + n == len(p) + 1
 
     def test_an_end_marker_read_does_not_re_arm(self):
-        # Three head moves (steps 1-3) re-arm the limit to step 3 + N; the
-        # end-marker read at step 4 moves no head, so the write loop after
-        # it ends the run there.
-        n = READ_P_THEN_WRITE_LOOP.state_count * stack_pair_count(2)
+        # Three head moves (steps 1-3) re-arm the limit to step 3 + N, with
+        # N = |Q| = 2 for a table that pushes nothing; the end-marker read at
+        # step 4 moves no head, so the write at step 5 ends the run there.
+        n = phase_bound(READ_P_THEN_WRITE_LOOP, 2)
         verdict = decide_counter(READ_P_THEN_WRITE_LOOP, "101", "", 2)
         assert not verdict.terminates_within_s
-        assert verdict.probe_stats.configurations_visited == 3 + n
+        assert verdict.probe_stats.configurations_visited == 3 + n == 5
 
     def test_agrees_with_the_reference_within_the_per_phase_bound(self):
         # Sampled cases with |p|, |x| <= 4.  A run stops within
-        # (|p| + |x| + 1) * N steps, N = |Q| * stack_pair_count(s); the
+        # (|p| + |x| + 1) * N steps, N = phase_bound(spec, s); the
         # reference runs to config_count.  Halting runs longer than N make
         # the re-arm necessary; sampled machines seldom have them, so a
         # fifth of the cases copy a tape to the output at s = 0: 2|tape| + 1
@@ -471,7 +523,7 @@ class TestCounter:
             else:
                 spec, s = sample_spec(rng, 3), rng.randint(0, 3)
             p, x = random_bits(rng, 4), random_bits(rng, 4)
-            n = spec.state_count * stack_pair_count(s)
+            n = phase_bound(spec, s)
             verdict, _, _, steps = simulate(spec, p, x, s, config_count(spec, p, x, s))
             got = decide_counter(spec, p, x, s)
             assert got.terminates_within_s == (verdict is Verdict.HALTED), (spec, p, x, s)
@@ -564,15 +616,16 @@ class TestCrossChecks:
             assert outcome is not None, "pigeonhole bound violated"
 
     def test_runs_repeat_a_configuration_within_n_steps_of_a_head_move(self):
-        # decide_counter's per-phase bound: heads never move back, so a run
-        # within space s ends, leaves the bound or repeats a configuration
-        # within N = |Q| * stack_pair_count(s) steps of its last head move.
+        # decide_counter's per-phase bound: heads never move back, and a
+        # stack holds only bits that the table pushes on it, so a run within
+        # space s ends, leaves the bound or repeats a configuration within
+        # N = phase_bound(spec, s) steps of its last head move.
         rng = random.Random(1980)
         repeats_after_a_move = 0
         for _ in range(300):
             spec = sample_spec(rng, 3)
             p, x, s = random_bits(rng, 3), random_bits(rng, 3), rng.randint(0, 3)
-            n = spec.state_count * stack_pair_count(s)
+            n = phase_bound(spec, s)
             cfg = initial_configuration()
             seen = {cfg}
             since_move = moves = 0
@@ -595,6 +648,30 @@ class TestCrossChecks:
                 seen.add(nxt)
                 cfg = nxt
         assert repeats_after_a_move > 20
+
+    def test_counter_agrees_with_forward_where_space_binds(self):
+        # Space-binding cases: the run halts within s but not within s - 1,
+        # so s is the least space at which the counter's N must not cut it
+        # short.  `run` finds each halting run's space m >= 1 on tapes of
+        # length <= 3 and <= 2; the oracle confirms it, and both deciders
+        # must say halts at m and does not at m - 1.
+        rng = random.Random(27)
+        binding = 0
+        for _ in range(300):
+            spec = sample_spec(rng, 4)
+            for p in all_bits(3):
+                for x in all_bits(2):
+                    result = run(spec, p, x, 6, config_count(spec, p, x, 6))
+                    if result.verdict is not Verdict.HALTED or result.max_space == 0:
+                        continue
+                    m = result.max_space
+                    verdict, _, max_space, _ = simulate(spec, p, x, m, result.steps + 1)
+                    assert (verdict, max_space) == (Verdict.HALTED, m), (spec, p, x)
+                    for s, halts in ((m, True), (m - 1, False)):
+                        counter = decide_counter(spec, p, x, s).terminates_within_s
+                        assert counter == decide_forward(spec, p, x, s).terminates_within_s == halts, (spec, p, x, s)
+                    binding += 1
+        assert binding == 1260
 
     def test_backward_agrees_on_canonicalized_input_too(self):
         spec = canonicalize(echo_x_spec())
