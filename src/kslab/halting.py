@@ -41,8 +41,8 @@ families, checks the shared loop against the string-configuration oracle
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .machine import (
     EMPTY_STACK,
@@ -55,14 +55,12 @@ from .machine import (
 )
 
 
-@dataclass(frozen=True)
-class ProbeStats:
+class ProbeStats(NamedTuple):
     configurations_visited: int
     peak_live_configurations: int
 
 
-@dataclass(frozen=True)
-class HaltVerdict:
+class HaltVerdict(NamedTuple):
     terminates_within_s: bool
     probe_stats: ProbeStats
 

@@ -92,6 +92,9 @@ MAX_CLOSED_FORM_CAP = MACHINE_MODE_MIN_LENGTH - 1
 # at such a cap changes with s past this bound.
 MAX_CLOSED_FORM_SPACE = 0
 
+# The doubled bits that open a pair encoding or a general-mode header; "01" ends them.
+_DOUBLED = re.compile("(?:00|11)*")
+
 
 class ReferenceParseError(ValueError):
     """Program is not in the interpreter's grammar."""
@@ -117,11 +120,11 @@ def decode_pair(bits: str) -> tuple[str, str]:
     """Inverse of encode_pair; raises ValueError off the encoding."""
 
     check_bits(bits)
-    for i in range(0, len(bits) - 1, 2):
-        if bits[i] != bits[i + 1]:
-            if bits[i] == "1":
-                raise ValueError(f"invalid doubled pair at offset {i}")
-            return bits[:i:2], bits[i + 2 :]
+    i = _DOUBLED.match(bits).end()
+    if bits.startswith("01", i):
+        return bits[:i:2], bits[i + 2 :]
+    if i < len(bits) - 1:
+        raise ValueError(f"invalid doubled pair at offset {i}")
     raise ValueError("pair encoding ended before the 01 separator")
 
 
@@ -166,8 +169,7 @@ def reference_decode(prog: str, x: str, s: int) -> str:
         r, p = decode_pair(prog)
         spec = parse_bits(r)
     except ValueError as exc:
-        # The message is exc's own: formatting a new one costs more than the
-        # rest of a failed decode, and most scanned programs fail here.
+        # exc's own message: formatting a new one costs more than the rest of a failed decode.
         raise ReferenceParseError(exc) from exc
     s_eff = s - (2 * len(r) + C_SIM)
     if s_eff < 0:
@@ -197,16 +199,13 @@ def _live(prog: str, x: str, y: str) -> bool:
         return y.startswith(prog[1:])
     if prog[:2] == "10":
         return y.startswith(x + prog[2:])
-    for i in range(0, len(prog) - 1, 2):
-        if prog[i] != prog[i + 1]:
-            if prog[i] == "1":
-                return False
-            try:
-                parse_bits(prog[:i:2])
-            except BitsParseError:
-                return False
-            return True
-    return True
+    i = _DOUBLED.match(prog).end()
+    if prog.startswith("01", i):
+        try:
+            parse_bits(prog[:i:2])
+        except BitsParseError:
+            return False
+    return not prog.startswith("10", i)
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,8 @@ def ks_scan(
     program, and the rule reads only the grammar, never ks's closed form or
     MACHINE_MODE_MIN_LENGTH, so the scan stays a check of ks.  Each length
     holds at most two live builtin-mode programs plus the live general-mode
-    ones: the unbroken doubled headers, about 2^(length/2), and every
+    ones: the open doubled headers, about 2^(length/2), which are not run
+    (no separator yet, so the grammar cannot parse them), and every
     extension of a header that is a serialized machine.  A length with
     more than _MAX_LIVE live general-mode (`11`-prefixed) programs is
     refused (ValueError), so a whole scan is refused exactly when its
@@ -311,6 +311,8 @@ def ks_scan(
     level = [prefix] if _live(prefix, x, y) else []
     for length in range(len(prefix), cap + 1):
         for prog in level:
+            if prog[:2] == "11" and not prog.startswith("01", _DOUBLED.match(prog).end()):
+                continue
             try:
                 out = reference_decode(prog, x, s)
             except (ReferenceParseError, ReferenceRunError):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Optional
 
 
@@ -566,58 +566,68 @@ def record_width(state_count: int) -> int:
     return 3 + max([bits + states * wd for bits, states in _SHAPES])
 
 
+@cache
+def _record_layout(wd: int, rw: int) -> tuple[tuple, ...]:
+    """Per opcode: the Op, its padding mask, then a (shift, mask) per operand bit, t0, t1, t2.
+
+    A record read as one integer holds each at rec >> shift & mask, and unused ones have mask 0."""
+
+    layout = []
+    for op in Op:
+        pos, operands = 3, []
+        for field in Instruction._fields[1:]:  # `_OPERANDS` lists fields in this order
+            width = 0 if field not in _OPERANDS[op] else 1 if field == "bit" else wd
+            pos += width
+            operands += [rw - pos, (1 << width) - 1]
+        layout.append((op, (1 << (rw - pos)) - 1, *operands))
+    return tuple(layout)
+
+
 def serialize_machine(spec: MachineSpec) -> str:
-    wd = state_width(spec.state_count)
     rw = record_width(spec.state_count)
+    layout = _record_layout(state_width(spec.state_count), rw)
     parts = ["1" * spec.state_count + "0"]
-    for ins in spec.instructions:
-        # The record as one integer: the opcode, then each used field.
-        rec, width = int(ins.op), 3
-        for field in _OPERANDS[ins.op]:
-            field_width = 1 if field == "bit" else wd
-            rec = rec << field_width | getattr(ins, field)
-            width += field_width
-        parts.append(format(rec << (rw - width), f"0{rw}b"))
+    for op, bit, t0, t1, t2 in spec.instructions:
+        _, _, sb, _, s0, _, s1, _, s2, _ = layout[op]
+        parts.append(format(op << (rw - 3) | bit << sb | t0 << s0 | t1 << s1 | t2 << s2, f"0{rw}b"))
     return "".join(parts)
 
 
 def parse_bits(bits: str) -> MachineSpec:
     """Inverse of `serialize_machine`; strict, the whole string must be consumed.
 
-    Nonzero padding and out-of-range state operands are rejected, so every
-    machine has exactly one serialization and vice versa.
+    Records are read as integers and split by `_record_layout`.  Nonzero
+    padding is rejected here and bad states by `MachineSpec` (as BitsParseError,
+    first bad record first), so every machine has one serialization and vice versa.
     """
 
     check_bits(bits, "machine serialization")
-    n = 0
-    while n < len(bits) and bits[n] == "1":
-        n += 1
+    n = len(bits) - len(bits.lstrip("1"))
     if n == 0:
         raise BitsParseError("missing unary state count")
     if n >= len(bits):
         raise BitsParseError("unary state count not terminated")
-    wd = state_width(n)
     rw = record_width(n)
     if len(bits) - n - 1 != 9 * n * rw:
         raise BitsParseError(
             f"expected {9 * n * rw} instruction bits for {n} states, got {len(bits) - n - 1}"
         )
+    layout = _record_layout(state_width(n), rw)
     instructions = []
     for start in range(n + 1, len(bits), rw):
-        op = Op(int(bits[start:start + 3], 2))
-        pos = start + 3
-        values = {}
-        for field in _OPERANDS[op]:
-            width = 1 if field == "bit" else wd
-            value = int(bits[pos:pos + width], 2) if width else 0
-            if value >= n and field != "bit":
-                raise BitsParseError(f"state operand {value} out of range for {n} states")
-            values[field] = value
-            pos += width
-        if "1" in bits[pos:start + rw]:
-            raise BitsParseError("nonzero padding in instruction record")
-        instructions.append(Instruction(op, **values))
-    return MachineSpec(n, tuple(instructions))
+        rec = int(bits[start:start + rw], 2)
+        op, pad, sb, mb, s0, m0, s1, m1, s2, m2 = layout[rec >> (rw - 3)]
+        instructions.append(Instruction(op, rec >> sb & mb, rec >> s0 & m0, rec >> s1 & m1, rec >> s2 & m2))
+        if rec & pad:
+            break
+    try:
+        # Halts stand in after a record with nonzero padding: a bad state up to it is named first.
+        spec = MachineSpec(n, tuple(instructions) + (_HALT,) * (9 * n - len(instructions)))
+    except ValueError as exc:
+        raise BitsParseError(*exc.args) from exc
+    if rec & pad:  # the loop stopped at this record
+        raise BitsParseError("nonzero padding in instruction record")
+    return spec
 
 
 def serialized_length(state_count: int) -> int:

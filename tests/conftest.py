@@ -1,8 +1,9 @@
 """Shared helpers: canned machines, uniform sampling of serializations, oracles.
 
 The machine sampler is imported from the benchmark's `perfbench/oracle.py`.
-Also the helpers only tests call: an instruction builder, a configuration
-trace, the table entries a run can reach, a brute-force inverse of `step`
+Also the helpers only tests call: the field-by-field and pair-by-pair
+decoders that `parse_bits`, `decode_pair` and `kolmo._live` are checked
+against, an instruction builder, a configuration trace, the table entries a run can reach, a brute-force inverse of `step`
 and a slow backward tour over it, a tuple decoder, seeded random draws,
 an inequality's value on an entropy vector, profile level vectors and
 their stable level, and a dense phase-1 simplex that the cone decision
@@ -27,16 +28,21 @@ from kslab.kolmo import (
     reference_decode,
 )
 from kslab.machine import (
+    BitsParseError,
     Configuration,
+    Instruction,
     MachineSpec,
     Op,
     StepKind,
     Verdict,
+    _OPERANDS,
     canonicalize,
     check_bits,
     initial_configuration,
     parse_bits,
     parse_machine,
+    record_width,
+    state_width,
     step,
 )
 
@@ -141,6 +147,90 @@ def brute_scan(y: str, x: str, s: int, cap: int, prefix: str = "") -> Complexity
             if out == y:
                 return ComplexityResult(y, x, s, cap, length, prog)
     return ComplexityResult(y, x, s, cap, None, None)
+
+
+def outcome(fn, *args):
+    """fn(*args), or ("error", type name, message) for the ValueError it raises."""
+
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def parse_bits_by_fields(bits: str) -> MachineSpec:
+    """`machine.parse_bits` as a walk over each record's fields, checking each as it is read."""
+
+    check_bits(bits, "machine serialization")
+    n = 0
+    while n < len(bits) and bits[n] == "1":
+        n += 1
+    if n == 0:
+        raise BitsParseError("missing unary state count")
+    if n >= len(bits):
+        raise BitsParseError("unary state count not terminated")
+    wd = state_width(n)
+    rw = record_width(n)
+    if len(bits) - n - 1 != 9 * n * rw:
+        raise BitsParseError(
+            f"expected {9 * n * rw} instruction bits for {n} states, got {len(bits) - n - 1}"
+        )
+    instructions = []
+    for start in range(n + 1, len(bits), rw):
+        op = Op(int(bits[start:start + 3], 2))
+        pos = start + 3
+        values = {}
+        for field in _OPERANDS[op]:
+            width = 1 if field == "bit" else wd
+            value = int(bits[pos:pos + width], 2) if width else 0
+            if value >= n and field != "bit":
+                raise BitsParseError(f"state operand {value} out of range for {n} states")
+            values[field] = value
+            pos += width
+        if "1" in bits[pos:start + rw]:
+            raise BitsParseError("nonzero padding in instruction record")
+        instructions.append(Instruction(op, **values))
+    return MachineSpec(n, tuple(instructions))
+
+
+def first_unequal_pair(bits: str):
+    """The offset of the first pair bits[i:i + 2] (i even) of unequal bits, or None."""
+
+    for i in range(0, len(bits) - 1, 2):
+        if bits[i] != bits[i + 1]:
+            return i
+    return None
+
+
+def decode_pair_by_pairs(bits: str) -> tuple[str, str]:
+    """`kolmo.decode_pair`, walking the doubled bits a pair at a time."""
+
+    check_bits(bits)
+    i = first_unequal_pair(bits)
+    if i is None:
+        raise ValueError("pair encoding ended before the 01 separator")
+    if bits[i] == "1":
+        raise ValueError(f"invalid doubled pair at offset {i}")
+    return bits[:i:2], bits[i + 2 :]
+
+
+def live_by_pairs(prog: str, x: str, y: str) -> bool:
+    """`kolmo._live`, walking a general-mode header a pair at a time."""
+
+    if prog[:1] == "0":
+        return y.startswith(prog[1:])
+    if prog[:2] == "10":
+        return y.startswith(x + prog[2:])
+    i = first_unequal_pair(prog)
+    if i is None:
+        return True
+    if prog[i] == "1":
+        return False
+    try:
+        parse_bits_by_fields(prog[:i:2])
+    except BitsParseError:
+        return False
+    return True
 
 
 def trace(spec: MachineSpec, p: str, x: str, s: int, step_limit: int):

@@ -5,6 +5,7 @@ import os
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,12 @@ from conftest import (
     all_bits,
     brute_scan,
     copy_p_spec,
+    decode_pair_by_pairs,
     decode_tuple,
     echo_x_spec,
+    first_unequal_pair,
+    live_by_pairs,
+    outcome,
     sample_machine_bits,
     seesaw_spec,
 )
@@ -40,6 +45,7 @@ from kslab.kolmo import (
 )
 from kslab.kolmo import _live
 from kslab.machine import Verdict, parse_machine, serialize_machine, serialized_length
+from workloads import Interpret
 
 BITS = st.text(alphabet="01", max_size=8)
 
@@ -80,6 +86,10 @@ class TestPairCodec:
     def test_empty_tuple_rejected(self):
         with pytest.raises(ValueError):
             decode_tuple("01", 0)
+
+    def test_decode_matches_the_pair_by_pair_walk(self):
+        for bits in all_bits(14):
+            assert outcome(decode_pair, bits) == outcome(decode_pair_by_pairs, bits), bits
 
     def test_first_component_is_self_delimiting(self):
         # Appending to the second component never disturbs the first.
@@ -287,6 +297,52 @@ class TestScanOracle:
             assert (scan.value, scan.witness) == (brute.value, brute.witness)
             assert scan.value <= len(prog)
             checked += 1
+
+    def test_live_matches_the_pair_by_pair_walk(self):
+        # Every program up to length 14, then sampled headers: whole, cut
+        # short (not a serialization), with one bit flipped, and broken.
+        progs = all_bits(14)
+        rng = random.Random(11)
+        headers = []
+        for _ in range(30):
+            r = sample_machine_bits(rng, rng.randint(1, 2))
+            flip = rng.randrange(len(r))
+            headers += [r, r[:-1], r[:flip] + "01"[r[flip] == "0"] + r[flip + 1 :]]
+            cut = 2 * rng.randrange(len(r))
+            progs += [doubled(r)[:cut] + "10", doubled(r)[:cut] + "1", doubled(r)[: cut + 1]]
+        progs += [doubled(header) + "01" + tail for header in headers for tail in ("", "0", "11")]
+        assert {live_by_pairs(doubled(header) + "01", "", "") for header in headers} == {False, True}
+        for y, x in (("101", "1"), ("0110", ""), ("", "")):
+            for prog in progs:
+                assert _live(prog, x, y) == live_by_pairs(prog, x, y), (prog, x, y)
+
+    def test_open_headers_are_not_decoded(self, monkeypatch):
+        # The `11` shards of the benchmark's scans (seed 7, caps 16 and 17):
+        # no header closes below length 78, so no program there is decoded.
+        # Then a shard past a machine's header, whose programs all are.
+        shards = [
+            job.args[1:]
+            for job in Interpret(Path(__file__).resolve().parents[1], None, 7, False).jobs
+            if getattr(job.func, "__name__", "") == "_scan_shard" and job.args[-1] == "11"
+        ]
+        assert [cap for _, _, _, cap, _ in shards] == [16, 17]
+        decoded = []
+
+        def decode(prog, x, s):
+            # Every general-mode program reaching here has its separator.
+            assert prog[:2] != "11" or first_unequal_pair(prog) is not None, prog
+            decoded.append(prog)
+            return reference_decode(prog, x, s)
+
+        monkeypatch.setattr(kolmo, "reference_decode", decode)
+        for y, x, s, cap, prefix in shards:
+            assert ks_scan(y, x, s, cap, prefix).value is None
+        assert decoded == []
+        r = serialize_machine(copy_p_spec())
+        header = doubled(r) + "01"
+        scan = ks_scan("0110", "", 2 * len(r) + C_SIM, len(header) + 4, prefix=header)
+        assert (scan.value, scan.witness) == (len(header) + 4, header + "0110")
+        assert len(decoded) == 1 + 2 + 4 + 8 + 7
 
     @pytest.mark.parametrize(
         "y, x, s, cap, prefix",

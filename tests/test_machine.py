@@ -11,6 +11,8 @@ from conftest import (
     _record_valid,
     all_bits,
     echo_x_spec,
+    outcome,
+    parse_bits_by_fields,
     push_forever_spec,
     sample_machine_bits,
     sample_spec,
@@ -326,9 +328,11 @@ class TestBitFormat:
 
     def test_accepts_a_string_iff_every_record_is_valid(self):
         # Strings of serialized length: a valid serialization with 0-2
-        # records replaced by uniform random bits.
+        # records replaced by uniform random bits.  Each gives the machine,
+        # or the error text, that the field-by-field decoder gives.
         rng = random.Random(17)
         outcomes = set()
+        errors = set()
         for _ in range(600):
             n = rng.randint(1, 4)
             rw = record_width(n)
@@ -338,16 +342,17 @@ class TestBitFormat:
                 records[rng.randrange(9 * n)] = format(rng.getrandbits(rw), f"0{rw}b")
             bits = "1" * n + "0" + "".join(records)
             expected = all(_record_valid(record, n) for record in records)
-            try:
-                spec = parse_bits(bits)
-            except BitsParseError:
-                accepted = False
+            got = outcome(parse_bits, bits)
+            assert got == outcome(parse_bits_by_fields, bits), (n, bits)
+            accepted = isinstance(got, MachineSpec)
+            if accepted:
+                assert serialize_machine(got) == bits
             else:
-                accepted = True
-                assert serialize_machine(spec) == bits
+                errors.add(got[2].split()[0])
             assert accepted == expected, (n, bits)
             outcomes.add(accepted)
         assert outcomes == {False, True}
+        assert errors == {"state", "nonzero"}
 
     def test_round_trip_from_spec_side(self):
         spec = echo_x_spec()
@@ -367,6 +372,7 @@ class TestBitFormat:
     def test_malformed_bits_are_rejected(self, mutate):
         good = serialize_machine(echo_x_spec())
         bad = mutate(good)
+        assert outcome(parse_bits, bad) == outcome(parse_bits_by_fields, bad)
         try:
             spec = parse_bits(bad)
         except BitsParseError:

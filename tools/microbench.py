@@ -8,8 +8,11 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
 * `parse_bits` per sampled 1-3-state machine serialization (microseconds),
 * `MachineSpec` validation per such machine (microseconds),
 * `serialize_machine` per such machine (microseconds),
-* `ks_scan("1", "", 0, 24, prefix="11")`, whose time is mostly header
-  parses (seconds),
+* `ks_scan("1", "", 0, 24, prefix="11")`, whose programs all have an
+  open header, so it decodes none (seconds),
+* `reference_decode` per general-mode decode program of the benchmark's
+  `interpret` workload at seed 7, the 72 with no time limit of their own
+  (microseconds),
 * `verify_law` on the five law grids of the benchmark's `lab-session`
   pass, without a cache, as one total (milliseconds), and the
   `ks_evaluations` of those five calls, summed,
@@ -82,10 +85,10 @@ def main() -> int:
 
     import oracle
     from oracle import sample_machine_bits
-    from workloads import ACCEPT_SEED, DeciderSweep, LabSession
+    from workloads import ACCEPT_SEED, DeciderSweep, Interpret, LabSession
     from kslab.entropy import is_shannon, parse_inequality
     from kslab.halting import decide_backward, decide_counter, decide_forward
-    from kslab.kolmo import ComplexityCache, ks, ks_scan
+    from kslab.kolmo import ComplexityCache, ReferenceParseError, ReferenceRunError, ks, ks_scan, reference_decode
     from kslab.laws import strings_up_to, typical_set, verify_law
     from kslab.machine import MachineSpec, parse_bits, serialize_machine
 
@@ -102,6 +105,17 @@ def main() -> int:
         "serialize_us": _best(lambda: [serialize_machine(s) for s in specs], REPS) * per_machine,
         "ks_scan_11_cap24_s": _best(lambda: ks_scan("1", "", 0, 24, prefix="11"), KS_SCAN_REPS),
     }
+    decodes = [job.args for job in Interpret(root, None, 7, False).jobs if getattr(job.func, "__name__", "") == "_decode"]
+
+    def decode_all():
+        for prog, x, s in decodes:
+            try:
+                reference_decode(prog, x, s)
+            except (ReferenceParseError, ReferenceRunError):
+                pass
+
+    result["reference_decode_us"] = _best(decode_all, REPS) * 1e6 / len(decodes)
+    result["reference_decode_programs"] = len(decodes)
     # The `law verify` calls of a `lab-session` pass, with the s grids its
     # seed 7 draws for the two grids that have no frozen file.
     frozen = (64, 128, 256, 512)
