@@ -3,9 +3,10 @@
 Three deciders answer "does the machine, run on (p, x), execute a halt
 instruction before its combined stack length ever exceeds s?":
 
-* `decide_forward` and `decide_counter` run the machine's packed table,
-  `MachineSpec.table`, in the execution loop of `kslab.machine` that
-  `machine.run` uses, and the three differ only in how they detect a loop.
+* `decide_forward` and `decide_counter` run the machine's exact-int table
+  rows, `MachineSpec.instructions`, in the execution loop of
+  `kslab.machine` that `machine.run` uses, and the three differ only in
+  how they detect a loop.
   The forward decider keeps a set of visited configurations, and a repeat
   proves an infinite loop.  The counter decider keeps nothing but a step
   counter, counted per head phase: both heads are one-way, so while neither
@@ -26,7 +27,7 @@ instruction before its combined stack length ever exceeds s?":
   among the parent's children), so at most three configurations are held at
   any moment.  The moves are not separate functions: one loop runs them over
   the current vertex's fields, with no call and no tuple per move.  One
-  inversion of each entry of the canonical machine's packed table
+  inversion of each entry of the canonical machine's table
   (`_inversions`) gives both the entries that a run from the start may
   execute and the recipes that invert them; no other entry is inverted, so
   subtrees that no run can enter are never walked.
@@ -115,7 +116,7 @@ _ANY_TOP = -1
 
 
 def _inversions(prog: tuple[tuple[int, int, int, int, int], ...]) -> tuple[tuple[_Inversion, ...], ...]:
-    """Per entry (q * 3 + a) * 3 + b of the packed table, the steps it takes.
+    """Per entry (q * 3 + a) * 3 + b of the table, the steps it takes.
 
     Each step is (target state, arg, L-top, R-top, sort bit): arg as in a
     recipe, the stack tops the step leaves (`_ANY_TOP` for the top a pop
@@ -172,8 +173,8 @@ def _inverse_index(spec: MachineSpec) -> tuple[MachineSpec, _Buckets, tuple[dict
     """`canonicalize(spec)`, its recipe buckets and where each recipe sits in them.
 
     Cached by the machine given, so a repeated call hashes only `spec`.
-    Both index parts come from `_inversions(canon.table)`.  Positions map, per
-    bucket, source entry * 3 + branch to the recipe's index in the bucket,
+    Both index parts come from `_inversions(canon.instructions)`.  Positions
+    map, per bucket, source entry * 3 + branch to the recipe's index in the bucket,
     where entry = (q * 3 + a) * 3 + b is the inverted table entry and branch
     is 0, 1 or 2 for a read's 0, 1 and end branches and 0 for every other
     instruction.  No key inverts a halt or a pop guarded by an empty top.
@@ -184,7 +185,7 @@ def _inverse_index(spec: MachineSpec) -> tuple[MachineSpec, _Buckets, tuple[dict
     """
 
     canon = canonicalize(spec)
-    prog = canon.table
+    prog = canon.instructions
     inversions = _inversions(prog)
     # Per target state: (sort key, recipe, required L-top, required R-top, position key).
     by_target: list[list[tuple[tuple[int, ...], _Recipe, int, int, int]]] = [
@@ -266,7 +267,7 @@ def decide_backward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
 
     canon, buckets, positions = _inverse_index(spec)
     _check_inputs(canon, p, x, s)
-    prog = canon.table
+    prog = canon.instructions
     # The branch a read takes at each head position: the bit there, or 2 at
     # the end marker.  Index -1 is the end marker too, which no bit matches.
     p_branch = tuple(int(bit) for bit in p) + (2,)
@@ -378,7 +379,7 @@ def decide_forward(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
     # A run within space s repeats a configuration before config_count steps,
     # so the step limit never ends this run; a repeat does, as STEP_LIMIT.
     seen = {(0, EMPTY_STACK, EMPTY_STACK, 0, 0)}
-    verdict, _, _ = _execute(spec.table, p, x, s, limit, None, seen)
+    verdict, _, _ = _execute(spec.instructions, p, x, s, limit, None, seen)
     return HaltVerdict(verdict is Verdict.HALTED, ProbeStats(len(seen), len(seen)))
 
 
@@ -406,7 +407,7 @@ def decide_counter(spec: MachineSpec, p: str, x: str, s: int) -> HaltVerdict:
 
     _check_inputs(spec, p, x, s)
     phase = spec.state_count * stack_pair_count(s, *spec.pushed_bit_counts)
-    verdict, _, steps = _execute(spec.table, p, x, s, phase, None, None, phase=phase)
+    verdict, _, steps = _execute(spec.instructions, p, x, s, phase, None, None, phase=phase)
     halted = verdict is Verdict.HALTED
     return HaltVerdict(halted, ProbeStats(steps + halted, 1))
 

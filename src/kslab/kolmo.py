@@ -117,9 +117,8 @@ def encode_pair(x: str, y: str) -> str:
 
 
 def decode_pair(bits: str) -> tuple[str, str]:
-    """Inverse of encode_pair; raises ValueError off the encoding."""
+    """Inverse of encode_pair on a bitstring; raises ValueError off the encoding."""
 
-    check_bits(bits)
     i = _DOUBLED.match(bits).end()
     if bits.startswith("01", i):
         return bits[:i:2], bits[i + 2 :]

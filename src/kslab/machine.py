@@ -66,24 +66,15 @@ TOP_EMPTY = 2
 TOP_CHARS = "01_"
 
 
-class Instruction(NamedTuple):
-    """One table entry.
-
-    `_OPERANDS` lists the fields each opcode uses; READ_P/READ_X branch to
-    (t0, t1, t2) on reading 0, reading 1, and sitting at the end marker.
-    Unused fields are zero.
-    """
-
-    op: Op
-    bit: int = 0
-    t0: int = 0
-    t1: int = 0
-    t2: int = 0
-
-
-# The Instruction fields each opcode uses, in text and serialized order: `bit`
-# is a 0/1 payload, every `t` field a state.  Validation, the text parser and
-# both bit codecs read this map.
+# A table row is (op, bit, t0, t1, t2), all exact ints: `_execute` and the
+# backward decider compare them on CPython's fast int path, which `Op`
+# members would leave.  `bit` is a 0/1 payload and every `t` field a state;
+# READ_P/READ_X branch to (t0, t1, t2) on reading 0, reading 1, and sitting
+# at the end marker.  `_FIELDS` names the operand positions 1 to 4, and
+# `_OPERANDS` lists the ones each opcode uses, in text and serialized order;
+# unused fields are zero.  Validation, the text parser and both bit codecs
+# read this map.
+_FIELDS = ("bit", "t0", "t1", "t2")
 _OPERANDS: dict[Op, tuple[str, ...]] = {
     Op.HALT: (),
     Op.PUSH_L: ("bit", "t0"),
@@ -99,19 +90,19 @@ _OPERANDS: dict[Op, tuple[str, ...]] = {
 _SHAPES = {(used.count("bit"), len(used) - used.count("bit")) for used in _OPERANDS.values()}
 
 
-_HALT = Instruction(Op.HALT)
+_HALT = (0, 0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
 class MachineSpec:
     """A validated machine: `state_count` >= 1 and a total transition table.
 
-    `instructions` has exactly 9 * state_count entries in lexicographic
-    (state, top_L, top_R) order with tops ordered 0 < 1 < empty.
+    `instructions` has exactly 9 * state_count rows (op, bit, t0, t1, t2) in
+    lexicographic (state, top_L, top_R) order with tops ordered 0 < 1 < empty.
     """
 
     state_count: int
-    instructions: tuple[Instruction, ...]
+    instructions: tuple[tuple[int, int, int, int, int], ...]
 
     def __post_init__(self) -> None:
         n = self.state_count
@@ -119,17 +110,11 @@ class MachineSpec:
             raise ValueError("state_count must be >= 1")
         if len(self.instructions) != 9 * n:
             raise ValueError(f"expected {9 * n} instructions, got {len(self.instructions)}")
-        for ins in self.instructions:
-            _validate_instruction(ins, n)
+        for row in self.instructions:
+            _validate_instruction(row, n)
 
-    def instruction(self, state: int, top_l: int, top_r: int) -> Instruction:
+    def instruction(self, state: int, top_l: int, top_r: int) -> tuple[int, int, int, int, int]:
         return self.instructions[(state * 3 + top_l) * 3 + top_r]
-
-    @cached_property
-    def table(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """The plain-int rows (op, bit, t0, t1, t2) that `_execute` runs; `==` ignores it."""
-
-        return tuple([(int(op), bit, t0, t1, t2) for op, bit, t0, t1, t2 in self.instructions])
 
     @cached_property
     def pushed_bit_counts(self) -> tuple[int, int]:
@@ -139,22 +124,23 @@ class MachineSpec:
         many bits, whichever entries the run executes; `==` ignores it.
         """
 
-        left = {bit for op, bit, *_ in self.table if op == Op.PUSH_L}
-        right = {bit for op, bit, *_ in self.table if op == Op.PUSH_R}
+        left = {bit for op, bit, *_ in self.instructions if op == Op.PUSH_L}
+        right = {bit for op, bit, *_ in self.instructions if op == Op.PUSH_R}
         return len(left), len(right)
 
 
-def _validate_instruction(ins: Instruction, state_count: int) -> None:
-    used = _OPERANDS.get(ins.op)
+def _validate_instruction(row: tuple[int, int, int, int, int], state_count: int) -> None:
+    op = row[0]
+    used = _OPERANDS.get(op)
     if used is None:
-        raise ValueError(f"unknown opcode {ins.op!r}")
-    for field, value in zip(Instruction._fields[1:], ins[1:]):
+        raise ValueError(f"unknown opcode {op!r}")
+    for field, value in zip(_FIELDS, row[1:]):
         # Zero is valid in every field; unused fields must stay zero so that
         # equal machines compare equal.
         if value == 0:
             continue
         if field not in used:
-            raise ValueError(f"{ins.op.name} does not use {field}")
+            raise ValueError(f"{Op(op).name} does not use {field}")
         if field == "bit":
             if value != 1:
                 raise ValueError(f"instruction bit must be 0 or 1, got {value}")
@@ -229,43 +215,41 @@ def step(spec: MachineSpec, cfg: Configuration, p: str, x: str) -> StepResult:
     """Execute one instruction.  Pure; does not enforce any space bound."""
 
     state, sl, sr, hp, hx = cfg
-    ins = spec.instruction(state, _top_index(sl), _top_index(sr))
-    op = ins.op
-    if op is Op.HALT:
+    op, bit, t0, t1, t2 = spec.instruction(state, _top_index(sl), _top_index(sr))
+    if op == Op.HALT:
         return StepResult(StepKind.HALTED, None, None)
-    if op is Op.PUSH_L:
-        return StepResult(StepKind.NEXT, Configuration(ins.t0, sl + "01"[ins.bit], sr, hp, hx), None)
-    if op is Op.PUSH_R:
-        return StepResult(StepKind.NEXT, Configuration(ins.t0, sl, sr + "01"[ins.bit], hp, hx), None)
-    if op is Op.POP_L:
+    if op == Op.PUSH_L:
+        return StepResult(StepKind.NEXT, Configuration(t0, sl + "01"[bit], sr, hp, hx), None)
+    if op == Op.PUSH_R:
+        return StepResult(StepKind.NEXT, Configuration(t0, sl, sr + "01"[bit], hp, hx), None)
+    if op == Op.POP_L:
         if not sl:
             return StepResult(StepKind.ABNORMAL, None, None)
-        return StepResult(StepKind.NEXT, Configuration(ins.t0, sl[:-1], sr, hp, hx), None)
-    if op is Op.POP_R:
+        return StepResult(StepKind.NEXT, Configuration(t0, sl[:-1], sr, hp, hx), None)
+    if op == Op.POP_R:
         if not sr:
             return StepResult(StepKind.ABNORMAL, None, None)
-        return StepResult(StepKind.NEXT, Configuration(ins.t0, sl, sr[:-1], hp, hx), None)
-    if op is Op.WRITE:
-        return StepResult(StepKind.NEXT, Configuration(ins.t0, sl, sr, hp, hx), "01"[ins.bit])
-    if op is Op.READ_P:
+        return StepResult(StepKind.NEXT, Configuration(t0, sl, sr[:-1], hp, hx), None)
+    if op == Op.WRITE:
+        return StepResult(StepKind.NEXT, Configuration(t0, sl, sr, hp, hx), "01"[bit])
+    if op == Op.READ_P:
         if hp >= len(p):
-            return StepResult(StepKind.NEXT, Configuration(ins.t2, sl, sr, hp, hx), None)
-        nxt = Configuration(ins.t0 if p[hp] == "0" else ins.t1, sl, sr, hp + 1, hx)
+            return StepResult(StepKind.NEXT, Configuration(t2, sl, sr, hp, hx), None)
+        nxt = Configuration(t0 if p[hp] == "0" else t1, sl, sr, hp + 1, hx)
         return StepResult(StepKind.NEXT, nxt, None)
     # Op.READ_X
     if hx >= len(x):
-        return StepResult(StepKind.NEXT, Configuration(ins.t2, sl, sr, hp, hx), None)
-    nxt = Configuration(ins.t0 if x[hx] == "0" else ins.t1, sl, sr, hp, hx + 1)
+        return StepResult(StepKind.NEXT, Configuration(t2, sl, sr, hp, hx), None)
+    nxt = Configuration(t0 if x[hx] == "0" else t1, sl, sr, hp, hx + 1)
     return StepResult(StepKind.NEXT, nxt, None)
 
 
 # ---------- fast packed execution ----------
 #
 # Hot loops (deciders, the reference interpreter, exhaustive searches) run on a
-# packed form: the table as `MachineSpec.table`, plain-int rows built once per
-# machine (exact ints: CPython's fast int comparisons skip `Op` members),
-# stacks as sentinel integers (1 = empty; push b => v*2+b; pop => v//2; top =>
-# v&1), and configurations as 5-int tuples (state, sl, sr, hp, hx).
+# packed form: the table's exact-int rows as `MachineSpec.instructions` holds
+# them, stacks as sentinel integers (1 = empty; push b => v*2+b; pop => v//2;
+# top => v&1), and configurations as 5-int tuples (state, sl, sr, hp, hx).
 #
 # One loop executes this form: `_execute`, behind `run` and the forward and
 # counter deciders, which differ only in how the loop detects a repeated
@@ -422,7 +406,7 @@ def run(
     if step_limit < 0:
         raise ValueError("step_limit must be >= 0")
     out: list[str] = []
-    verdict, max_space, steps = _execute(spec.table, p, x, s, step_limit, out, None, brent=True)
+    verdict, max_space, steps = _execute(spec.instructions, p, x, s, step_limit, out, None, brent=True)
     return RunResult(verdict, "".join(out), max_space, steps)
 
 
@@ -489,7 +473,7 @@ def parse_machine(text: str) -> MachineSpec:
     """
 
     state_count: Optional[int] = None
-    table: dict[int, Instruction] = {}
+    table: dict[int, tuple[int, int, int, int, int]] = {}
     seen_lines: dict[int, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -527,10 +511,11 @@ def parse_machine(text: str) -> MachineSpec:
         if len(args) != len(used):
             expected = " ".join(f"<{field}>" for field in used) or "no operands"
             raise MachineFormatError(f"{name} takes {expected}", lineno)
-        ins = Instruction(op, **{
+        operands = {
             field: _parse_bit(arg, lineno) if field == "bit" else _parse_state(arg, state_count, lineno)
             for field, arg in zip(used, args)
-        })
+        }
+        ins = (op.value, *[operands.get(field, 0) for field in _FIELDS])
         idx = (q * 3 + ta) * 3 + tb
         if idx in table:
             raise MachineFormatError(
@@ -568,18 +553,18 @@ def record_width(state_count: int) -> int:
 
 @cache
 def _record_layout(wd: int, rw: int) -> tuple[tuple, ...]:
-    """Per opcode: the Op, its padding mask, then a (shift, mask) per operand bit, t0, t1, t2.
+    """Per opcode: the opcode as an int, its padding mask, then a (shift, mask) per operand bit, t0, t1, t2.
 
     A record read as one integer holds each at rec >> shift & mask, and unused ones have mask 0."""
 
     layout = []
     for op in Op:
         pos, operands = 3, []
-        for field in Instruction._fields[1:]:  # `_OPERANDS` lists fields in this order
+        for field in _FIELDS:  # `_OPERANDS` lists fields in this order
             width = 0 if field not in _OPERANDS[op] else 1 if field == "bit" else wd
             pos += width
             operands += [rw - pos, (1 << width) - 1]
-        layout.append((op, (1 << (rw - pos)) - 1, *operands))
+        layout.append((op.value, (1 << (rw - pos)) - 1, *operands))
     return tuple(layout)
 
 
@@ -617,7 +602,7 @@ def parse_bits(bits: str) -> MachineSpec:
     for start in range(n + 1, len(bits), rw):
         rec = int(bits[start:start + rw], 2)
         op, pad, sb, mb, s0, m0, s1, m1, s2, m2 = layout[rec >> (rw - 3)]
-        instructions.append(Instruction(op, rec >> sb & mb, rec >> s0 & m0, rec >> s1 & m1, rec >> s2 & m2))
+        instructions.append((op, rec >> sb & mb, rec >> s0 & m0, rec >> s1 & m1, rec >> s2 & m2))
         if rec & pad:
             break
     try:
@@ -659,18 +644,19 @@ def canonicalize(spec: MachineSpec) -> MachineSpec:
     adv_p = n + 2
     adv_x = n + 3
     halt_state = n + 4
-    to_drain = Instruction(Op.READ_P, 0, drain_l, drain_l, drain_l)
-    to_drain_r = Instruction(Op.READ_P, 0, drain_r, drain_r, drain_r)
-    to_adv_p = Instruction(Op.READ_P, 0, adv_p, adv_p, adv_p)
-    instructions = [to_drain if ins.op is Op.HALT else ins for ins in spec.instructions]
+    read_p, read_x = Op.READ_P.value, Op.READ_X.value
+    to_drain = (read_p, 0, drain_l, drain_l, drain_l)
+    to_drain_r = (read_p, 0, drain_r, drain_r, drain_r)
+    to_adv_p = (read_p, 0, adv_p, adv_p, adv_p)
+    instructions = [to_drain if ins[0] == Op.HALT else ins for ins in spec.instructions]
     for ta in range(3):
         for tb in range(3):
-            instructions.append(Instruction(Op.POP_L, 0, drain_l) if ta != TOP_EMPTY else to_drain_r)
+            instructions.append((Op.POP_L.value, 0, drain_l, 0, 0) if ta != TOP_EMPTY else to_drain_r)
     for ta in range(3):
         for tb in range(3):
-            instructions.append(Instruction(Op.POP_R, 0, drain_r) if tb != TOP_EMPTY else to_adv_p)
-    instructions.extend([Instruction(Op.READ_P, 0, adv_p, adv_p, adv_x)] * 9)
-    instructions.extend([Instruction(Op.READ_X, 0, adv_x, adv_x, halt_state)] * 9)
+            instructions.append((Op.POP_R.value, 0, drain_r, 0, 0) if tb != TOP_EMPTY else to_adv_p)
+    instructions.extend([(read_p, 0, adv_p, adv_p, adv_x)] * 9)
+    instructions.extend([(read_x, 0, adv_x, adv_x, halt_state)] * 9)
     instructions.extend([_HALT] * 9)
     return MachineSpec(n + 5, tuple(instructions))
 

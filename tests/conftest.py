@@ -3,11 +3,11 @@
 The machine sampler is imported from the benchmark's `perfbench/oracle.py`.
 Also the helpers only tests call: the field-by-field and pair-by-pair
 decoders that `parse_bits`, `decode_pair` and `kolmo._live` are checked
-against, an instruction builder, a configuration trace, the table entries a run can reach, a brute-force inverse of `step`
-and a slow backward tour over it, a tuple decoder, seeded random draws,
-an inequality's value on an entropy vector, profile level vectors and
-their stable level, and a dense phase-1 simplex that the cone decision
-is checked against.
+against, a configuration trace, the table entries a run can reach, a
+brute-force inverse of `step` and a slow backward tour over it, a tuple
+decoder, seeded random draws, an inequality's value on an entropy vector,
+profile level vectors and their stable level, and a dense phase-1 simplex
+that the cone decision is checked against.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from kslab.kolmo import (
 from kslab.machine import (
     BitsParseError,
     Configuration,
-    Instruction,
     MachineSpec,
     Op,
     StepKind,
     Verdict,
+    _FIELDS,
     _OPERANDS,
     canonicalize,
     check_bits,
@@ -177,10 +177,10 @@ def parse_bits_by_fields(bits: str) -> MachineSpec:
         )
     instructions = []
     for start in range(n + 1, len(bits), rw):
-        op = Op(int(bits[start:start + 3], 2))
+        op = int(bits[start:start + 3], 2)
         pos = start + 3
         values = {}
-        for field in _OPERANDS[op]:
+        for field in _OPERANDS[Op(op)]:
             width = 1 if field == "bit" else wd
             value = int(bits[pos:pos + width], 2) if width else 0
             if value >= n and field != "bit":
@@ -189,7 +189,7 @@ def parse_bits_by_fields(bits: str) -> MachineSpec:
             pos += width
         if "1" in bits[pos:start + rw]:
             raise BitsParseError("nonzero padding in instruction record")
-        instructions.append(Instruction(op, **values))
+        instructions.append((op, *[values.get(field, 0) for field in _FIELDS]))
     return MachineSpec(n, tuple(instructions))
 
 
@@ -278,19 +278,19 @@ def canonical_key(spec: MachineSpec, p: str, x: str, cfg: Configuration) -> tupl
 
     a = int(cfg.stack_l[-1]) if cfg.stack_l else 2
     b = int(cfg.stack_r[-1]) if cfg.stack_r else 2
-    ins = spec.instruction(cfg.state, a, b)
-    op, bit, branch = ins.op, 0, 0
-    if op is Op.PUSH_L or op is Op.PUSH_R:
-        bit = ins.bit
-    elif op is Op.POP_L:
+    op, pushed = spec.instruction(cfg.state, a, b)[:2]
+    bit, branch = 0, 0
+    if op == Op.PUSH_L or op == Op.PUSH_R:
+        bit = pushed
+    elif op == Op.POP_L:
         bit = a
-    elif op is Op.POP_R:
+    elif op == Op.POP_R:
         bit = b
-    elif op is Op.READ_P:
+    elif op == Op.READ_P:
         branch = int(p[cfg.head_p]) if cfg.head_p < len(p) else 2
-    elif op is Op.READ_X:
+    elif op == Op.READ_X:
         branch = int(x[cfg.head_x]) if cfg.head_x < len(x) else 2
-    return (cfg.state, int(op), bit, a, b, branch)
+    return (cfg.state, op, bit, a, b, branch)
 
 
 @lru_cache(maxsize=1)

@@ -31,8 +31,11 @@ from kslab.halting import (
     stack_pair_count,
 )
 from kslab.machine import (
+    TOP_CHARS,
+    _FIELDS,
+    _OP_NAMES,
+    _OPERANDS,
     Configuration,
-    Instruction,
     MachineSpec,
     Op,
     StepKind,
@@ -60,7 +63,7 @@ LOOP_WITH_REACHABLE_HALTS = parse_machine(
     "states: 1\n0 _ _ -> pushL 1 0\n0 1 _ -> pushR 1 0\n0 1 1 -> popL 0\n"
     "0 _ 1 -> popR 0\n0 _ 0 -> pushL 1 0\n"
 )
-IMMEDIATE_HALT = MachineSpec(1, (Instruction(Op.HALT),) * 9)
+IMMEDIATE_HALT = MachineSpec(1, ((Op.HALT, 0, 0, 0, 0),) * 9)
 # Reads p forever: its head moves once per bit, then sits at the end marker.
 READ_P_FOREVER = parse_machine("states: 1\n0 _ _ -> readP 0 0 0\n")
 # Reads p to the end marker, then writes forever in state 1.
@@ -86,8 +89,8 @@ def phase_bound(spec, s):
     """decide_counter's N: |Q| * stack_pair_count(s, a, b), where a (b) is the
     number of distinct bits that spec's PUSH_L (PUSH_R) instructions push."""
 
-    a = len({ins.bit for ins in spec.instructions if ins.op is Op.PUSH_L})
-    b = len({ins.bit for ins in spec.instructions if ins.op is Op.PUSH_R})
+    a = len({bit for op, bit, *_ in spec.instructions if op == Op.PUSH_L})
+    b = len({bit for op, bit, *_ in spec.instructions if op == Op.PUSH_R})
     return spec.state_count * stack_pair_count(s, a, b)
 
 
@@ -247,13 +250,13 @@ class TestRelocation:
                         continue
                     kind, successor, _ = step(spec, child, p, x)
                     assert (kind, successor) == (StepKind.NEXT, parent), (child, p, x, s)
-                    ins = spec.instruction(child.state, *tops(child))
+                    op, _, t0, t1, _ = spec.instruction(child.state, *tops(child))
                     branch = 0
-                    if ins.op in (Op.READ_P, Op.READ_X):
-                        tape, head = (p, child.head_p) if ins.op is Op.READ_P else (x, child.head_x)
+                    if op in (Op.READ_P, Op.READ_X):
+                        tape, head = (p, child.head_p) if op == Op.READ_P else (x, child.head_x)
                         branch = int(tape[head]) if head < len(tape) else 2
                         end_branches += branch == 2
-                        shared_targets += branch < 2 and ins.t0 == ins.t1
+                        shared_targets += branch < 2 and t0 == t1
                     entry = table_entry(child)
                     assert positions[table_entry(parent)][entry * 3 + branch] == idx, (child, p, x, s)
                     checked += 1
@@ -273,7 +276,7 @@ class TestReachableEntries:
         executed = pops_leaving_a_bit = 0
         for _ in range(300):
             spec = canonicalize(sample_spec(rng, 3))
-            reachable = halting._reachable_entries(halting._inversions(spec.table))
+            reachable = halting._reachable_entries(halting._inversions(spec.instructions))
             for p in all_bits(2):
                 for x in all_bits(2):
                     cfg, seen = initial_configuration(), set()
@@ -281,9 +284,9 @@ class TestReachableEntries:
                         seen.add(cfg)
                         assert table_entry(cfg) in reachable, (spec, p, x, cfg)
                         executed += 1
-                        op = spec.instruction(cfg.state, *tops(cfg)).op
-                        pops_leaving_a_bit += (op is Op.POP_L and len(cfg.stack_l) > 1) or (
-                            op is Op.POP_R and len(cfg.stack_r) > 1
+                        op = spec.instruction(cfg.state, *tops(cfg))[0]
+                        pops_leaving_a_bit += (op == Op.POP_L and len(cfg.stack_l) > 1) or (
+                            op == Op.POP_R and len(cfg.stack_r) > 1
                         )
                         kind, cfg, _ = step(spec, cfg, p, x)
                         if kind is not StepKind.NEXT:
@@ -298,11 +301,11 @@ class TestReachableEntries:
         popping = 0
         for _ in range(300):
             canon = canonicalize(sample_spec(rng, 3))
-            reachable = halting._reachable_entries(halting._inversions(canon.table))
+            reachable = halting._reachable_entries(halting._inversions(canon.instructions))
             assert reachable == reachable_entries(canon), canon
             # Reachable pops of a bit, which may leave any top below it.
             for entry in reachable:
-                op, a, b = canon.table[entry][0], entry // 3 % 3, entry % 3
+                op, a, b = canon.instructions[entry][0], entry // 3 % 3, entry % 3
                 popping += (op == 3 and a < 2) or (op == 4 and b < 2)
         assert popping > 30
 
@@ -310,33 +313,46 @@ class TestReachableEntries:
         # LOOP_WITH_REACHABLE_HALTS pops only 1s, but the set does not
         # track what lies below a top: it keeps the halts at entries 1 and
         # 3, tops (0, 1) and (1, 0).
-        reachable = halting._reachable_entries(halting._inversions(LOOP_WITH_REACHABLE_HALTS.table))
+        reachable = halting._reachable_entries(halting._inversions(LOOP_WITH_REACHABLE_HALTS.instructions))
         assert sorted(reachable) == [1, 3, 4, 5, 6, 7, 8]
         assert not decide_forward(LOOP_WITH_REACHABLE_HALTS, "", "", 12).terminates_within_s
 
 
 class TestPackedTable:
-    def test_is_built_once_in_plain_ints(self):
+    def test_rows_are_exact_ints(self):
         # `run` and every decider read the one table a machine carries, and
-        # its fields are exact ints, not `Op` members or bools, which would
-        # take `_execute` off CPython's fast int comparisons.
+        # every builder writes its fields as exact ints, not `Op` members or
+        # bools, which would take `_execute` off CPython's fast int
+        # comparisons: `parse_bits`, `parse_machine` (given the sampled
+        # machine as text) and `canonicalize`.
+        names = {op: name for name, op in _OP_NAMES.items()}
         rng = random.Random(2626)
         for _ in range(150):
             spec = sample_spec(rng, 3)
+            text = f"states: {spec.state_count}\n" + "".join(
+                f"{i // 9} {TOP_CHARS[i // 3 % 3]} {TOP_CHARS[i % 3]} -> {names[row[0]]} "
+                + " ".join(str(row[1 + _FIELDS.index(field)]) for field in _OPERANDS[row[0]])
+                + "\n"
+                for i, row in enumerate(spec.instructions)
+            )
+            parsed = parse_machine(text)
             canon = _inverse_index(spec)[0]
-            assert canon == canonicalize(spec)
-            tables = spec.table, canon.table
-            for machine, table in zip((spec, canon), tables):
-                assert table == tuple(tuple(ins) for ins in machine.instructions)
-                assert all(type(field) is int for row in table for field in row)
+            assert parsed == spec and canon == canonicalize(spec)
             p, x, s = random_bits(rng, 2), random_bits(rng, 2), rng.randint(0, 3)
             run(spec, p, x, s, 200)
             for decide in (decide_forward, decide_counter, decide_backward):
                 decide(spec, p, x, s)
-            assert spec.table is tables[0] and _inverse_index(spec)[0].table is tables[1]
-            # The cached table is no field: equality and hash ignore it.
-            fresh = MachineSpec(spec.state_count, spec.instructions)
-            assert fresh == spec and hash(fresh) == hash(spec)
+            for machine in (spec, parsed, canon):
+                assert all(type(field) is int for row in machine.instructions for field in row)
+                # Equality and hash are the rows', whatever the machine has
+                # cached: a spec rebuilt from them, with exact ints or with
+                # `Op` members, is the same machine.
+                for rows in (
+                    tuple(tuple(row) for row in machine.instructions),
+                    tuple((Op(op), *operands) for op, *operands in machine.instructions),
+                ):
+                    fresh = MachineSpec(machine.state_count, rows)
+                    assert fresh == machine and hash(fresh) == hash(machine)
 
 
 class TestBackward:
@@ -418,11 +434,11 @@ class TestBackward:
                 # canonical chain's own reads are in every tree).
                 for cfg in tour:
                     if cfg.state < spec.state_count:
-                        ins = spec.instruction(cfg.state, *tops(cfg))
-                        if ins.op in (Op.READ_P, Op.READ_X):
-                            at_end = cfg.head_p == len(p) if ins.op is Op.READ_P else cfg.head_x == len(x)
+                        op, _, t0, t1, _ = spec.instruction(cfg.state, *tops(cfg))
+                        if op in (Op.READ_P, Op.READ_X):
+                            at_end = cfg.head_p == len(p) if op == Op.READ_P else cfg.head_x == len(x)
                             end_reads += at_end
-                            shared_targets += not at_end and ins.t0 == ins.t1
+                            shared_targets += not at_end and t0 == t1
         assert len(verdicts) == 1000
         assert min(verdicts.count(True), verdicts.count(False)) > 200
         assert end_reads > 100 and shared_targets > 100

@@ -25,7 +25,6 @@ from kslab.machine import (
     EMPTY_STACK,
     BitsParseError,
     Configuration,
-    Instruction,
     MachineFormatError,
     MachineSpec,
     Op,
@@ -44,7 +43,7 @@ from kslab.machine import (
 )
 
 BITS = st.text(alphabet="01", max_size=6)
-HALT = Instruction(Op.HALT)
+HALT = (Op.HALT, 0, 0, 0, 0)
 
 # The fields each opcode uses, stated here independently of the machine module.
 USED_FIELDS = {
@@ -66,6 +65,12 @@ def _param_id(value):
     return getattr(value, "name", value)
 
 
+def _row(op, field=None, value=0):
+    """The row of `op` with every operand zero but `field`, which holds `value`."""
+
+    return (op, *[value if f == field else 0 for f in FIELDS])
+
+
 def _table_with(ins, states):
     """A table whose first entry is ins and every other entry halt."""
 
@@ -76,21 +81,21 @@ class TestInstructions:
     @pytest.mark.parametrize("states", [1, 3])
     @pytest.mark.parametrize("op,field", UNUSED, ids=_param_id)
     def test_unused_fields_must_stay_zero(self, op, field, states):
-        spec = MachineSpec(states, _table_with(Instruction(op), states))
-        assert spec.instruction(0, 0, 0) == Instruction(op)
+        spec = MachineSpec(states, _table_with(_row(op), states))
+        assert spec.instruction(0, 0, 0) == _row(op)
         with pytest.raises(ValueError):
-            MachineSpec(states, _table_with(Instruction(op)._replace(**{field: 1}), states))
+            MachineSpec(states, _table_with(_row(op, field, 1), states))
 
     @pytest.mark.parametrize("states", [1, 3])
     @pytest.mark.parametrize("op,field", USED, ids=_param_id)
     def test_state_operands_must_be_in_range(self, op, field, states):
         # A used bit must be 0 or 1, a used state below the state count.
         top = 1 if field == "bit" else states - 1
-        ins = Instruction(op)._replace(**{field: top})
+        ins = _row(op, field, top)
         assert MachineSpec(states, _table_with(ins, states)).instruction(0, 0, 0) == ins
         for bad in (-1, top + 1):
             with pytest.raises(ValueError):
-                MachineSpec(states, _table_with(Instruction(op)._replace(**{field: bad}), states))
+                MachineSpec(states, _table_with(_row(op, field, bad), states))
 
     def test_instruction_count_must_match(self):
         with pytest.raises(ValueError):
@@ -401,7 +406,7 @@ class TestCanonicalize:
         canon = canonicalize(spec)
         assert canon.state_count == spec.state_count + 5
         assert final_configuration(canon, "", "")[0] == spec.state_count + 4
-        assert {ins.op for ins in canon.instructions[-9:]} == {Op.HALT}
+        assert {row[0] for row in canon.instructions[-9:]} == {Op.HALT}
 
     def test_preserves_output_space_and_verdict(self):
         rng = random.Random(23)
