@@ -7,6 +7,13 @@ sets and cone membership.
 Exit codes: 0 success, 1 domain error (bad values, unreachable targets,
 baseline mismatches), 2 usage error (argparse).  Output on stdout is
 deterministic: identical inputs and cache state produce identical bytes.
+
+A process builds one parser (build_parser is cached), since building one
+costs more than many commands' own work; argparse keeps no state between
+parse_args calls.  The parser names each command's handler, and main looks
+the name up in this module when it runs, so a cmd_* function replaced on
+the module after the first call (as perfbench's tracer does) is the one
+called.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from functools import cache
 from pathlib import Path
 
 from ._masks import mask_label
@@ -105,6 +113,8 @@ def cmd_ks_compute(args) -> int:
 
 def cmd_ks_table(args) -> int:
     s_grid = _parse_grid(args.s_grid, "--s-grid")
+    if not s_grid:
+        raise ValueError("--s-grid must be nonempty")
     if args.targets_to < 0:
         raise ValueError("--targets-to must be >= 0")
     if args.conditions_to < 0:
@@ -128,9 +138,10 @@ def cmd_ks_table(args) -> int:
         print(json.dumps(rows, sort_keys=True))
         return 0
     print("y,x,s,cap,value,witness")
-    for r in results:
-        value_text = "NotFound" if r.value is None else str(r.value)
-        print(f"{r.target},{r.condition},{r.s},{r.cap},{value_text},{r.witness or ''}")
+    sys.stdout.writelines(
+        f"{y},{x},{s},{cap},{'NotFound' if value is None else value},{witness or ''}\n"
+        for y, x, s, cap, value, witness in results
+    )
     return 0
 
 
@@ -279,6 +290,7 @@ def _add_format_flag(parser, default="text", choices=("text", "json")) -> None:
     parser.add_argument("--format", default=default, choices=choices)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kslab",
@@ -295,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--cap", type=int, default=14)
     _add_format_flag(p)
-    p.set_defaults(func=cmd_ks_compute)
+    p.set_defaults(func="cmd_ks_compute")
 
     p = ks_group.add_parser("table", help="grid of complexities")
     p.add_argument("--targets-to", type=int, required=True, help="max target length")
@@ -304,12 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=14)
     _add_format_flag(p, default="csv", choices=("csv", "json"))
     _add_cache_flag(p)
-    p.set_defaults(func=cmd_ks_table)
+    p.set_defaults(func="cmd_ks_table")
 
     p = ks_group.add_parser("pair-encode", help="self-delimiting pair encoding")
     p.add_argument("x")
     p.add_argument("y")
-    p.set_defaults(func=cmd_ks_pair_encode)
+    p.set_defaults(func="cmd_ks_pair_encode")
 
     halt_group = top.add_parser("halt", help="halting-in-space decisions").add_subparsers(
         dest="command", required=True
@@ -320,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default="", help="condition tape")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--method", default="backward", choices=("backward", "forward", "counter"))
-    p.set_defaults(func=cmd_halt_decide)
+    p.set_defaults(func="cmd_halt_decide")
 
     law_group = top.add_parser("law", help="law grids and devices").add_subparsers(
         dest="command", required=True
@@ -337,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline-dir", help="freeze or check a golden baseline")
     _add_format_flag(p, default="json", choices=("json", "csv"))
     _add_cache_flag(p)
-    p.set_defaults(func=cmd_law_verify)
+    p.set_defaults(func="cmd_law_verify")
 
     p = law_group.add_parser("staged", help="staged enumeration ordinal of a pair")
     p.add_argument("--x", default="")
@@ -345,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="complexity threshold")
     p.add_argument("--n", type=int, required=True, help="max length of enumerated strings")
     _add_format_flag(p)
-    p.set_defaults(func=cmd_law_staged)
+    p.set_defaults(func="cmd_law_staged")
 
     p = law_group.add_parser("typical-set", help="profile-dominated tuples")
     p.add_argument("--xs", required=True, help="comma-separated base tuple, e.g. 01,1")
@@ -355,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap-report", action="store_true", help="print the entropy gap table")
     _add_format_flag(p)
     _add_cache_flag(p)
-    p.set_defaults(func=cmd_law_typical_set)
+    p.set_defaults(func="cmd_law_typical_set")
 
     cone_group = top.add_parser("cone", help="Shannon cone operations").add_subparsers(
         dest="command", required=True
@@ -364,21 +376,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inequality", nargs="?", help='e.g. "k=2; {1}:1 {2}:1 {1,2}:-1"')
     p.add_argument("--file", help="read the inequality from a file")
     _add_format_flag(p)
-    p.set_defaults(func=cmd_cone_check)
+    p.set_defaults(func="cmd_cone_check")
 
     p = cone_group.add_parser("elemental", help="generators of the Shannon cone")
     p.add_argument("--k", type=int, required=True)
     _add_format_flag(p)
-    p.set_defaults(func=cmd_cone_elemental)
+    p.set_defaults(func="cmd_cone_elemental")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (ValueError, OSError, KeyError, RuntimeError, BaselineMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

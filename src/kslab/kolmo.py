@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .machine import (
     BitsParseError,
@@ -207,13 +207,13 @@ def _live(prog: str, x: str, y: str) -> bool:
     return not prog.startswith("10", i)
 
 
-@dataclass(frozen=True)
-class ComplexityResult:
+class ComplexityResult(NamedTuple):
     """Outcome of one shortest-program search.
 
     value is None when no program of length <= cap produces the target
     (reported as NotFound); otherwise witness is the first program of
-    that length in lexicographic order.
+    that length in lexicographic order.  A NamedTuple because a ks call
+    builds one every time: a frozen dataclass took half a closed-form call.
     """
 
     target: str

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from conftest import ECHO_X_TEXT, PUSH_FOREVER_TEXT, SEESAW_TEXT, echo_x_spec
+from kslab import cli
 from kslab.cli import main
 from kslab.entropy import _MAX_DIGITS
 from kslab.machine import serialize_machine
@@ -103,6 +104,12 @@ class TestKsCommands:
         code, out, err = run(capsys, "ks", "table", *argv)
         assert code == 1 and out == "" and err.startswith("error:")
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("grid", ["", ","])
+    def test_table_refuses_an_empty_s_grid(self, capsys, grid):
+        # As in law verify: an empty grid is refused, not printed as a bare header.
+        code, out, err = run(capsys, "ks", "table", "--targets-to", "1", "--s-grid", grid)
+        assert (code, out, err) == (1, "", "error: --s-grid must be nonempty\n")
 
 
 class TestCache:
@@ -520,6 +527,48 @@ class TestConeCommands:
     def test_check_requires_an_inequality(self, capsys):
         code, _, err = run(capsys, "cone", "check")
         assert code == 1 and err.startswith("error:")
+
+
+class TestOneParserPerProcess:
+    """main builds its parser once per process; every call must still start clean."""
+
+    CALLS = [
+        ("ks", "compute", "10110", "--x", "101", "--format", "json"),
+        ("ks", "table", "--targets-to", "2", "--conditions-to", "1", "--s-grid", "0,8"),
+        ("law", "verify", "pair_swap", "--n", "1", "--s-grid", "32,64", "--format", "csv"),
+        ("law", "typical-set", "--xs", "01,1", "--u", "8", "--n", "2"),
+        ("cone", "check", "k=2; {1}:1 {2}:1 {1,2}:-1"),
+        ("cone", "elemental", "--k", "2"),
+        ("halt", "decide", "--machine", "MACHINE", "--x", "10", "--s", "6"),
+    ]
+
+    @pytest.mark.parametrize("argv", CALLS, ids=lambda argv: " ".join(argv[:2]))
+    def test_a_call_after_a_usage_and_a_domain_error_prints_the_same_bytes(self, capsys, tmp_path, argv):
+        machine = tmp_path / "echo.txt"
+        machine.write_text(ECHO_X_TEXT)
+        argv = [str(machine) if a == "MACHINE" else a for a in argv]
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        with pytest.raises(SystemExit) as exc:  # --targets-to is missing
+            main(["ks", "table", "--format", "json", "--cap", "3", "--s-grid", "8"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "law", "verify", "symmetry", "--n", "-1", "--s-grid", "8", "--format", "csv")[0] == 1
+        assert run(capsys, *argv) == first
+
+    def test_handlers_are_looked_up_when_main_runs(self, capsys, monkeypatch):
+        # A tracer replaces cli.cmd_* between calls; a parser that kept the
+        # handler objects it was built with would bypass it, or outlive it.
+        argv = ("cone", "elemental", "--k", "2")
+        code, listing, _ = run(capsys, *argv)
+        assert code == 0 and listing
+        seen = []
+        monkeypatch.setattr(cli, "cmd_cone_elemental", lambda args: seen.append(args.k) or 0)
+        assert run(capsys, *argv) == (0, "", "")
+        assert seen == [2]
+        monkeypatch.undo()
+        assert run(capsys, *argv) == (0, listing, "")
+        assert seen == [2]
 
 
 class TestExitCodes:

@@ -17,6 +17,12 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
   pass, without a cache, as one total (milliseconds), and the
   `ks_evaluations` of those five calls, summed,
 * `typical_set(("01", "1"), 8, 2, 14)` without a cache (milliseconds),
+* an in-process `main(["cone", "elemental", "--k", "1"])` with stdout
+  redirected, a command whose own work is small, so that the time is
+  mostly the CLI's fixed cost per call (microseconds),
+* `main` on a 7,154-row `ks table` (`--targets-to 8 --conditions-to 2`,
+  two s values, `--cap 14`) without a cache, stdout redirected, per row
+  (microseconds),
 * loading a `ComplexityCache` file of `CACHE_RECORDS` records, per record
   (microseconds),
 * putting `CACHE_RECORDS` records into a new `ComplexityCache` file, per
@@ -48,6 +54,8 @@ checkout times the same inputs.  Prints one JSON object.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import random
 import sys
@@ -86,6 +94,7 @@ def main() -> int:
     import oracle
     from oracle import sample_machine_bits
     from workloads import ACCEPT_SEED, DeciderSweep, Interpret, LabSession
+    from kslab.cli import main as cli_main
     from kslab.entropy import is_shannon, parse_inequality
     from kslab.halting import decide_backward, decide_counter, decide_forward
     from kslab.kolmo import ComplexityCache, ReferenceParseError, ReferenceRunError, ks, ks_scan, reference_decode
@@ -131,6 +140,15 @@ def main() -> int:
     ) * 1e3
     result["ks_evaluations"] = sum(verify_law(law, cap=14, **kw).ks_evaluations for law, kw in law_calls)
     result["typical_set_ms"] = _best(lambda: typical_set(("01", "1"), 8, 2, 14), REPS) * 1e3
+
+    def quiet_main(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main(argv)
+
+    result["cli_main_us"] = _best(lambda: quiet_main(["cone", "elemental", "--k", "1"]), REPS) * 1e6
+    table = ["ks", "table", "--targets-to", "8", "--conditions-to", "2", "--s-grid", "0,300", "--cap", "14"]
+    table_rows = len(strings_up_to(8)) * len(strings_up_to(2)) * 2
+    result["ks_table_row_us"] = _best(lambda: quiet_main(table), REPS) * 1e6 / table_rows
 
     queries = product(strings_up_to(8), strings_up_to(2), range(0, 600, 60))
     records = [ks(y, x, s, 14) for y, x, s in islice(queries, CACHE_RECORDS)]
