@@ -10,6 +10,7 @@ from conftest import ECHO_X_TEXT, PUSH_FOREVER_TEXT, SEESAW_TEXT, echo_x_spec
 from kslab import cli
 from kslab.cli import main
 from kslab.entropy import _MAX_DIGITS
+from kslab.kolmo import INTERPRETER_TAG
 from kslab.machine import serialize_machine
 
 
@@ -123,6 +124,17 @@ class TestCache:
         assert (tmp_path / "complexity.tsv").exists()
         _, warm, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert warm == cold == uncached
+
+    def test_a_record_planted_between_calls_in_one_process_is_printed(self, capsys, tmp_path):
+        # The third call reuses what the second parsed and reads only the planted line.
+        argv = ("ks", "table", "--targets-to", "1", "--s-grid", "0", "--cache-dir", str(tmp_path))
+        _, cold, _ = run(capsys, *argv)
+        _, warm, _ = run(capsys, *argv)
+        assert warm == cold == "y,x,s,cap,value,witness\n,,0,14,1,0\n0,,0,14,2,00\n1,,0,14,2,01\n"
+        with open(tmp_path / "complexity.tsv", "a") as fh:
+            fh.write(f"{INTERPRETER_TAG}\t3\t1\t0\t14\t9\t200\n")  # "1" at value 9
+        _, planted, _ = run(capsys, *argv)
+        assert planted == cold.replace("1,,0,14,2,01\n", "1,,0,14,9,000000000\n")
 
     def test_a_cached_table_appends_its_records_in_one_write(self, capsys, tmp_path, monkeypatch):
         real_write, writes = os.write, []

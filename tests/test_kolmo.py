@@ -663,3 +663,123 @@ class TestCache:
         assert cache.records_loaded == 2
         assert cache.get("1", "", 0, 14) is None
         assert cached_ks("1", "", 0, 14, cache) == ks("1", "", 0, 14)
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Every text that a load hands to the record pattern, in order."""
+
+        texts, pattern = [], kolmo._RECORD
+
+        class Spy:
+            def findall(self, text):
+                texts.append(text)
+                return pattern.findall(text)
+
+            def __getattr__(self, name):
+                return getattr(pattern, name)
+
+        monkeypatch.setattr(kolmo, "_RECORD", Spy())
+        return texts
+
+    def test_a_reopen_parses_only_the_lines_appended_since_the_last_load(self, tmp_path, parsed):
+        path = tmp_path / "cache.tsv"
+        with ComplexityCache(path) as cache:
+            results = [cached_ks(y, "", 0, 14, cache) for y in ("", "0", "1")]
+        assert ComplexityCache(path).records_loaded == 3
+        with ComplexityCache(path) as writer:
+            assert writer.records_loaded == 3
+            results.append(cached_ks("01", "", 0, 14, writer))
+        reopened = ComplexityCache(path)
+        assert reopened.records_loaded == 4
+        assert [reopened.get(r.target, "", 0, 14) for r in results] == results
+        lines = path.read_text().splitlines(keepends=True)
+        assert parsed == ["".join(lines[1:4]), "", lines[4]]
+
+    def test_a_record_planted_after_a_memo_served_load_is_returned(self, tmp_path, parsed):
+        path = tmp_path / "cache.tsv"
+        with ComplexityCache(path) as cache:
+            cached_ks("1", "", 0, 14, cache)
+        ComplexityCache(path)
+        served = ComplexityCache(path)
+        assert parsed[-1] == "" and served.get("1", "", 0, 14).value == 2
+        with open(path, "a") as fh:
+            fh.write(f"{INTERPRETER_TAG}\t3\t1\t0\t14\t9\t200\n")  # "1" at value 9
+        planted = ComplexityCache(path)
+        assert planted.records_loaded == 2
+        assert cached_ks("1", "", 0, 14, planted) == ComplexityResult("1", "", 0, 14, 9, "0" * 9)
+        assert served.get("1", "", 0, 14).value == 2  # an earlier load keeps what it read
+
+    def test_a_rewrite_inside_the_parsed_lines_forces_a_full_parse(self, tmp_path, parsed):
+        path = tmp_path / "cache.tsv"
+        with ComplexityCache(path) as cache:
+            for y in ("0", "1", "01"):
+                cached_ks(y, "", 0, 14, cache)
+        assert ComplexityCache(path).get("1", "", 0, 14).value == 2
+        # Same length: "1" at value 3, witness "011", where it had 2 and "01".
+        path.write_text(path.read_text().replace("\t3\t1\t0\t14\t2\t5\n", "\t3\t1\t0\t14\t3\tb\n"))
+        rewritten = ComplexityCache(path)
+        assert rewritten.get("1", "", 0, 14) == ComplexityResult("1", "", 0, 14, 3, "011")
+        assert rewritten.records_loaded == 3
+        assert parsed[-1] == path.read_text().partition("\n")[2]
+        path.write_text(path.read_text().replace("\t3\tb\n", "\t3\tB\n"))
+        with pytest.raises(ValueError, match=r"cache\.tsv:3: bad cache record"):
+            ComplexityCache(path)
+
+    def test_a_bad_record_appended_after_a_memo_served_load_reports_its_own_line(self, tmp_path, parsed):
+        path = tmp_path / "cache.tsv"
+        path.write_text(
+            "kslab-cache 1\n"
+            f"{INTERPRETER_TAG}\t3\t1\t0\t14\t2\t5\n"
+            "\n"
+            f"{INTERPRETER_TAG}\t5\t1\t0\t14\t3\t9\n"
+        )
+        ComplexityCache(path)
+        assert ComplexityCache(path).records_loaded == 2 and parsed[-1] == ""
+        appended = f"{INTERPRETER_TAG}\t7\t1\t0\t14\t3\td\n\n{INTERPRETER_TAG}\t7\t1\t0\t14\t3\t0d\n"
+        with open(path, "a") as fh:
+            fh.write(appended)
+        with pytest.raises(ValueError, match=r"cache\.tsv:7: bad cache record"):
+            ComplexityCache(path)
+        assert parsed[-1] == appended
+        path.write_text(path.read_text().removesuffix(appended.rpartition("\n\n")[2]))
+        assert ComplexityCache(path).records_loaded == 3
+
+    def test_puts_not_yet_flushed_are_invisible_to_another_cache_on_the_file(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        with ComplexityCache(path) as cache:
+            cached_ks("1", "", 0, 14, cache)
+        first, second = ComplexityCache(path), ComplexityCache(path)
+        queued = cached_ks("0", "", 0, 14, first)
+        assert first.get("0", "", 0, 14) == queued
+        assert second.get("0", "", 0, 14) is None
+        third = ComplexityCache(path)
+        assert third.records_loaded == 1 and third.get("0", "", 0, 14) is None
+        first.flush()
+        reloaded = ComplexityCache(path)
+        assert reloaded.records_loaded == 2 and reloaded.get("0", "", 0, 14) == queued
+        assert second.get("0", "", 0, 14) is None and third.get("0", "", 0, 14) is None
+
+    def test_a_truncated_file_and_alternating_files_reload_exactly(self, tmp_path):
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        with ComplexityCache(a) as cache:
+            in_a = [cached_ks(y, "", 0, 14, cache) for y in ("0", "1", "01")]
+        with ComplexityCache(b) as cache:
+            in_b = cached_ks("0", "1", 2, 14, cache)
+        for path, count in [(a, 3), (b, 1), (a, 3), (b, 1), (b, 1), (a, 3)]:
+            cache = ComplexityCache(path)
+            assert cache.records_loaded == count
+            assert [cache.get(r.target, "", 0, 14) for r in in_a] == (in_a if path == a else [None] * 3)
+            assert cache.get("0", "1", 2, 14) == (in_b if path == b else None)
+        a.write_bytes(b"".join(a.read_bytes().splitlines(keepends=True)[:3]))
+        truncated = ComplexityCache(a)
+        assert truncated.records_loaded == 2
+        assert [truncated.get(r.target, "", 0, 14) for r in in_a] == [*in_a[:2], None]
+
+    def test_a_miss_builds_its_key_once(self, tmp_path, monkeypatch):
+        built = []
+        real = kolmo._cache_key
+        monkeypatch.setattr(kolmo, "_cache_key", lambda *query: built.append(query) or real(*query))
+        cache = ComplexityCache(tmp_path / "cache.tsv")
+        miss = cached_ks("101", "", 0, 14, cache)
+        assert cached_ks("101", "", 0, 14, cache) == miss
+        assert built == [("101", "", 0, 14)] * 2

@@ -24,7 +24,13 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
   two s values, `--cap 14`) without a cache, stdout redirected, per row
   (microseconds),
 * loading a `ComplexityCache` file of `CACHE_RECORDS` records, per record
-  (microseconds),
+  (microseconds), each repetition on a file this process has not loaded,
+  so that every load parses the whole file,
+* reopening that file once it has been loaded, per record (microseconds):
+  unchanged (`cache_reopen_us`), and grown by one flush of one record
+  since the last load (`cache_reopen_grown_us`, the flush not timed).  A
+  checkout without the per-process parse memo reparses the whole file
+  here too, so these read the same as `cache_load_us` there,
 * putting `CACHE_RECORDS` records into a new `ComplexityCache` file, per
   record, the closing `flush` included (microseconds),
 * `is_shannon` on Zhang-Yeung (k = 4, unpermuted), on `lab-session`'s
@@ -162,8 +168,19 @@ def main() -> int:
             cache.flush()
 
         result["cache_put_us"] = _best(put_all, REPS) * 1e6 / CACHE_RECORDS
+        unseen = (Path(tmp) / f"put-{i}.tsv" for i in range(REPS))
+        result["cache_load_us"] = _best(lambda: ComplexityCache(next(unseen)), REPS) * 1e6 / CACHE_RECORDS
         path = Path(tmp) / "put-0.tsv"
-        result["cache_load_us"] = _best(lambda: ComplexityCache(path), REPS) * 1e6 / CACHE_RECORDS
+        ComplexityCache(path)  # the load that every timed reopen follows
+        result["cache_reopen_us"] = _best(lambda: ComplexityCache(path), REPS) * 1e6 / CACHE_RECORDS
+        grown = []
+        for record in [ks(y, x, s, 14) for y, x, s in islice(queries, REPS)]:
+            with ComplexityCache(path) as writer:
+                writer.put(record)
+            start = time.perf_counter()
+            reopened = ComplexityCache(path)
+            grown.append((time.perf_counter() - start) / reopened.records_loaded)
+        result["cache_reopen_grown_us"] = min(grown) * 1e6
     gen5 = oracle.elemental(5)
     member_k5 = oracle.combine(*((w, gen5[i]) for i, w in LabSession.MEMBER_K5))
     cone_checks = {
