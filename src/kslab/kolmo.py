@@ -252,7 +252,9 @@ def ks(y: str, x: str = "", s: int = 0, cap: int = MAX_CLOSED_FORM_CAP) -> Compl
     against, finds the same values by running programs.
     """
 
-    _check_query(y, x, s, cap)
+    if not (type(s) is type(cap) is int and s >= 0 and cap >= 0 and type(y) is type(x) is str
+            and not y.strip("01") and not x.strip("01")):  # any other query goes to _check_query
+        _check_query(y, x, s, cap)
     if cap > MAX_CLOSED_FORM_CAP:
         raise ValueError(
             f"cap {cap} admits general-mode programs (length >= "
@@ -355,6 +357,10 @@ def _cache_key(y: str, x: str, s: int, cap: int) -> str:
     return f"{INTERPRETER_TAG}\t{_bits_to_hex(y)}\t{_bits_to_hex(x)}\t{s}\t{cap}"
 
 
+def _stored_text(result: ComplexityResult) -> str:
+    return f"{'-' if result.value is None else result.value}\t{_bits_to_hex(result.witness)}"
+
+
 _CACHE_HEADER = "kslab-cache 1"
 _CACHE_HEADER_BYTES = (_CACHE_HEADER + "\n").encode("ascii")
 # One record line, as put writes it: hex fields carry their sentinel bit and
@@ -366,7 +372,7 @@ _RECORD = re.compile(
     rf"^([^\t\n]+\t{_HEX}\t{_HEX}\t{_DEC}\t{_DEC})\t((?:{_DEC}|-)\t(?:{_HEX}|-))\n", re.M
 )
 
-_parsed = (None, "", {}, 0)  # the last load's path, complete lines, entries, record count
+_parsed = (None, "", {}, 0)  # the last load's or flush's path, complete lines, entries, record count
 
 
 class ComplexityCache:
@@ -375,13 +381,14 @@ class ComplexityCache:
     One record per line: tag, target, condition, s, cap, value, witness,
     tab-separated, bit strings hex-packed behind a sentinel bit (lowercase,
     no leading zero), s, cap and value in plain decimal, and "-" for the
-    value and witness of a NotFound.  A record is held as two texts: its
-    key, the first five fields, and its stored text, the last two.  A load
-    checks every line against one pattern that accepts only what put()
-    writes, so "+3", " 3", "03", "1_0" and "-1" are bad records there, and
-    the error names the first bad line.  Reloading takes the last record
-    for a key, so rewriting an entry is just appending.  get() builds a
-    ComplexityResult only on a hit; cached_ks builds a miss's key once.
+    value and witness of a NotFound.  A record read from a file is held as
+    two texts, its key (the first five fields) and its stored text (the
+    last two), which get() decodes only on a hit; one put in this process
+    is held as its key and the ComplexityResult put, which get() returns.
+    A load checks every line against one pattern that accepts only what
+    put() writes, so "+3", " 3", "03", "1_0" and "-1" are bad records
+    there, and the error names the first bad line.  Reloading takes the
+    last record for a key, so rewriting an entry is just appending.
 
     put() is idempotent and refuses to change the stored text of a key,
     because a (tag, target, condition, s, cap) search has exactly one
@@ -398,20 +405,21 @@ class ComplexityCache:
     get() and put() use INTERPRETER_TAG: a record of another tag loads but
     is never returned.
 
-    A process parses each line once: a load of its last load's path whose
-    complete lines start with that load's text keeps that load's entries
-    and parses only the lines after it; other files are parsed whole, so
-    entries stay a function of the file's bytes.  Instances share them
-    until a first put.  This serves a process that opens a cache often
-    (in-process CLI calls, library callers, tests): per record of 18,000,
-    a parse costs about 0.6 us, a reopen 0.007 us, 0.03 us after a flush.
+    A process parses each line once, and none that it wrote: a load of
+    the last load's or flush's path whose complete lines start with that
+    text keeps its entries and parses only the lines after it; other files
+    are parsed whole.  A flush that lands right after the text its entries
+    came from hands them on.  Instances share entries until a first put.
+    Per record of 18,000, a parse costs about 0.6 us, a reopen 0.006 us,
+    and a cached_ks hit about 1 us on a record put here, 2 us on one read.
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        self._entries: dict = {}  # key text -> stored text
+        self._entries: dict = {}  # key text -> stored text read, or ComplexityResult put
         self._shared = False  # _entries is _parsed's, to copy before a put changes it
         self._pending: list = []  # record lines put since the last flush
+        self._base = ("", 0)  # the text _entries holds, its puts aside, and its record count; None: unknown
         self.records_loaded = 0
         self._torn_at: int | None = None  # length of the file without its torn last line
         if self.path.exists():
@@ -458,12 +466,13 @@ class ComplexityCache:
             entries.update(records)
         self.records_loaded = count + len(records)
         _parsed = (self.path, body, entries, self.records_loaded)
+        self._base = (body, self.records_loaded)
         self._entries, self._shared = entries, True
 
     def get(self, y: str, x: str, s: int, cap: int, *, key: str | None = None):
         stored = self._entries.get(key or _cache_key(y, x, s, cap))
-        if stored is None:
-            return None
+        if type(stored) is not str:  # None for a miss, or a result put in this process
+            return stored
         value, witness = stored.split("\t")
         return ComplexityResult(
             y,
@@ -476,27 +485,34 @@ class ComplexityCache:
 
     def put(self, result: ComplexityResult, *, key: str | None = None) -> None:
         key = key or _cache_key(result.target, result.condition, result.s, result.cap)
-        value = "-" if result.value is None else result.value
-        stored = f"{value}\t{_bits_to_hex(result.witness)}"
+        stored = _stored_text(result)
         known = self._entries.get(key)
         if known is not None:
+            if type(known) is not str:
+                known = _stored_text(known)
             if known != stored:
                 raise ValueError(f"cache conflict for {key!r}: stored {known!r}, new {stored!r}")
             return
         record = f"{key}\t{stored}\n"
-        if not _RECORD.fullmatch(record):  # a negative s, cap or value would make the file unloadable
+        # A record the load refuses makes the file unloadable; the bit fields are checked already.
+        s, cap, value = result.s, result.cap, result.value
+        ints = type(s) is type(cap) is int and s >= 0 and cap >= 0
+        ints = ints and (value is None or type(value) is int and value >= 0)
+        if not ints and not _RECORD.fullmatch(record):
             raise ValueError(f"not a cache record: {record!r}")
         self._pending.append(record)
         if self._shared:
             self._entries, self._shared = dict(self._entries), False
-        self._entries[key] = stored
+        self._entries[key] = result
 
     def flush(self) -> None:
         """Append the queued records to the file in one write."""
 
+        global _parsed
         if not self._pending:
             return
-        data = "".join(self._pending).encode("ascii")
+        text, added = "".join(self._pending), len(self._pending)
+        data = text.encode("ascii")
         # Dropped before the write: a retry after a failed write could land
         # after a torn fragment, and a bad line mid-file breaks every load.
         self._pending = []
@@ -518,8 +534,15 @@ class ComplexityCache:
             written = os.write(fd, data)
             while written < len(data):  # a regular file takes it whole unless the disk is full
                 written += os.write(fd, data[written:])
+            start = os.lseek(fd, 0, os.SEEK_CUR) - len(text)
         finally:
             os.close(fd)
+        # Landed right after the text whose entries _entries extends: the memo takes them unparsed.
+        if self._base is None or start != len(_CACHE_HEADER_BYTES) + len(self._base[0]):
+            self._base = None  # the file holds records this cache never loaded, or lacks some it did
+            return
+        _parsed = (self.path, self._base[0] + text, self._entries, self._base[1] + added)
+        self._base, self._shared = (_parsed[1], _parsed[3]), True
 
 
 def cached_ks(

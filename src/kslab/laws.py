@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter, mul
@@ -332,7 +333,8 @@ def verify_law(
         raise ValueError(f"unknown law {law!r}, expected one of {LAW_NAMES}")
 
     points = _grid_points(k, n, len(s_grid))
-    coeffs = [coeff for coeff, _, _ in terms]
+    scale = math.lcm(*(coeff.denominator for coeff, _, _ in terms))
+    coeffs = [int(coeff * scale) for coeff, _, _ in terms]
     readers = [(coeff < 0, _encoder(target, k), _encoder(cond, k)) for coeff, target, cond in terms]
     # One value per distinct query (target, condition, s read) of this call;
     # its size is the number of searches, reported as ks_evaluations.
@@ -342,7 +344,7 @@ def verify_law(
         return s + c * (a * _clog2(s) + b)
 
     def margin(point, s: int, sp: int, c: int):
-        """Right side at s minus left side at sp; None if a value is NotFound."""
+        """(Right side at s - left side at sp) * scale, an int; None if a value is NotFound."""
 
         values = []
         for left, target, cond in readers:
@@ -354,7 +356,7 @@ def verify_law(
             values.append(value)
         if None in values:
             return None
-        return sum(map(mul, coeffs, values)) + c * (_clog2(values[0]) if unit is None else unit)
+        return sum(map(mul, coeffs, values)) + c * scale * (_clog2(values[0]) if unit is None else unit)
 
     def holds(point, s: int, c: int) -> bool:
         result = margin(point, s, s_prime(s, c), c)

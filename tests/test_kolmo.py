@@ -503,12 +503,15 @@ class TestCache:
         cache = ComplexityCache(path)  # blank lines alone are skipped
         assert cache.records_loaded == 2 and cache.get("01", "", 0, 14).value == 3
 
-    def test_a_record_the_load_would_refuse_is_not_put(self, tmp_path):
+    @pytest.mark.parametrize("bad", [-1, True, 2.0])
+    @pytest.mark.parametrize("field", ["s", "cap", "value"])
+    def test_a_record_the_load_would_refuse_is_not_put(self, tmp_path, field, bad):
         path = tmp_path / "cache.tsv"
+        result = ComplexityResult("1", "", 0, 14, 2, "01")._replace(**{field: bad})
         with ComplexityCache(path) as cache:
             with pytest.raises(ValueError, match="not a cache record"):
-                cache.put(ComplexityResult("1", "", -1, 14, 2, "01"))
-            assert cache.get("1", "", -1, 14) is None
+                cache.put(result)
+            assert cache.get("1", "", result.s, result.cap) is None
         assert not path.exists()
 
     def test_a_query_that_is_not_a_bit_string_is_refused(self, tmp_path):
@@ -681,19 +684,32 @@ class TestCache:
         monkeypatch.setattr(kolmo, "_RECORD", Spy())
         return texts
 
-    def test_a_reopen_parses_only_the_lines_appended_since_the_last_load(self, tmp_path, parsed):
+    def test_a_reopen_parses_nothing_this_process_flushed(self, tmp_path, parsed):
         path = tmp_path / "cache.tsv"
         with ComplexityCache(path) as cache:
             results = [cached_ks(y, "", 0, 14, cache) for y in ("", "0", "1")]
-        assert ComplexityCache(path).records_loaded == 3
-        with ComplexityCache(path) as writer:
+        writer = ComplexityCache(path)
+        assert ComplexityCache(path).records_loaded == 3  # a reopen of an unchanged file keeps the memo
+        with writer:
             assert writer.records_loaded == 3
             results.append(cached_ks("01", "", 0, 14, writer))
         reopened = ComplexityCache(path)
         assert reopened.records_loaded == 4
         assert [reopened.get(r.target, "", 0, 14) for r in results] == results
-        lines = path.read_text().splitlines(keepends=True)
-        assert parsed == ["".join(lines[1:4]), "", lines[4]]
+        assert parsed == ["", "", ""]
+        foreign = f"{INTERPRETER_TAG}\t6\t1\t0\t14\t3\ta\n"  # "10" at value 3, as another process writes it
+        with open(path, "a") as fh:
+            fh.write(foreign)
+        appended = ComplexityCache(path)
+        assert appended.records_loaded == 5 and parsed[-1] == foreign
+        assert appended.get("10", "", 0, 14) == ks("10", "", 0, 14)
+        first, second = ComplexityCache(path), ComplexityCache(path)
+        with first:
+            first.put(ks("11", "", 0, 14))
+        with second:  # lands after first's record, which second never loaded
+            second.put(ks("00", "", 0, 14))
+        assert ComplexityCache(path).records_loaded == 7
+        assert parsed[-1] == path.read_text().splitlines(keepends=True)[-1]
 
     def test_a_record_planted_after_a_memo_served_load_is_returned(self, tmp_path, parsed):
         path = tmp_path / "cache.tsv"
@@ -743,6 +759,84 @@ class TestCache:
         assert parsed[-1] == appended
         path.write_text(path.read_text().removesuffix(appended.rpartition("\n\n")[2]))
         assert ComplexityCache(path).records_loaded == 3
+
+    def test_a_memo_served_load_equals_a_full_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.tsv"
+        results = [ks(y, x, 0, 14) for y in ("", "0", "1", "01", "10", "110") for x in ("", "1")]
+        queries = [(r.target, r.condition, 0, 14) for r in results]
+
+        def same_as_a_full_parse():
+            served = ComplexityCache(path)
+            memo = kolmo._parsed
+            monkeypatch.setattr(kolmo, "_parsed", (None, "", {}, 0))
+            parsed = ComplexityCache(path)
+            monkeypatch.setattr(kolmo, "_parsed", memo)
+            assert served.records_loaded == parsed.records_loaded
+            assert [served.get(*q) for q in queries] == [parsed.get(*q) for q in queries]
+            return served.records_loaded
+
+        first, second = ComplexityCache(path), ComplexityCache(path)  # neither found a file
+        first.put(results[0])
+        first.put(results[1])
+        first.flush()  # creates the file
+        assert same_as_a_full_parse() == 2
+        third = ComplexityCache(path)
+        second.put(results[2])
+        second.flush()  # lands after first's records, which second never loaded
+        assert same_as_a_full_parse() == 3
+        third.put(results[3])
+        first.put(results[4])
+        third.flush()
+        first.flush()
+        assert same_as_a_full_parse() == 5
+        with open(path, "a") as fh:
+            fh.write(f"{INTERPRETER_TAG}\t7\t1")  # a torn last line
+        assert same_as_a_full_parse() == 5
+        with ComplexityCache(path) as torn:  # cuts the fragment off
+            torn.put(results[5])
+            torn.put(results[0])
+        assert same_as_a_full_parse() == 6
+        with open(path, "a") as fh:  # a record appended by hand
+            fh.write(f"{INTERPRETER_TAG}\t7\t1\t0\t14\t3\tb\n")
+        assert same_as_a_full_parse() == 7
+        with ComplexityCache(path) as writer, ComplexityCache(path) as other:
+            writer.put(results[6])
+            writer.flush()
+            other.put(results[7])
+            writer.put(results[8])
+            assert same_as_a_full_parse() == 8  # neither queued put shows
+        assert same_as_a_full_parse() == 10
+        late = ComplexityCache(path)
+        before = path.read_bytes()
+        with open(path, "a") as fh:
+            fh.write(f"{INTERPRETER_TAG}\t8\t1\t0\t14\t4\t18\n")
+        with late:  # lands after the hand-appended record
+            late.put(results[9])
+        path.write_bytes(before)  # truncated back to what late loaded
+        with late:  # lands where late's first flush would have
+            late.put(results[10])
+        assert same_as_a_full_parse() == 11
+        path.unlink()
+        with first:  # its entries outlive the file it recreates
+            first.put(results[9])
+        assert same_as_a_full_parse() == 1
+        with ComplexityCache(path) as reader:
+            reader.put(results[10])
+            reader.put(results[11])
+        assert same_as_a_full_parse() == 3
+
+    def test_a_conflict_names_the_stored_text_of_a_put_or_a_loaded_entry(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.tsv"
+        expected = r"cache conflict for 'kslab-v1\td\t1\t0\t14': stored '4\t15', new '3\ta'"
+        conflicting = ComplexityResult("101", "", 0, 14, 3, "010")
+        with ComplexityCache(path) as cache:
+            cache.put(ComplexityResult("101", "", 0, 14, 4, "0101"))
+            with pytest.raises(ValueError) as put_here:
+                cache.put(conflicting)
+        monkeypatch.setattr(kolmo, "_parsed", (None, "", {}, 0))
+        with pytest.raises(ValueError) as read_back:
+            ComplexityCache(path).put(conflicting)
+        assert str(put_here.value) == str(read_back.value) == expected
 
     def test_puts_not_yet_flushed_are_invisible_to_another_cache_on_the_file(self, tmp_path):
         path = tmp_path / "cache.tsv"

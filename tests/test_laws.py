@@ -286,8 +286,9 @@ ORACLE_CASES = [
 
 
 # More shapes of term: I = J, an ε intersection with vacuous points, the
-# 0-tuple, fractional coefficients, a conditional term at n = 3, and a
-# 1-tuple, whose whole point is one bare component.
+# 0-tuple, fractional coefficients, a conditional term at n = 3, a
+# 1-tuple, whose whole point is one bare component, and coefficients with
+# unequal denominators (2, 3 and 6).
 EXTRA_ORACLE_CASES = [
     ("basic", 2, (2, 30), 14, dict(I={1, 2}, J={1, 2}, k=3)),
     ("basic", 2, (4, 90), 8, dict(I={1}, J={3}, k=3)),
@@ -295,6 +296,7 @@ EXTRA_ORACLE_CASES = [
     ("shannon", 2, (0, 77), 14, dict(inequality="k=2; {1}:1/3 {2}:1/3 {1,2}:-1/3")),
     ("chain_easy", 3, (0, 50), 6, {}),
     ("basic", 3, (0, 12), 14, dict(I={1}, J=(), k=1)),
+    ("shannon", 2, (3, 90), 14, dict(inequality="k=3; {1}:1/3 {2}:-1/6 {1,2}:1/6 {2,3}:1/2 {1,2,3}:-1/2")),
 ]
 
 _ALL_ORACLE_CASES = ORACLE_CASES + EXTRA_ORACLE_CASES

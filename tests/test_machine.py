@@ -1,5 +1,6 @@
 """Machine model: stepping, space accounting, text and bit formats."""
 
+import itertools
 import random
 
 import pytest
@@ -96,6 +97,23 @@ class TestInstructions:
         for bad in (-1, top + 1):
             with pytest.raises(ValueError):
                 MachineSpec(states, _table_with(_row(op, field, bad), states))
+
+    @pytest.mark.parametrize("states", [1, 4, 5])
+    def test_a_table_is_accepted_iff_every_row_is_valid(self, states):
+        # Rows over every opcode and a field value below, at and above each
+        # bound, a float among them: the table check, by set or by walk,
+        # accepts exactly the rows that this rule does.
+        values = (-1, 0, 1, 0.5, states - 1, states)
+
+        def valid(op, *fields):
+            return op in USED_FIELDS and all(
+                v == 0 or f in USED_FIELDS[op] and (v == 1 if f == "bit" else 0 < v < states)
+                for f, v in zip(FIELDS, fields)
+            )
+
+        for row in itertools.product(range(-1, 9), values, values, values, values):
+            table = (HALT,) * (9 * states - 1) + (row,)
+            assert valid(*row) == isinstance(outcome(MachineSpec, states, table), MachineSpec), row
 
     def test_instruction_count_must_match(self):
         with pytest.raises(ValueError):

@@ -33,6 +33,11 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
   here too, so these read the same as `cache_load_us` there,
 * putting `CACHE_RECORDS` records into a new `ComplexityCache` file, per
   record, the closing `flush` included (microseconds),
+* a `cached_ks` hit, per record of such a file, key included
+  (microseconds): on a file that this process put and flushed
+  (`cache_hit_own_us`), and on a copy of one, which this process has only
+  read (`cache_hit_loaded_us`).  A checkout that keeps no put results
+  decodes the stored text on both, so they read alike there,
 * `is_shannon` on Zhang-Yeung (k = 4, unpermuted), on `lab-session`'s
   k = 5 member and on `k=6; {1}:1` (milliseconds each),
 * each of `decide_backward`, `decide_forward` and `decide_counter` on
@@ -64,6 +69,7 @@ import contextlib
 import io
 import json
 import random
+import shutil
 import sys
 import tempfile
 import time
@@ -103,7 +109,9 @@ def main() -> int:
     from kslab.cli import main as cli_main
     from kslab.entropy import is_shannon, parse_inequality
     from kslab.halting import decide_backward, decide_counter, decide_forward
-    from kslab.kolmo import ComplexityCache, ReferenceParseError, ReferenceRunError, ks, ks_scan, reference_decode
+    from kslab.kolmo import (
+        ComplexityCache, ReferenceParseError, ReferenceRunError, cached_ks, ks, ks_scan, reference_decode
+    )
     from kslab.laws import strings_up_to, typical_set, verify_law
     from kslab.machine import MachineSpec, parse_bits, serialize_machine
 
@@ -162,10 +170,12 @@ def main() -> int:
         fresh = count()
 
         def put_all():
-            cache = ComplexityCache(Path(tmp) / f"put-{next(fresh)}.tsv")
+            path = Path(tmp) / f"put-{next(fresh)}.tsv"
+            cache = ComplexityCache(path)
             for record in records:
                 cache.put(record)
             cache.flush()
+            return path
 
         result["cache_put_us"] = _best(put_all, REPS) * 1e6 / CACHE_RECORDS
         unseen = (Path(tmp) / f"put-{i}.tsv" for i in range(REPS))
@@ -181,6 +191,13 @@ def main() -> int:
             reopened = ComplexityCache(path)
             grown.append((time.perf_counter() - start) / reopened.records_loaded)
         result["cache_reopen_grown_us"] = min(grown) * 1e6
+        asked = [(r.target, r.condition, r.s, r.cap) for r in records]
+        own = ComplexityCache(put_all())
+        result["cache_hit_own_us"] = _best(lambda: [cached_ks(*q, own) for q in asked], REPS) * 1e6 / CACHE_RECORDS
+        foreign = Path(tmp) / "foreign.tsv"
+        shutil.copyfile(Path(tmp) / "put-1.tsv", foreign)
+        loaded = ComplexityCache(foreign)
+        result["cache_hit_loaded_us"] = _best(lambda: [cached_ks(*q, loaded) for q in asked], REPS) * 1e6 / CACHE_RECORDS
     gen5 = oracle.elemental(5)
     member_k5 = oracle.combine(*((w, gen5[i]) for i, w in LabSession.MEMBER_K5))
     cone_checks = {
