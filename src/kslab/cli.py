@@ -10,10 +10,11 @@ deterministic: identical inputs and cache state produce identical bytes.
 
 A process builds one parser (build_parser is cached), since building one
 costs more than many commands' own work; argparse keeps no state between
-parse_args calls.  The parser names each command's handler, and main looks
-the name up in this module when it runs, so a cmd_* function replaced on
-the module after the first call (as perfbench's tracer does) is the one
-called.
+parse_args calls.  It keeps one ComplexityCache too (_cache_at), the last
+one opened, and refreshes it when a later call opens the same file.  The
+parser names each command's handler, and main looks the name up in this
+module when it runs, so a cmd_* function replaced on the module after the
+first call (as perfbench's tracer does) is the one called.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 from ._masks import mask_label
@@ -59,6 +60,8 @@ __all__ = [
     "main",
 ]
 
+_cache_at = lru_cache(maxsize=1)(ComplexityCache)
+
 
 def _parse_grid(text: str, flag: str) -> list:
     try:
@@ -78,7 +81,9 @@ def _open_cache(args) -> ComplexityCache | nullcontext:
         return nullcontext()
     path = Path(args.cache_dir) / "complexity.tsv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    return ComplexityCache(path)
+    hits = _cache_at.cache_info().hits
+    cache = _cache_at(path)  # a cache made by this call has just read the file
+    return cache.refresh() if _cache_at.cache_info().hits > hits else cache
 
 
 def _load_machine(path: str):

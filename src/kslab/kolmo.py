@@ -372,9 +372,6 @@ _RECORD = re.compile(
     rf"^([^\t\n]+\t{_HEX}\t{_HEX}\t{_DEC}\t{_DEC})\t((?:{_DEC}|-)\t(?:{_HEX}|-))\n", re.M
 )
 
-_parsed = (None, "", {}, 0)  # the last load's or flush's path, complete lines, entries, record count
-
-
 class ComplexityCache:
     """Append-only file of ks results, keyed by interpreter tag.
 
@@ -405,25 +402,19 @@ class ComplexityCache:
     get() and put() use INTERPRETER_TAG: a record of another tag loads but
     is never returned.
 
-    A process parses each line once, and none that it wrote: a load of
-    the last load's or flush's path whose complete lines start with that
-    text keeps its entries and parses only the lines after it; other files
-    are parsed whole.  A flush that lands right after the text its entries
-    came from hands them on.  Instances share entries until a first put.
-    Per record of 18,000, a parse costs about 0.6 us, a reopen 0.006 us,
-    and a cached_ks hit about 1 us on a record put here, 2 us on one read.
+    refresh() flushes and re-reads the file.  If its complete lines still
+    start with the text this cache's entries hold, read or flushed, it
+    parses only the lines after that text; any other file it parses whole,
+    into new entries.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._entries: dict = {}  # key text -> stored text read, or ComplexityResult put
-        self._shared = False  # _entries is _parsed's, to copy before a put changes it
         self._pending: list = []  # record lines put since the last flush
-        self._base = ("", 0)  # the text _entries holds, its puts aside, and its record count; None: unknown
-        self.records_loaded = 0
-        self._torn_at: int | None = None  # length of the file without its torn last line
-        if self.path.exists():
-            self._load()
+        self._text = ""  # the lines _entries hold, flushed puts included, unflushed ones aside
+        self.records_loaded = 0  # the records in _text
+        self._load()
 
     def __enter__(self):
         return self
@@ -431,43 +422,44 @@ class ComplexityCache:
     def __exit__(self, *exc_info) -> None:
         self.flush()
 
+    def refresh(self) -> ComplexityCache:
+        self.flush()
+        self._load()
+        return self
+
     def _load(self) -> None:
-        global _parsed
-        # newline="\n": no translation, so lengths read are byte offsets.
-        with open(self.path, "r", encoding="ascii", newline="\n") as fh:
-            text = fh.read()
+        try:
+            # newline="\n": no translation, so lengths read are byte offsets.
+            with open(self.path, "r", encoding="ascii", newline="\n") as fh:
+                text = fh.read()
+        except FileNotFoundError:  # as a file of no records, which the next flush creates
+            text = _CACHE_HEADER + "\n"
         header, newline, body = text.partition("\n")
+        torn_at = None
         if not newline and (_CACHE_HEADER + "\n").startswith(header):
             # Empty, or torn by a crash during the first flush: the next
             # flush starts the file afresh.
-            self._torn_at = 0
-            return
-        if header != _CACHE_HEADER:
+            torn_at = 0
+        elif header != _CACHE_HEADER:
             raise ValueError(f"{self.path}: not a complexity cache (header {header.rstrip()!r})")
         end = body.rfind("\n") + 1
         if end < len(body):
-            # Torn by a crash.  Cut off, not newline-terminated, by the next
-            # flush: a terminated fragment would be a bad record to every
-            # later load.
-            self._torn_at = len(header) + 1 + end
+            # Torn by a crash: the next flush cuts the fragment off, since a
+            # newline after it would make it a bad record to every later load.
+            torn_at = len(header) + 1 + end
             body = body[:end]
-        path, seen, entries, count = _parsed
-        if path != self.path or not body.startswith(seen):
-            seen, entries, count = "", {}, 0
-        tail = body[len(seen) :]
+        if not body.startswith(self._text):  # parsed whole, into new entries
+            self._entries, self._text, self.records_loaded = {}, "", 0
+        tail = body[len(self._text) :]
         records = _RECORD.findall(tail)
         if len(records) != tail.count("\n"):
             # A bad record, or only blank lines, which are skipped.
-            for line_no, line in enumerate(tail.split("\n")[:-1], start=2 + seen.count("\n")):
+            for line_no, line in enumerate(tail.split("\n")[:-1], start=2 + self._text.count("\n")):
                 if line and not _RECORD.match(line + "\n"):
                     raise ValueError(f"{self.path}:{line_no}: bad cache record")
-        if records:  # a new dict: other instances may hold the memo's
-            entries = dict(entries)
-            entries.update(records)
-        self.records_loaded = count + len(records)
-        _parsed = (self.path, body, entries, self.records_loaded)
-        self._base = (body, self.records_loaded)
-        self._entries, self._shared = entries, True
+        self._entries.update(records)
+        self._text, self._torn_at = body, torn_at
+        self.records_loaded += len(records)
 
     def get(self, y: str, x: str, s: int, cap: int, *, key: str | None = None):
         stored = self._entries.get(key or _cache_key(y, x, s, cap))
@@ -501,14 +493,11 @@ class ComplexityCache:
         if not ints and not _RECORD.fullmatch(record):
             raise ValueError(f"not a cache record: {record!r}")
         self._pending.append(record)
-        if self._shared:
-            self._entries, self._shared = dict(self._entries), False
         self._entries[key] = result
 
     def flush(self) -> None:
         """Append the queued records to the file in one write."""
 
-        global _parsed
         if not self._pending:
             return
         text, added = "".join(self._pending), len(self._pending)
@@ -534,15 +523,11 @@ class ComplexityCache:
             written = os.write(fd, data)
             while written < len(data):  # a regular file takes it whole unless the disk is full
                 written += os.write(fd, data[written:])
-            start = os.lseek(fd, 0, os.SEEK_CUR) - len(text)
         finally:
             os.close(fd)
-        # Landed right after the text whose entries _entries extends: the memo takes them unparsed.
-        if self._base is None or start != len(_CACHE_HEADER_BYTES) + len(self._base[0]):
-            self._base = None  # the file holds records this cache never loaded, or lacks some it did
-            return
-        _parsed = (self.path, self._base[0] + text, self._entries, self._base[1] + added)
-        self._base, self._shared = (_parsed[1], _parsed[3]), True
+        # Wherever the write landed: the next load keeps _entries only if the file starts with _text.
+        self._text += text
+        self.records_loaded += added
 
 
 def cached_ks(

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cache, cached_property
-from itertools import chain, product
+from itertools import product
 from typing import NamedTuple, Optional
 
 
@@ -111,8 +111,9 @@ class MachineSpec:
             raise ValueError("state_count must be >= 1")
         if len(self.instructions) != 9 * n:
             raise ValueError(f"expected {9 * n} instructions, got {len(self.instructions)}")
-        # A subset test checks a table of up to 4 states; the walk names its first bad row.
-        if not (type(n) is int and n <= 4 and _valid_rows(n).issuperset(self.instructions)):
+        # Rows of `_valid_rows`, as parse_bits builds them, pass by identity (an equal
+        # row may hold 1.0 for 1); the walk checks any other and names its first bad row.
+        if not (type(n) is int and n <= 4 and _valid_rows(n)[1].issuperset(map(id, self.instructions))):
             for row in self.instructions:
                 _validate_instruction(row, n)
 
@@ -133,22 +134,27 @@ class MachineSpec:
 
 
 @cache
-def _valid_rows(state_count: int) -> frozenset:
-    """Every row `_validate_instruction` accepts for `state_count` states: about 2n^3 rows."""
+def _valid_rows(state_count: int) -> tuple[dict, frozenset]:
+    """The rows `_validate_instruction` accepts for `state_count` states (about 2n^3) by record; their ids."""
 
-    states = range(state_count)
-    return frozenset(chain.from_iterable(
-        product((int(op),), *[((0, 1) if f == "bit" else states) if f in used else (0,) for f in _FIELDS])
-        for op, used in _OPERANDS.items()
-    ))
+    states, rw = range(state_count), record_width(state_count)
+    layout, rows = _record_layout(state_width(state_count), rw), {}
+    for op, used in _OPERANDS.items():
+        _, _, sb, _, s0, _, s1, _, s2, _ = layout[op]
+        operands = [((0, 1) if f == "bit" else states) if f in used else (0,) for f in _FIELDS]
+        for bit, t0, t1, t2 in product(*operands):
+            rows[op << (rw - 3) | bit << sb | t0 << s0 | t1 << s1 | t2 << s2] = (int(op), bit, t0, t1, t2)
+    return rows, frozenset(map(id, rows.values()))  # the dict keeps the rows alive, so the ids stay theirs
 
 
 def _validate_instruction(row: tuple[int, int, int, int, int], state_count: int) -> None:
     op = row[0]
-    used = _OPERANDS.get(op)
+    used = _OPERANDS.get(op) if isinstance(op, int) else None
     if used is None:
         raise ValueError(f"unknown opcode {op!r}")
     for field, value in zip(_FIELDS, row[1:]):
+        if not isinstance(value, int):  # 1.0 == 1, but serialize_machine cannot shift it
+            raise ValueError(f"instruction {field} must be an int, got {value!r}")
         # Zero is valid in every field; unused fields must stay zero so that
         # equal machines compare equal.
         if value == 0:
@@ -595,8 +601,8 @@ def serialize_machine(spec: MachineSpec) -> str:
 def parse_bits(bits: str) -> MachineSpec:
     """Inverse of `serialize_machine`; strict, the whole string must be consumed.
 
-    Records are read as integers and split by `_record_layout`.  Nonzero
-    padding is rejected here and bad states by `MachineSpec` (as BitsParseError,
+    Records are read as integers, taken from `_valid_rows` or split by `_record_layout`.
+    Nonzero padding is rejected here and bad states by `MachineSpec` (as BitsParseError,
     first bad record first), so every machine has one serialization and vice versa.
     """
 
@@ -612,11 +618,15 @@ def parse_bits(bits: str) -> MachineSpec:
             f"expected {9 * n * rw} instruction bits for {n} states, got {len(bits) - n - 1}"
         )
     layout = _record_layout(state_width(n), rw)
+    valid = _valid_rows(n)[0] if n <= 4 else {}
     instructions = []
     for start in range(n + 1, len(bits), rw):
         rec = int(bits[start:start + rw], 2)
-        op, pad, sb, mb, s0, m0, s1, m1, s2, m2 = layout[rec >> (rw - 3)]
-        instructions.append((op, rec >> sb & mb, rec >> s0 & m0, rec >> s1 & m1, rec >> s2 & m2))
+        row, pad = valid.get(rec), 0
+        if row is None:  # more than 4 states, a bad state or nonzero padding
+            op, pad, sb, mb, s0, m0, s1, m1, s2, m2 = layout[rec >> (rw - 3)]
+            row = (op, rec >> sb & mb, rec >> s0 & m0, rec >> s1 & m1, rec >> s2 & m2)
+        instructions.append(row)
         if rec & pad:
             break
     try:

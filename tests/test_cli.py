@@ -7,7 +7,7 @@ import time
 import pytest
 
 from conftest import ECHO_X_TEXT, PUSH_FOREVER_TEXT, SEESAW_TEXT, echo_x_spec
-from kslab import cli
+from kslab import cli, kolmo
 from kslab.cli import main
 from kslab.entropy import _MAX_DIGITS
 from kslab.kolmo import INTERPRETER_TAG
@@ -135,6 +135,38 @@ class TestCache:
             fh.write(f"{INTERPRETER_TAG}\t3\t1\t0\t14\t9\t200\n")  # "1" at value 9
         _, planted, _ = run(capsys, *argv)
         assert planted == cold.replace("1,,0,14,2,01\n", "1,,0,14,9,000000000\n")
+
+    def test_in_process_calls_keep_one_cache_and_parse_only_lines_written_elsewhere(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        tails, pattern = [], kolmo._RECORD
+
+        class Spy:
+            def findall(self, text):
+                tails.append(text)
+                return pattern.findall(text)
+
+            def __getattr__(self, name):
+                return getattr(pattern, name)
+
+        monkeypatch.setattr(kolmo, "_RECORD", Spy())
+        here, there = tmp_path / "here", tmp_path / "there"
+        law = ("law", "verify", "pair_swap", "--n", "1", "--s-grid", "32,64", "--format", "csv")
+        table = ("ks", "table", "--targets-to", "1", "--s-grid", "0")
+        calls = [law, table, table]  # the last one a warm repeat
+        outs = [run(capsys, *argv, "--cache-dir", str(here)) for argv in calls]
+        assert outs == [run(capsys, *argv) for argv in calls] and outs[0][0] == 0
+        assert tails == [""] * 3  # one parse a call, of no record this process wrote
+        planted = f"{INTERPRETER_TAG}\t3\t1\t0\t14\t9\t200\n"  # "1" at value 9
+        with open(here / "complexity.tsv", "a") as fh:
+            fh.write(planted)
+        _, out, _ = run(capsys, *table, "--cache-dir", str(here))
+        assert tails[-1] == planted and out == outs[1][1].replace("1,,0,14,2,01\n", "1,,0,14,9,000000000\n")
+        run(capsys, *table, "--cache-dir", str(there))
+        del tails[:]
+        assert run(capsys, *table, "--cache-dir", str(here))[1] == out
+        assert tails == [(here / "complexity.tsv").read_text().partition("\n")[2]]  # parsed whole, once
+        assert cli._cache_at.cache_info().currsize <= 1
 
     def test_a_cached_table_appends_its_records_in_one_write(self, capsys, tmp_path, monkeypatch):
         real_write, writes = os.write, []

@@ -684,64 +684,57 @@ class TestCache:
         monkeypatch.setattr(kolmo, "_RECORD", Spy())
         return texts
 
-    def test_a_reopen_parses_nothing_this_process_flushed(self, tmp_path, parsed):
+    def test_a_refresh_parses_nothing_this_cache_flushed(self, tmp_path, parsed):
         path = tmp_path / "cache.tsv"
         with ComplexityCache(path) as cache:
             results = [cached_ks(y, "", 0, 14, cache) for y in ("", "0", "1")]
-        writer = ComplexityCache(path)
-        assert ComplexityCache(path).records_loaded == 3  # a reopen of an unchanged file keeps the memo
-        with writer:
-            assert writer.records_loaded == 3
-            results.append(cached_ks("01", "", 0, 14, writer))
-        reopened = ComplexityCache(path)
-        assert reopened.records_loaded == 4
-        assert [reopened.get(r.target, "", 0, 14) for r in results] == results
-        assert parsed == ["", "", ""]
+        assert cache.refresh().records_loaded == 3
+        results.append(cached_ks("01", "", 0, 14, cache))
+        assert cache.refresh() is cache and cache.records_loaded == 4  # it flushes first
+        assert [cache.get(r.target, "", 0, 14) for r in results] == results
+        assert parsed == [""] * 3  # the load that found no file, then both refreshes
         foreign = f"{INTERPRETER_TAG}\t6\t1\t0\t14\t3\ta\n"  # "10" at value 3, as another process writes it
         with open(path, "a") as fh:
             fh.write(foreign)
-        appended = ComplexityCache(path)
-        assert appended.records_loaded == 5 and parsed[-1] == foreign
-        assert appended.get("10", "", 0, 14) == ks("10", "", 0, 14)
-        first, second = ComplexityCache(path), ComplexityCache(path)
-        with first:
-            first.put(ks("11", "", 0, 14))
-        with second:  # lands after first's record, which second never loaded
-            second.put(ks("00", "", 0, 14))
-        assert ComplexityCache(path).records_loaded == 7
-        assert parsed[-1] == path.read_text().splitlines(keepends=True)[-1]
+        assert cache.refresh().records_loaded == 5 and parsed[-1] == foreign
+        assert cache.get("10", "", 0, 14) == ks("10", "", 0, 14)
+        with ComplexityCache(path) as other:
+            other.put(ks("11", "", 0, 14))
+        with cache:  # lands after other's record, which cache never loaded
+            cache.put(ks("00", "", 0, 14))
+        assert cache.refresh().records_loaded == 7
+        assert parsed[-1] == path.read_text().partition("\n")[2]
 
-    def test_a_record_planted_after_a_memo_served_load_is_returned(self, tmp_path, parsed):
+    def test_a_record_planted_before_a_refresh_is_returned(self, tmp_path, parsed):
         path = tmp_path / "cache.tsv"
         with ComplexityCache(path) as cache:
             cached_ks("1", "", 0, 14, cache)
-        ComplexityCache(path)
-        served = ComplexityCache(path)
-        assert parsed[-1] == "" and served.get("1", "", 0, 14).value == 2
+        assert cache.refresh().get("1", "", 0, 14).value == 2 and parsed[-1] == ""
+        earlier = ComplexityCache(path)
         with open(path, "a") as fh:
             fh.write(f"{INTERPRETER_TAG}\t3\t1\t0\t14\t9\t200\n")  # "1" at value 9
-        planted = ComplexityCache(path)
-        assert planted.records_loaded == 2
-        assert cached_ks("1", "", 0, 14, planted) == ComplexityResult("1", "", 0, 14, 9, "0" * 9)
-        assert served.get("1", "", 0, 14).value == 2  # an earlier load keeps what it read
+        assert cache.refresh().records_loaded == 2
+        assert cached_ks("1", "", 0, 14, cache) == ComplexityResult("1", "", 0, 14, 9, "0" * 9)
+        assert earlier.get("1", "", 0, 14).value == 2  # another cache keeps what it read
 
     def test_a_rewrite_inside_the_parsed_lines_forces_a_full_parse(self, tmp_path, parsed):
         path = tmp_path / "cache.tsv"
         with ComplexityCache(path) as cache:
             for y in ("0", "1", "01"):
                 cached_ks(y, "", 0, 14, cache)
-        assert ComplexityCache(path).get("1", "", 0, 14).value == 2
+        assert cache.refresh().get("1", "", 0, 14).value == 2
         # Same length: "1" at value 3, witness "011", where it had 2 and "01".
         path.write_text(path.read_text().replace("\t3\t1\t0\t14\t2\t5\n", "\t3\t1\t0\t14\t3\tb\n"))
-        rewritten = ComplexityCache(path)
-        assert rewritten.get("1", "", 0, 14) == ComplexityResult("1", "", 0, 14, 3, "011")
-        assert rewritten.records_loaded == 3
+        assert cache.refresh().get("1", "", 0, 14) == ComplexityResult("1", "", 0, 14, 3, "011")
+        assert cache.records_loaded == 3
         assert parsed[-1] == path.read_text().partition("\n")[2]
         path.write_text(path.read_text().replace("\t3\tb\n", "\t3\tB\n"))
         with pytest.raises(ValueError, match=r"cache\.tsv:3: bad cache record"):
+            cache.refresh()
+        with pytest.raises(ValueError, match=r"cache\.tsv:3: bad cache record"):
             ComplexityCache(path)
 
-    def test_a_bad_record_appended_after_a_memo_served_load_reports_its_own_line(self, tmp_path, parsed):
+    def test_a_bad_record_appended_before_a_refresh_reports_its_own_line(self, tmp_path, parsed):
         path = tmp_path / "cache.tsv"
         path.write_text(
             "kslab-cache 1\n"
@@ -749,63 +742,64 @@ class TestCache:
             "\n"
             f"{INTERPRETER_TAG}\t5\t1\t0\t14\t3\t9\n"
         )
-        ComplexityCache(path)
-        assert ComplexityCache(path).records_loaded == 2 and parsed[-1] == ""
+        cache = ComplexityCache(path)
+        assert cache.refresh().records_loaded == 2 and parsed[-1] == ""
         appended = f"{INTERPRETER_TAG}\t7\t1\t0\t14\t3\td\n\n{INTERPRETER_TAG}\t7\t1\t0\t14\t3\t0d\n"
         with open(path, "a") as fh:
             fh.write(appended)
         with pytest.raises(ValueError, match=r"cache\.tsv:7: bad cache record"):
-            ComplexityCache(path)
-        assert parsed[-1] == appended
+            cache.refresh()
+        assert parsed[-1] == appended and cache.records_loaded == 2
         path.write_text(path.read_text().removesuffix(appended.rpartition("\n\n")[2]))
-        assert ComplexityCache(path).records_loaded == 3
+        assert cache.refresh().records_loaded == 3
+        assert parsed[-1] == f"{INTERPRETER_TAG}\t7\t1\t0\t14\t3\td\n\n"
 
-    def test_a_memo_served_load_equals_a_full_parse(self, tmp_path, monkeypatch):
+    def test_a_refreshed_cache_equals_a_freshly_constructed_one(self, tmp_path):
         path = tmp_path / "cache.tsv"
         results = [ks(y, x, 0, 14) for y in ("", "0", "1", "01", "10", "110") for x in ("", "1")]
         queries = [(r.target, r.condition, 0, 14) for r in results]
+        watcher = ComplexityCache(path)  # refreshed at every step, and puts nothing
 
-        def same_as_a_full_parse():
-            served = ComplexityCache(path)
-            memo = kolmo._parsed
-            monkeypatch.setattr(kolmo, "_parsed", (None, "", {}, 0))
-            parsed = ComplexityCache(path)
-            monkeypatch.setattr(kolmo, "_parsed", memo)
-            assert served.records_loaded == parsed.records_loaded
-            assert [served.get(*q) for q in queries] == [parsed.get(*q) for q in queries]
-            return served.records_loaded
+        def same_as_a_fresh_load(*writers):
+            """Refresh the watcher and the writers, none with a put queued; each equals a new cache."""
+
+            fresh = ComplexityCache(path)
+            for cache in (watcher, *writers):
+                assert cache.refresh().records_loaded == fresh.records_loaded
+                assert [cache.get(*q) for q in queries] == [fresh.get(*q) for q in queries]
+            return fresh.records_loaded
 
         first, second = ComplexityCache(path), ComplexityCache(path)  # neither found a file
         first.put(results[0])
         first.put(results[1])
         first.flush()  # creates the file
-        assert same_as_a_full_parse() == 2
+        assert same_as_a_fresh_load(first) == 2
         third = ComplexityCache(path)
         second.put(results[2])
         second.flush()  # lands after first's records, which second never loaded
-        assert same_as_a_full_parse() == 3
+        assert same_as_a_fresh_load(second) == 3
         third.put(results[3])
         first.put(results[4])
         third.flush()
-        first.flush()
-        assert same_as_a_full_parse() == 5
+        first.flush()  # lands after third's record, which first never loaded
+        assert same_as_a_fresh_load(third, first) == 5
         with open(path, "a") as fh:
             fh.write(f"{INTERPRETER_TAG}\t7\t1")  # a torn last line
-        assert same_as_a_full_parse() == 5
+        assert same_as_a_fresh_load() == 5
         with ComplexityCache(path) as torn:  # cuts the fragment off
             torn.put(results[5])
             torn.put(results[0])
-        assert same_as_a_full_parse() == 6
+        assert same_as_a_fresh_load(torn) == 6
         with open(path, "a") as fh:  # a record appended by hand
             fh.write(f"{INTERPRETER_TAG}\t7\t1\t0\t14\t3\tb\n")
-        assert same_as_a_full_parse() == 7
+        assert same_as_a_fresh_load() == 7
         with ComplexityCache(path) as writer, ComplexityCache(path) as other:
             writer.put(results[6])
             writer.flush()
             other.put(results[7])
             writer.put(results[8])
-            assert same_as_a_full_parse() == 8  # neither queued put shows
-        assert same_as_a_full_parse() == 10
+            assert same_as_a_fresh_load() == 8  # neither queued put shows
+        assert same_as_a_fresh_load(writer, other) == 10
         late = ComplexityCache(path)
         before = path.read_bytes()
         with open(path, "a") as fh:
@@ -815,17 +809,17 @@ class TestCache:
         path.write_bytes(before)  # truncated back to what late loaded
         with late:  # lands where late's first flush would have
             late.put(results[10])
-        assert same_as_a_full_parse() == 11
+        assert same_as_a_fresh_load(late) == 11
         path.unlink()
         with first:  # its entries outlive the file it recreates
             first.put(results[9])
-        assert same_as_a_full_parse() == 1
+        assert same_as_a_fresh_load(first) == 1
         with ComplexityCache(path) as reader:
             reader.put(results[10])
             reader.put(results[11])
-        assert same_as_a_full_parse() == 3
+        assert same_as_a_fresh_load(reader) == 3
 
-    def test_a_conflict_names_the_stored_text_of_a_put_or_a_loaded_entry(self, tmp_path, monkeypatch):
+    def test_a_conflict_names_the_stored_text_of_a_put_or_a_loaded_entry(self, tmp_path):
         path = tmp_path / "cache.tsv"
         expected = r"cache conflict for 'kslab-v1\td\t1\t0\t14': stored '4\t15', new '3\ta'"
         conflicting = ComplexityResult("101", "", 0, 14, 3, "010")
@@ -833,7 +827,6 @@ class TestCache:
             cache.put(ComplexityResult("101", "", 0, 14, 4, "0101"))
             with pytest.raises(ValueError) as put_here:
                 cache.put(conflicting)
-        monkeypatch.setattr(kolmo, "_parsed", (None, "", {}, 0))
         with pytest.raises(ValueError) as read_back:
             ComplexityCache(path).put(conflicting)
         assert str(put_here.value) == str(read_back.value) == expected

@@ -100,20 +100,25 @@ class TestInstructions:
 
     @pytest.mark.parametrize("states", [1, 4, 5])
     def test_a_table_is_accepted_iff_every_row_is_valid(self, states):
-        # Rows over every opcode and a field value below, at and above each
-        # bound, a float among them: the table check, by set or by walk,
-        # accepts exactly the rows that this rule does.
-        values = (-1, 0, 1, 0.5, states - 1, states)
+        # Rows over every opcode and 1.0, and a field value below, at and
+        # above each bound, floats among them (1.0 == 1): the walk accepts
+        # exactly the rows that this rule does, and a table it accepts reads
+        # back from its bits through the rows MachineSpec accepts by identity.
+        values = (-1, 0, 1, 0.5, 1.0, states - 1, states)
 
         def valid(op, *fields):
-            return op in USED_FIELDS and all(
-                v == 0 or f in USED_FIELDS[op] and (v == 1 if f == "bit" else 0 < v < states)
+            return isinstance(op, int) and op in USED_FIELDS and all(
+                isinstance(v, int)
+                and (v == 0 or f in USED_FIELDS[op] and (v == 1 if f == "bit" else 0 < v < states))
                 for f, v in zip(FIELDS, fields)
             )
 
-        for row in itertools.product(range(-1, 9), values, values, values, values):
+        for row in itertools.product((*range(-1, 9), 1.0), values, values, values, values):
             table = (HALT,) * (9 * states - 1) + (row,)
-            assert valid(*row) == isinstance(outcome(MachineSpec, states, table), MachineSpec), row
+            spec = outcome(MachineSpec, states, table)
+            assert valid(*row) == isinstance(spec, MachineSpec), row
+            if valid(*row):
+                assert parse_bits(serialize_machine(spec)) == spec
 
     def test_instruction_count_must_match(self):
         with pytest.raises(ValueError):
