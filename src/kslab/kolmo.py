@@ -77,7 +77,7 @@ C_SIM = 16
 _MAX_DECODE_STEPS = 2**62
 
 # Most live programs ks_scan holds at one length.  The `11` shard keeps about
-# 2^(length/2) live, so this admits its scans up to cap 32 (about 1 s).
+# 2^(length/2) live, so this admits its scans up to cap 32 (about 0.2 s).
 _MAX_LIVE = 1 << 15
 
 # Shortest general-mode program: doubled 1-state machine plus separator.
@@ -200,11 +200,43 @@ def _live(prog: str, x: str, y: str) -> bool:
         return y.startswith(x + prog[2:])
     i = _DOUBLED.match(prog).end()
     if prog.startswith("01", i):
-        try:
-            parse_bits(prog[:i:2])
-        except BitsParseError:
-            return False
+        return _is_machine(prog[:i:2])
     return not prog.startswith("10", i)
+
+
+def _is_machine(header: str) -> bool:
+    try:
+        parse_bits(header)
+    except BitsParseError:
+        return False
+    return True
+
+
+def _grow(level: list, ends: list, x: str, y: str) -> tuple[list, list]:
+    """The live one-bit extensions of live programs, and the end of each one's doubled run.
+
+    _live's rule, read from the end i of a program's doubled run (the end
+    of _DOUBLED's match), which a bit moves only when it closes a pair.  A
+    general-mode header is parsed once, when its "01" separator closes;
+    past that every extension is live.
+    """
+
+    grown, grown_ends = [], []
+    for prog, i in zip(level, ends):
+        for bit in "01":
+            child = prog + bit
+            paired = i + 1 == len(prog)  # the bit pairs with prog's last, unpaired bit
+            end = i + 2 if paired and prog[i] == bit else i
+            if child[:1] == "0" or child[:2] == "10":
+                live = _live(child, x, y)
+            elif paired and end == i:  # the pair ends the run: "01" closes a header, "10" breaks it
+                live = bit == "1" and _is_machine(prog[:i:2])
+            else:
+                live = True
+            if live:
+                grown.append(child)
+                grown_ends.append(end)
+    return grown, grown_ends
 
 
 class ComplexityResult(NamedTuple):
@@ -292,8 +324,10 @@ def ks_scan(
     header that is not a serialized machine.  A dead program has no
     extension that decodes to y, so the answer is that of running every
     program, and the rule reads only the grammar, never ks's closed form or
-    MACHINE_MODE_MIN_LENGTH, so the scan stays a check of ks.  Each length
-    holds at most two live builtin-mode programs plus the live general-mode
+    MACHINE_MODE_MIN_LENGTH, so the scan stays a check of ks.  Each program
+    carries the end of its doubled run (_grow), so growing one costs no
+    regex and a header is parsed once, when its separator closes.  Each
+    length holds at most two live builtin-mode programs plus the live general-mode
     ones: the open doubled headers, about 2^(length/2), which are not run
     (no separator yet, so the grammar cannot parse them), and every
     extension of a header that is a serialized machine.  A length with
@@ -309,10 +343,10 @@ def ks_scan(
 
     _check_query(y, x, s, cap)
     check_bits(prefix)
-    level = [prefix] if _live(prefix, x, y) else []
+    level, ends = ([prefix], [_DOUBLED.match(prefix).end()]) if _live(prefix, x, y) else ([], [])
     for length in range(len(prefix), cap + 1):
-        for prog in level:
-            if prog[:2] == "11" and not prog.startswith("01", _DOUBLED.match(prog).end()):
+        for prog, i in zip(level, ends):
+            if prog[:2] == "11" and i + 2 > length:  # an open header, with no separator yet
                 continue
             try:
                 out = reference_decode(prog, x, s)
@@ -322,7 +356,7 @@ def ks_scan(
                 return ComplexityResult(y, x, s, cap, length, prog)
         if length == cap or not level:
             break
-        level = [grown for prog in level for grown in (prog + "0", prog + "1") if _live(grown, x, y)]
+        level, ends = _grow(level, ends, x, y)
         general = sum(prog.startswith("11") for prog in level)
         if general > _MAX_LIVE:
             raise ValueError(f"{general} live programs of length {length + 1}, limit {_MAX_LIVE}")

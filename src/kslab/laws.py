@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter, mul
@@ -196,32 +197,48 @@ def _grid_points(arity: int, n: int, s_count: int) -> list:
     return list(product(strings_up_to(n) if arity else (), repeat=arity))
 
 
-def _encoder(indices: tuple, arity: int):
-    """point -> encode_subtuple(point, indices), each combination of picked components encoded once.
+def _once_per_pick(indices, arity: int, build):
+    """point -> build(point), built once per distinct combination of the components at indices.
 
-    The memo is keyed by the components picked, so it holds one string per
-    distinct combination of them, not one per point and term; a term that
-    picks every component in order is keyed by the point itself, not by a
-    copy of it.
+    No memo when indices pick every component: every caller reads a point once.
     """
+
+    if sorted(indices) == list(range(1, arity + 1)):
+        return build
+    pick = itemgetter(*(i - 1 for i in indices)) if indices else (lambda point: ())
+    built: dict = {}
+
+    def get(point):
+        key = pick(point)
+        try:
+            return built[key]
+        except KeyError:
+            built[key] = value = build(point)
+            return value
+
+    return get
+
+
+def _encoder(indices: tuple, arity: int):
+    """point -> encode_subtuple(point, indices), each combination of picked components encoded once."""
 
     if not indices:
         return lambda point: ""
     if len(indices) == 1:
         return itemgetter(indices[0] - 1)  # a 1-tuple encodes as the bare string
-    whole = indices == tuple(range(1, arity + 1))
-    pick = (lambda point: point) if whole else itemgetter(*(i - 1 for i in indices))
-    encoded: dict = {}
+    return _once_per_pick(indices, arity, lambda point: encode_subtuple(point, indices))
 
-    def encode(point) -> str:
-        picked = pick(point)
-        try:
-            return encoded[picked]
-        except KeyError:
-            encoded[picked] = text = encode_subtuple(point, indices)
-            return text
 
-    return encode
+def _query_encoder(target: tuple, condition: tuple, arity: int):
+    """point -> its query: the target's encoding, paired with the condition's unless that is ""."""
+
+    target_of, condition_of = _encoder(target, arity), _encoder(condition, arity)
+
+    def query(point) -> str | tuple:
+        given = condition_of(point)
+        return (target_of(point), given) if given else target_of(point)
+
+    return _once_per_pick(sorted({*target, *condition}), arity, query)
 
 
 def _profile_readers(k: int) -> list:
@@ -245,6 +262,18 @@ def _profile(point, readers, s: int, cap: int, cache: ComplexityCache | None) ->
         key: cached_ks(target(point), cond(point), s, cap, cache).value
         for key, target, cond in readers
     }
+
+
+class _Column(dict):
+    """One verify_law call's values at one space bound, by query; a query not yet read is searched."""
+
+    def __init__(self, s: int, cap: int, cache: ComplexityCache | None):
+        self.s, self.cap, self.cache = s, cap, cache
+
+    def __missing__(self, query) -> int | None:
+        target, condition = (query, "") if type(query) is str else query
+        value = self[query] = cached_ks(target, condition, self.s, self.cap, self.cache).value
+        return value
 
 
 def _least_constant(holds, lo: int, label: str) -> int:
@@ -292,10 +321,17 @@ def verify_law(
     at minimal c - 1.  Points with a NotFound complexity at c = 0 are
     vacuous: excluded from the search, reported in the result.  The
     shannon law applies only to a member of the Shannon cone, which
-    is_shannon decides (and certifies) before the grid is built.  Each
-    distinct query (target, condition, s read) is searched once per
-    call and its value kept for the rest of the call; ks_evaluations
-    counts those searches.
+    is_shannon decides (and certifies) before the grid is built.
+
+    Each term's query, its (target, condition) or the target alone when
+    the condition is ε, is encoded once per point.  Values are kept in one
+    column per space bound read, s or s', keyed by those queries, so each
+    distinct query is searched once per call; ks_evaluations counts those
+    searches.  The c = 0 pass reads every term at s, in (s, point, term)
+    order, and keeps a row for each (s, point) that is not vacuous: its
+    right side and slack unit, which no c changes.  The searches and the
+    two re-check passes fetch the column at s' once per (s, c) and read
+    only the left side from it.
     """
 
     s_grid = tuple(sorted(set(int(s) for s in s_grid)))
@@ -335,63 +371,82 @@ def verify_law(
     points = _grid_points(k, n, len(s_grid))
     scale = math.lcm(*(coeff.denominator for coeff, _, _ in terms))
     coeffs = [int(coeff * scale) for coeff, _, _ in terms]
-    readers = [(coeff < 0, _encoder(target, k), _encoder(cond, k)) for coeff, target, cond in terms]
-    # One value per distinct query (target, condition, s read) of this call;
-    # its size is the number of searches, reported as ks_evaluations.
-    values_read: dict = {}
+    right = [max(coeff, 0) for coeff in coeffs]
+    left = [max(-coeff, 0) for coeff in coeffs]
+    left_coeffs = [coeff for coeff in left if coeff]
+    # Each term's query at each point, encoded once: one list per term.
+    queries = [list(map(_query_encoder(target, cond, k), points)) for _, target, cond in terms]
+    # One column per space bound read, s or s'; its entries are the
+    # distinct searches, reported as ks_evaluations.
+    columns: dict = {}
 
-    def s_prime(s: int, c: int) -> int:
-        return s + c * (a * _clog2(s) + b)
+    def column(s: int, c: int) -> _Column:
+        sp = s + c * (a * _clog2(s) + b)
+        col = columns.get(sp)
+        if col is None:
+            col = columns[sp] = _Column(sp, cap, cache)
+        return col
 
-    def margin(point, s: int, sp: int, c: int):
-        """(Right side at s - left side at sp) * scale, an int; None if a value is NotFound."""
-
-        values = []
-        for left, target, cond in readers:
-            query = (target(point), cond(point), sp if left else s)
-            try:
-                value = values_read[query]
-            except KeyError:
-                value = values_read[query] = cached_ks(*query, cap, cache).value
-            values.append(value)
-        if None in values:
-            return None
-        return sum(map(mul, coeffs, values)) + c * scale * (_clog2(values[0]) if unit is None else unit)
-
-    def holds(point, s: int, c: int) -> bool:
-        result = margin(point, s, s_prime(s, c), c)
-        if result is None:
-            raise AssertionError("point turned vacuous away from c=0")
-        return result >= 0
-
-    # One pass at c = 0 sorts every point into vacuous, failing or holding.
+    # One pass at c = 0 sorts every point into vacuous, failing or holding,
+    # and keeps the row of each point that is not vacuous: its right side
+    # and slack unit, which no c changes.
     vacuous: list = []
-    failing: list = []
+    rows: list = []  # per s: (s, right side sums, slack units, indices failing at c = 0)
     for s in s_grid:
-        for point in points:
-            result = margin(point, s, s, 0)
-            if result is None:
+        col = column(s, 0)
+        sums, units, failing = [], [], array("q")  # most points may fail: no int object per index
+        for point, *qs in zip(points, *queries):
+            values = list(map(col.__getitem__, qs))
+            if None in values:
                 vacuous.append((s, point))
-            elif result < 0:
-                failing.append((s, point))
+                sums.append(None)  # no row: None in both lists
+                units.append(None)
+                continue
+            r = sum(map(mul, right, values))
+            if r < sum(map(mul, left, values)):
+                failing.append(len(sums))
+            sums.append(r)
+            units.append(scale * (_clog2(values[0]) if unit is None else unit))
+        rows.append((s, sums, units, failing))
+    # From here on only the left side is read, at s': the right side's
+    # queries go, and so do the points, whose rows and queries are kept.
+    queries = [keys for keys, coeff in zip(queries, left) if coeff]
+    points_total = len(points) * len(s_grid)
+    del points
+
+    def left_side(col: _Column, qs) -> int:
+        values = list(map(col.__getitem__, qs))
+        if None in values:
+            raise AssertionError("point turned vacuous away from c=0")
+        return sum(map(mul, left_coeffs, values))
 
     # A point that holds at c holds at every larger c, so the grid's least
     # constant is the largest of its points' least constants.  A failing
     # point is searched only when it still fails at the largest constant
     # found so far: doubling from there, then bisecting.
     minimal_c = 0
-    for s, point in failing:
-        if minimal_c == 0 or not holds(point, s, minimal_c):
-            minimal_c = _least_constant(lambda c: holds(point, s, c), minimal_c, label)
+    for s, sums, units, failing in rows:
+        for i in failing:
+            r, u, qs = sums[i], units[i], [keys[i] for keys in queries]
+
+            def holds(c: int) -> bool:
+                return r + c * u >= left_side(column(s, c), qs)
+
+            if minimal_c == 0 or not holds(minimal_c):
+                minimal_c = _least_constant(holds, minimal_c, label)
 
     # Re-check the whole grid at minimal_c (the c = 0 pass already did when
     # it is 0) and count the violations one below it.
     violations_below: int | None = None
     if minimal_c > 0:
-        skip = set(vacuous)
 
         def violations(c: int) -> int:
-            return sum(not holds(pt, s, c) for s in s_grid for pt in points if (s, pt) not in skip)
+            count = 0
+            for s, sums, units, _ in rows:
+                col = column(s, c)
+                for r, u, *qs in zip(sums, units, *queries):
+                    count += r is not None and r + c * u < left_side(col, qs)
+            return count
 
         if violations(minimal_c):
             raise AssertionError("minimal c re-check produced violations")
@@ -406,12 +461,12 @@ def verify_law(
         cap=cap,
         minimal_c=minimal_c,
         violations_below=violations_below,
-        points_total=len(points) * len(s_grid),
+        points_total=points_total,
         points_vacuous=len(vacuous),
         vacuous_points=tuple(vacuous[:100]),
         interpreter_tag=INTERPRETER_TAG,
         caveat=CAVEAT,
-        ks_evaluations=len(values_read),
+        ks_evaluations=sum(map(len, columns.values())),
     )
 
 

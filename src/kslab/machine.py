@@ -109,6 +109,8 @@ class MachineSpec:
         n = self.state_count
         if n < 1:
             raise ValueError("state_count must be >= 1")
+        if not isinstance(self.instructions, tuple):  # a list table would leave the spec unhashable
+            raise ValueError(f"instructions must be a tuple, got {type(self.instructions).__name__}")
         if len(self.instructions) != 9 * n:
             raise ValueError(f"expected {9 * n} instructions, got {len(self.instructions)}")
         # Rows of `_valid_rows`, as parse_bits builds them, pass by identity (an equal
@@ -148,6 +150,8 @@ def _valid_rows(state_count: int) -> tuple[dict, frozenset]:
 
 
 def _validate_instruction(row: tuple[int, int, int, int, int], state_count: int) -> None:
+    if not (isinstance(row, tuple) and len(row) == 5):
+        raise ValueError(f"instruction must be a 5-tuple, got {row!r}")
     op = row[0]
     used = _OPERANDS.get(op) if isinstance(op, int) else None
     if used is None:

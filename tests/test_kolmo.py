@@ -316,6 +316,26 @@ class TestScanOracle:
             for prog in progs:
                 assert _live(prog, x, y) == live_by_pairs(prog, x, y), (prog, x, y)
 
+    @pytest.mark.parametrize("prefix", ["", "0", "10", "11", "whole header"])
+    def test_the_carried_rule_is_live(self, prefix):
+        # The scan's growth step keeps each program's doubled-run end instead
+        # of reading it again; it must keep exactly the extensions _live keeps,
+        # with the run end that the pair-by-pair walk finds, to length 22.
+        def run_end(prog):
+            i = first_unequal_pair(prog)
+            return len(prog) // 2 * 2 if i is None else i
+
+        if prefix == "whole header":
+            prefix = doubled(serialize_machine(copy_p_spec())) + "01"
+        for y, x in (("1011", "10"), ("0110", "")):
+            level, ends, grown_total = [prefix], [run_end(prefix)], 0
+            for _ in range(len(prefix), max(22, len(prefix) + 10)):
+                grown, grown_ends = kolmo._grow(level, ends, x, y)
+                assert grown == [g for p in level for g in (p + "0", p + "1") if _live(g, x, y)]
+                assert grown_ends == list(map(run_end, grown))
+                level, ends, grown_total = grown, grown_ends, grown_total + len(grown)
+            assert grown_total > 0
+
     def test_open_headers_are_not_decoded(self, monkeypatch):
         # The `11` shards of the benchmark's scans (seed 7, caps 16 and 17):
         # no header closes below length 78, so no program there is decoded.

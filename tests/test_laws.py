@@ -13,7 +13,7 @@ import pytest
 from conftest import find_stable_level, profile_level_vector
 from kslab import laws
 from kslab.entropy import LinearInequality, is_shannon, parse_inequality
-from kslab.kolmo import INTERPRETER_TAG, ComplexityCache, encode_pair, ks
+from kslab.kolmo import INTERPRETER_TAG, ComplexityCache, encode_pair, encode_subtuple, ks
 from kslab.laws import (
     CAVEAT,
     BaselineMismatch,
@@ -336,6 +336,39 @@ class TestVerifyLawOracle:
         report = verify_law(law, n=n, s_grid=s_grid, cap=cap, **_oracle_kwargs(extra))
         assert set(calls.values()) == {1}
         assert report.ks_evaluations == len(calls)
+
+    @pytest.mark.parametrize("law,n,s_grid,cap,extra", _ALL_ORACLE_CASES, ids=_ORACLE_IDS)
+    def test_the_c0_pass_reads_first_by_s_point_and_term(self, monkeypatch, law, n, s_grid, cap, extra):
+        # The queries of the pass at c = 0 come first, in (s, point, term)
+        # order, so a cold call writes its cache records in that order.
+        kwargs = _oracle_kwargs(extra)
+        if law == "shannon":
+            k, masks = kwargs["inequality"].k, [mask for mask, _ in kwargs["inequality"].coeffs]
+            terms = [(tuple(i for i in range(1, k + 1) if mask >> (i - 1) & 1), ()) for mask in masks]
+        elif law == "basic":
+            k, I, J = kwargs["k"], kwargs.get("I", frozenset()), kwargs.get("J", frozenset())
+            terms = [(tuple(sorted(subset)), ()) for subset in (I | J, I & J, I, J)]
+        else:
+            k, terms = 2, {
+                "pair_swap": [((1, 2), ()), ((2, 1), ())],
+                "chain_easy": [((1,), ()), ((2,), (1,)), ((1, 2), ())],
+                "symmetry": [((1, 2), ()), ((1,), ()), ((2,), (1,))],
+            }[law]
+        first_pass = {}
+        for s in sorted(s_grid):
+            for point in itertools.product(strings_up_to(n), repeat=k):
+                for target, condition in terms:
+                    query = (encode_subtuple(point, target), encode_subtuple(point, condition), s, cap)
+                    first_pass.setdefault(query)
+        ks_query, calls = laws.cached_ks, []
+
+        def spied(y, x, s, cap, cache):
+            calls.append((y, x, s, cap))
+            return ks_query(y, x, s, cap, cache)
+
+        monkeypatch.setattr(laws, "cached_ks", spied)
+        verify_law(law, n=n, s_grid=s_grid, cap=cap, **kwargs)
+        assert calls[: len(first_pass)] == list(first_pass)
 
     def test_the_cases_cover_vacuous_points_and_nonzero_constants(self):
         found = [

@@ -119,6 +119,14 @@ class TestInstructions:
             assert valid(*row) == isinstance(spec, MachineSpec), row
             if valid(*row):
                 assert parse_bits(serialize_machine(spec)) == spec
+        # A row or a table that is not a tuple would leave the spec unhashable,
+        # and a row of another length has no five fields.
+        for row in ([*HALT], HALT[:4], (*HALT, 0)):
+            with pytest.raises(ValueError, match="instruction must be a 5-tuple"):
+                MachineSpec(states, (HALT,) * (9 * states - 1) + (row,))
+        parsed = parse_bits(serialize_machine(MachineSpec(states, (HALT,) * (9 * states))))
+        with pytest.raises(ValueError, match="instructions must be a tuple, got list"):
+            MachineSpec(states, list(parsed.instructions))  # rows that pass by identity
 
     def test_instruction_count_must_match(self):
         with pytest.raises(ValueError):

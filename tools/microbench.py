@@ -16,6 +16,10 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
 * `verify_law` on the five law grids of the benchmark's `lab-session`
   pass, without a cache, as one total (milliseconds), and the
   `ks_evaluations` of those five calls, summed,
+* `verify_law("chain_easy", n=6, s_grid=(0,), cap=77)` without a cache
+  (milliseconds, `verify_law_searched_ms`): a grid of 16,129 pairs
+  whose minimal c is 4, so that the per-point searches and the two
+  re-check passes make about half of its 66,390 `ks` searches,
 * `typical_set(("01", "1"), 8, 2, 14)` without a cache (milliseconds),
 * an in-process `main(["cone", "elemental", "--k", "1"])` with stdout
   redirected, a command whose own work is small, so that the time is
@@ -154,6 +158,9 @@ def main() -> int:
         lambda: [verify_law(law, cap=14, **kw) for law, kw in law_calls], REPS
     ) * 1e3
     result["ks_evaluations"] = sum(verify_law(law, cap=14, **kw).ks_evaluations for law, kw in law_calls)
+    result["verify_law_searched_ms"] = _best(
+        lambda: verify_law("chain_easy", n=6, s_grid=(0,), cap=77), REPS
+    ) * 1e3
     result["typical_set_ms"] = _best(lambda: typical_set(("01", "1"), 8, 2, 14), REPS) * 1e3
 
     def quiet_main(argv):
