@@ -375,36 +375,50 @@ def scan_combine(results) -> ComplexityResult:
     return min(found, key=lambda res: (res.value, res.witness), default=results[0])
 
 
-# Cached because a cache key repeats a few distinct bit strings many times:
-# `lab-session`'s 18,465 records hold about 1,500 distinct targets.
+# Cached because records repeat a few fields many times: the 18,437 of a
+# `lab-session` pass hold 673 targets and 104 (condition, s, cap) triples.
 @lru_cache(maxsize=4096)
-def _bits_to_hex(bits: str | None) -> str:
-    if bits is None:
-        return "-"
+def _bits_to_hex(bits: str) -> str:
     # int() would also take "0_1"; only "0" and "1" are bit strings.
     check_bits(bits)
     # Sentinel bit keeps leading zeros; "" encodes as "1".
     return format(int("1" + bits, 2), "x")
 
 
-def _cache_key(y: str, x: str, s: int, cap: int) -> str:
-    return f"{INTERPRETER_TAG}\t{_bits_to_hex(y)}\t{_bits_to_hex(x)}\t{s}\t{cap}"
-
-
-def _stored_text(result: ComplexityResult) -> str:
-    return f"{'-' if result.value is None else result.value}\t{_bits_to_hex(result.witness)}"
+@lru_cache(maxsize=4096)
+def _query_fields(text: str) -> tuple:
+    bits, *ints = text.split("\t")  # a record's target, or its condition, s and cap
+    return (bin(int(bits, 16))[3:], *map(int, ints))
 
 
 _CACHE_HEADER = "kslab-cache 1"
 _CACHE_HEADER_BYTES = (_CACHE_HEADER + "\n").encode("ascii")
 # One record line, as put writes it: hex fields carry their sentinel bit and
 # no leading zero, decimal fields are canonical, and "-" marks a NotFound
-# value or witness.  Group 1 is the key text, group 2 the stored text.
+# value or witness.  Groups: target ("" for another tag), "x\ts\tcap", stored text.
 _HEX = "[1-9a-f][0-9a-f]*"
 _DEC = "(?:0|[1-9][0-9]*)"
 _RECORD = re.compile(
-    rf"^([^\t\n]+\t{_HEX}\t{_HEX}\t{_DEC}\t{_DEC})\t((?:{_DEC}|-)\t(?:{_HEX}|-))\n", re.M
+    rf"^(?:{re.escape(INTERPRETER_TAG)}\t({_HEX})|[^\t\n]+\t{_HEX})"
+    rf"\t({_HEX}\t{_DEC}\t{_DEC})\t((?:{_DEC}|-)\t(?:{_HEX}|-))\n",
+    re.M,
 )
+
+
+def _record_line(result: ComplexityResult) -> str:
+    y, x, s, cap, value, witness = result
+    witness = "-" if witness is None else _bits_to_hex(witness)
+    record = (
+        f"{INTERPRETER_TAG}\t{_bits_to_hex(y)}\t{_bits_to_hex(x)}\t{s}\t{cap}"
+        f"\t{'-' if value is None else value}\t{witness}\n"
+    )
+    # A record the load refuses makes the file unloadable; the bit fields are checked already.
+    ints = type(s) is type(cap) is int and s >= 0 and cap >= 0
+    ints = ints and (value is None or type(value) is int and value >= 0)
+    if not ints and not _RECORD.fullmatch(record):
+        raise ValueError(f"not a cache record: {record!r}")
+    return record
+
 
 class ComplexityCache:
     """Append-only file of ks results, keyed by interpreter tag.
@@ -412,29 +426,28 @@ class ComplexityCache:
     One record per line: tag, target, condition, s, cap, value, witness,
     tab-separated, bit strings hex-packed behind a sentinel bit (lowercase,
     no leading zero), s, cap and value in plain decimal, and "-" for the
-    value and witness of a NotFound.  A record read from a file is held as
-    two texts, its key (the first five fields) and its stored text (the
-    last two), which get() decodes only on a hit; one put in this process
-    is held as its key and the ComplexityResult put, which get() returns.
-    A load checks every line against one pattern that accepts only what
-    put() writes, so "+3", " 3", "03", "1_0" and "-1" are bad records
-    there, and the error names the first bad line.  Reloading takes the
-    last record for a key, so rewriting an entry is just appending.
+    value and witness of a NotFound.  Entries are keyed by the query
+    (target, condition, s, cap), and a hit builds no text: a record read
+    from a file is held as its stored text, the last two fields, decoded
+    only on a hit, and one put in this process as the result put.  A load
+    checks every line against one pattern that accepts only what put()
+    writes, so "+3", " 3", "03", "1_0" and "-1" are bad records there, and
+    the error names the first bad line.  Reloading takes the last record
+    for a query, so rewriting an entry is just appending.
 
-    put() is idempotent and refuses to change the stored text of a key,
-    because a (tag, target, condition, s, cap) search has exactly one
-    correct outcome.  It queues the record: the cache is a context manager,
-    and flush(), which its exit calls also when the block raises, appends
-    every queued record in one O_APPEND write on a descriptor opened and
-    closed for it.  So writers sharing a file never split each other's
-    lines, and only the writer that creates the file (O_EXCL) writes the
-    header.  A crash before the flush loses the records queued since the
-    last one; a crash during the write can tear only the last line.  A
-    last line without its newline is skipped on load and cut off by the
-    next flush; a file that holds only part of the header, or nothing,
-    loads as empty and is rewritten from the start by the next flush.
-    get() and put() use INTERPRETER_TAG: a record of another tag loads but
-    is never returned.
+    put() is idempotent and refuses to change the value or witness of a
+    query, because a (tag, target, condition, s, cap) search has exactly
+    one correct outcome.  It formats the record once and queues it: the
+    cache is a context manager, and flush(), which its exit calls also
+    when the block raises, appends every queued record in one O_APPEND
+    write on a descriptor opened and closed for it.  So writers sharing a
+    file never split each other's lines, and only the writer that creates
+    the file (O_EXCL) writes the header.  A crash before the flush loses
+    the records queued since the last one; a crash during the write can
+    tear only the last line, which a load skips and the next flush cuts
+    off.  A file holding only part of the header, or nothing, loads as
+    empty, and the next flush rewrites it from the start.  A record of
+    another tag loads, and counts in records_loaded, but is never returned.
 
     refresh() flushes and re-reads the file.  If its complete lines still
     start with the text this cache's entries hold, read or flushed, it
@@ -444,7 +457,7 @@ class ComplexityCache:
 
     def __init__(self, path):
         self.path = Path(path)
-        self._entries: dict = {}  # key text -> stored text read, or ComplexityResult put
+        self._entries: dict = {}  # (y, x, s, cap) -> stored text read, or ComplexityResult put
         self._pending: list = []  # record lines put since the last flush
         self._text = ""  # the lines _entries hold, flushed puts included, unflushed ones aside
         self.records_loaded = 0  # the records in _text
@@ -491,43 +504,35 @@ class ComplexityCache:
             for line_no, line in enumerate(tail.split("\n")[:-1], start=2 + self._text.count("\n")):
                 if line and not _RECORD.match(line + "\n"):
                     raise ValueError(f"{self.path}:{line_no}: bad cache record")
-        self._entries.update(records)
+        fields = _query_fields
+        self._entries.update({fields(y) + fields(rest): stored for y, rest, stored in records if y})
         self._text, self._torn_at = body, torn_at
         self.records_loaded += len(records)
 
-    def get(self, y: str, x: str, s: int, cap: int, *, key: str | None = None):
-        stored = self._entries.get(key or _cache_key(y, x, s, cap))
-        if type(stored) is not str:  # None for a miss, or a result put in this process
+    def get(self, y: str, x: str, s: int, cap: int):
+        stored = self._entries.get((y, x, s, cap))
+        if type(stored) is not str:  # a result put in this process, or a miss
+            if stored is None:  # no query that is not a bit string is ever a key
+                _bits_to_hex(y)  # checks the bits once per distinct string
+                _bits_to_hex(x)
             return stored
         value, witness = stored.split("\t")
-        return ComplexityResult(
-            y,
-            x,
-            s,
-            cap,
-            None if value == "-" else int(value),
-            None if witness == "-" else bin(int(witness, 16))[3:],
-        )
+        witness = None if witness == "-" else bin(int(witness, 16))[3:]
+        return ComplexityResult(y, x, s, cap, None if value == "-" else int(value), witness)
 
-    def put(self, result: ComplexityResult, *, key: str | None = None) -> None:
-        key = key or _cache_key(result.target, result.condition, result.s, result.cap)
-        stored = _stored_text(result)
-        known = self._entries.get(key)
-        if known is not None:
-            if type(known) is not str:
-                known = _stored_text(known)
-            if known != stored:
-                raise ValueError(f"cache conflict for {key!r}: stored {known!r}, new {stored!r}")
-            return
-        record = f"{key}\t{stored}\n"
-        # A record the load refuses makes the file unloadable; the bit fields are checked already.
-        s, cap, value = result.s, result.cap, result.value
-        ints = type(s) is type(cap) is int and s >= 0 and cap >= 0
-        ints = ints and (value is None or type(value) is int and value >= 0)
-        if not ints and not _RECORD.fullmatch(record):
-            raise ValueError(f"not a cache record: {record!r}")
-        self._pending.append(record)
-        self._entries[key] = result
+    def put(self, result: ComplexityResult) -> None:
+        query = result[:4]
+        known = self._entries.get(query)
+        if known is None:
+            self._pending.append(_record_line(result))
+            self._entries[query] = result
+        elif type(known) is str or known[4:] != result[4:]:  # read from a file, or put and unequal
+            key, value, witness = _record_line(result)[:-1].rsplit("\t", 2)
+            new = f"{value}\t{witness}"
+            if type(known) is not str:  # the same query, so the same key text
+                known = _record_line(known)[len(key) + 1 : -1]
+            if known != new:
+                raise ValueError(f"cache conflict for {key!r}: stored {known!r}, new {new!r}")
 
     def flush(self) -> None:
         """Append the queued records to the file in one write."""
@@ -565,18 +570,12 @@ class ComplexityCache:
 
 
 def cached_ks(
-    y: str,
-    x: str,
-    s: int,
-    cap: int,
-    cache: ComplexityCache | None = None,
+    y: str, x: str, s: int, cap: int, cache: ComplexityCache | None = None
 ) -> ComplexityResult:
     if cache is None:
         return ks(y, x, s, cap)
-    key = _cache_key(y, x, s, cap)
-    hit = cache.get(y, x, s, cap, key=key)
-    if hit is not None:
-        return hit
-    result = ks(y, x, s, cap)
-    cache.put(result, key=key)
+    result = cache.get(y, x, s, cap)
+    if result is None:
+        result = ks(y, x, s, cap)
+        cache.put(result)
     return result

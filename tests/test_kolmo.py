@@ -534,6 +534,15 @@ class TestCache:
             assert cache.get("1", "", result.s, result.cap) is None
         assert not path.exists()
 
+    @pytest.mark.parametrize("field", ["target", "condition"])
+    def test_a_result_without_a_target_or_condition_is_not_put(self, tmp_path, field):
+        # Its record would read "-" there, which no load accepts.
+        path = tmp_path / "cache.tsv"
+        with ComplexityCache(path) as cache:
+            with pytest.raises(ValueError, match="must consist of '0'/'1' characters, got None"):
+                cache.put(ComplexityResult("1", "", 0, 14, 2, "01")._replace(**{field: None}))
+        assert not path.exists()
+
     def test_a_query_that_is_not_a_bit_string_is_refused(self, tmp_path):
         # int("1" + "0_1", 2) reads "0_1" as "01", whose record this is.
         path = tmp_path / "cache.tsv"
@@ -882,11 +891,40 @@ class TestCache:
         assert truncated.records_loaded == 2
         assert [truncated.get(r.target, "", 0, 14) for r in in_a] == [*in_a[:2], None]
 
-    def test_a_miss_builds_its_key_once(self, tmp_path, monkeypatch):
-        built = []
-        real = kolmo._cache_key
-        monkeypatch.setattr(kolmo, "_cache_key", lambda *query: built.append(query) or real(*query))
-        cache = ComplexityCache(tmp_path / "cache.tsv")
-        miss = cached_ks("101", "", 0, 14, cache)
-        assert cached_ks("101", "", 0, 14, cache) == miss
-        assert built == [("101", "", 0, 14)] * 2
+    def test_only_a_first_put_formats_a_record(self, tmp_path, monkeypatch):
+        # A hit, on a put or on a record read from the file, and a repeated put format nothing.
+        formatted = []
+        for name in ("_record_line", "_bits_to_hex"):
+            real = getattr(kolmo, name)
+            monkeypatch.setattr(
+                kolmo, name, lambda arg, real=real, name=name: formatted.append(name) or real(arg)
+            )
+        path = tmp_path / "cache.tsv"
+        with ComplexityCache(path) as cache:
+            miss = cached_ks("101", "", 0, 14, cache)
+            assert formatted.count("_record_line") == 1
+            formatted.clear()
+            cache.put(miss)
+            assert cached_ks("101", "", 0, 14, cache) == miss
+            assert formatted == []
+        assert cached_ks("101", "", 0, 14, ComplexityCache(path)) == miss
+        assert formatted == []
+
+    def test_a_table_grid_reads_back_from_its_puts_and_from_its_file(self, tmp_path):
+        # Every query of a `ks table` grid, NotFound rows included, gives ks's result from each cache.
+        path = tmp_path / "cache.tsv"
+        queries = list(itertools.product(all_bits(4), all_bits(2), (0, 300), (3, 14)))
+        expected = [ks(*query) for query in queries]
+        assert {r.value is None for r in expected} == {True, False}
+        writer = ComplexityCache(path)
+        assert [cached_ks(*query, writer) for query in queries] == expected
+        assert [writer.get(*query) for query in queries] == expected
+        writer.flush()
+        assert [writer.get(*query) for query in queries] == expected
+        assert ks("1111", "", 0, 3).value is None
+        with open(path, "a") as fh:  # "1111" at value 2 under another tag
+            fh.write("other-tag\t1f\t1\t0\t3\t2\t5\n")
+        for cache in (ComplexityCache(path), writer.refresh()):
+            assert cache.records_loaded == len(queries) + 1
+            assert [cache.get(*query) for query in queries] == expected
+            assert [cached_ks(*query, cache) for query in queries] == expected

@@ -38,11 +38,14 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
   timed instead,
 * putting `CACHE_RECORDS` records into a new `ComplexityCache` file, per
   record, the closing `flush` included (microseconds),
-* a `cached_ks` hit, per record of such a file, key included
-  (microseconds): on the cache that put and flushed the records
-  (`cache_hit_own_us`), and on a cache that has only read a copy of the
-  file (`cache_hit_loaded_us`).  A checkout that keeps no put results
-  decodes the stored text on both, so they read alike there,
+* a `cached_ks` hit, per record of such a file (microseconds): on the
+  cache that put and flushed the records (`cache_hit_own_us`), and on a
+  cache that has only read a copy of the file (`cache_hit_loaded_us`).  A
+  checkout that keeps no put results decodes the stored text on both, so
+  they read alike there,
+* a `cached_ks` miss on a new `ComplexityCache` file, per query of those
+  hits, the `ks` search and the closing `flush` included (microseconds,
+  `cache_miss_us`): what a cold pass pays per query,
 * `is_shannon` on Zhang-Yeung (k = 4, unpermuted), on `lab-session`'s
   k = 5 member and on `k=6; {1}:1` (milliseconds each),
 * each of `decide_backward`, `decide_forward` and `decide_counter` on
@@ -206,6 +209,14 @@ def main() -> int:
         shutil.copyfile(Path(tmp) / "put-1.tsv", foreign)
         loaded = ComplexityCache(foreign)
         result["cache_hit_loaded_us"] = _best(lambda: [cached_ks(*q, loaded) for q in asked], REPS) * 1e6 / CACHE_RECORDS
+
+        def miss_all():
+            cache = ComplexityCache(Path(tmp) / f"miss-{next(fresh)}.tsv")
+            for q in asked:
+                cached_ks(*q, cache)
+            cache.flush()
+
+        result["cache_miss_us"] = _best(miss_all, REPS) * 1e6 / CACHE_RECORDS
     gen5 = oracle.elemental(5)
     member_k5 = oracle.combine(*((w, gen5[i]) for i, w in LabSession.MEMBER_K5))
     cone_checks = {
