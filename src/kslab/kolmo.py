@@ -76,8 +76,8 @@ C_SIM = 16
 # simulated anyway.
 _MAX_DECODE_STEPS = 2**62
 
-# Most live programs ks_scan holds at one length.  The `11` shard keeps about
-# 2^(length/2) live, so this admits its scans up to cap 32 (about 0.2 s).
+# Most live programs ks_scan holds at one length.  From cap 78 up the `11`
+# shard keeps about 2^(length/2) live, so such a scan is refused at length 33.
 _MAX_LIVE = 1 << 15
 
 # Shortest general-mode program: doubled 1-state machine plus separator.
@@ -185,13 +185,14 @@ def reference_decode(prog: str, x: str, s: int) -> str:
     raise ReferenceRunError(f"machine run ended {result.verdict.name}", result.verdict)
 
 
-def _live(prog: str, x: str, y: str) -> bool:
-    """Whether some program extending prog (prog included) may decode to y.
+def _live(prog: str, x: str, y: str, cap: int) -> bool:
+    """Whether some program extending prog (prog included) may decode to y, a general-mode one within cap.
 
     Read from the grammar alone: a builtin-mode prefix already fixes the
     start of its output, and a general-mode prefix is dead once its header
-    breaks the doubling or its separator ends a header that is not a
-    serialized machine.  Runs are not looked into.
+    breaks the doubling, its separator ends a header that is not a
+    serialized machine, or its open doubled run is longer than any machine
+    header that closes within cap.  Runs are not looked into.
     """
 
     if prog[:1] == "0":
@@ -201,7 +202,18 @@ def _live(prog: str, x: str, y: str) -> bool:
     i = _DOUBLED.match(prog).end()
     if prog.startswith("01", i):
         return _is_machine(prog[:i:2])
-    return not prog.startswith("10", i)
+    return not prog.startswith("10", i) and i <= 2 * _longest_machine(cap)
+
+
+@lru_cache(maxsize=256)
+def _longest_machine(cap: int) -> int:
+    """Length of the longest serialized machine whose doubled header plus "01" fits in cap, or 0."""
+
+    lo, hi = 0, cap // 2  # the state counts that may fit: n states serialize to more than n bits
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if 2 * serialized_length(mid) + 2 <= cap else (lo, mid - 1)
+    return serialized_length(lo) if lo else 0
 
 
 def _is_machine(header: str) -> bool:
@@ -212,15 +224,17 @@ def _is_machine(header: str) -> bool:
     return True
 
 
-def _grow(level: list, ends: list, x: str, y: str) -> tuple[list, list]:
+def _grow(level: list, ends: list, x: str, y: str, cap: int) -> tuple[list, list]:
     """The live one-bit extensions of live programs, and the end of each one's doubled run.
 
     _live's rule, read from the end i of a program's doubled run (the end
     of _DOUBLED's match), which a bit moves only when it closes a pair.  A
     general-mode header is parsed once, when its "01" separator closes;
-    past that every extension is live.
+    until then it lives while its run fits a machine that closes within
+    cap, and past that every extension is live.
     """
 
+    run = 2 * _longest_machine(cap)
     grown, grown_ends = [], []
     for prog, i in zip(level, ends):
         for bit in "01":
@@ -228,11 +242,11 @@ def _grow(level: list, ends: list, x: str, y: str) -> tuple[list, list]:
             paired = i + 1 == len(prog)  # the bit pairs with prog's last, unpaired bit
             end = i + 2 if paired and prog[i] == bit else i
             if child[:1] == "0" or child[:2] == "10":
-                live = _live(child, x, y)
+                live = _live(child, x, y, cap)
             elif paired and end == i:  # the pair ends the run: "01" closes a header, "10" breaks it
                 live = bit == "1" and _is_machine(prog[:i:2])
-            else:
-                live = True
+            else:  # an open header, or a closed one's program tape
+                live = end <= run or end + 2 <= len(child)
             if live:
                 grown.append(child)
                 grown_ends.append(end)
@@ -320,21 +334,25 @@ def ks_scan(
     lexicographic) order through reference_decode.  Programs are grown one
     bit at a time from prefix, and a program is extended only while it is
     live: "0"+w while w is a prefix of y, "10"+w while x+w is, and a
-    general-mode program until its doubled header breaks or ends in a
-    header that is not a serialized machine.  A dead program has no
-    extension that decodes to y, so the answer is that of running every
-    program, and the rule reads only the grammar, never ks's closed form or
+    general-mode program until its doubled header breaks, ends in a header
+    that is not a serialized machine, or runs longer than the longest
+    machine header that can close within cap.  A dead program has no
+    extension of length <= cap that decodes to y, so the answer is that of
+    running every program, and the rule reads only the grammar and the
+    machine length serialized_length gives, never ks's closed form or
     MACHINE_MODE_MIN_LENGTH, so the scan stays a check of ks.  Each program
     carries the end of its doubled run (_grow), so growing one costs no
     regex and a header is parsed once, when its separator closes.  Each
-    length holds at most two live builtin-mode programs plus the live general-mode
-    ones: the open doubled headers, about 2^(length/2), which are not run
-    (no separator yet, so the grammar cannot parse them), and every
-    extension of a header that is a serialized machine.  A length with
-    more than _MAX_LIVE live general-mode (`11`-prefixed) programs is
-    refused (ValueError), so a whole scan is refused exactly when its
-    `11` shard is.  An admitted length's list holds at most _MAX_LIVE + 2
-    programs, and the list grown from it at most 2 * _MAX_LIVE + 2.
+    length holds at most two live builtin-mode programs plus the live
+    general-mode ones: the open doubled headers, which are not run (no
+    separator yet, so the grammar cannot parse them), and every extension
+    of a header that is a serialized machine.  Below cap 78 no header can
+    close, so the `11` shard is empty and a scan costs O(cap); from cap 78
+    up the open headers number about 2^(length/2).  A length with more than
+    _MAX_LIVE live general-mode (`11`-prefixed) programs is refused
+    (ValueError), so a whole scan is refused exactly when its `11` shard
+    is.  An admitted length's list holds at most _MAX_LIVE + 2 programs,
+    and the list grown from it at most 2 * _MAX_LIVE + 2.
 
     The optional prefix restricts the search to programs extending it,
     which lets a caller shard the space ("0", "10", "11", ...) and combine
@@ -343,7 +361,7 @@ def ks_scan(
 
     _check_query(y, x, s, cap)
     check_bits(prefix)
-    level, ends = ([prefix], [_DOUBLED.match(prefix).end()]) if _live(prefix, x, y) else ([], [])
+    level, ends = ([prefix], [_DOUBLED.match(prefix).end()]) if _live(prefix, x, y, cap) else ([], [])
     for length in range(len(prefix), cap + 1):
         for prog, i in zip(level, ends):
             if prog[:2] == "11" and i + 2 > length:  # an open header, with no separator yet
@@ -356,7 +374,7 @@ def ks_scan(
                 return ComplexityResult(y, x, s, cap, length, prog)
         if length == cap or not level:
             break
-        level, ends = _grow(level, ends, x, y)
+        level, ends = _grow(level, ends, x, y, cap)
         general = sum(prog.startswith("11") for prog in level)
         if general > _MAX_LIVE:
             raise ValueError(f"{general} live programs of length {length + 1}, limit {_MAX_LIVE}")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import product
 from typing import NamedTuple, Optional
 
@@ -616,11 +616,10 @@ def parse_bits(bits: str) -> MachineSpec:
         raise BitsParseError("missing unary state count")
     if n >= len(bits):
         raise BitsParseError("unary state count not terminated")
+    if len(bits) != serialized_length(n):
+        expected = serialized_length(n) - n - 1
+        raise BitsParseError(f"expected {expected} instruction bits for {n} states, got {len(bits) - n - 1}")
     rw = record_width(n)
-    if len(bits) - n - 1 != 9 * n * rw:
-        raise BitsParseError(
-            f"expected {9 * n * rw} instruction bits for {n} states, got {len(bits) - n - 1}"
-        )
     layout = _record_layout(state_width(n), rw)
     valid = _valid_rows(n)[0] if n <= 4 else {}
     instructions = []
@@ -643,6 +642,7 @@ def parse_bits(bits: str) -> MachineSpec:
     return spec
 
 
+@lru_cache(maxsize=64)  # parse_bits asks it of every header; bounded, since n comes from the input
 def serialized_length(state_count: int) -> int:
     """Length of any serialization with this state count: n+1 + 9n * record width."""
 

@@ -16,7 +16,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, takewhile
 from pathlib import Path
 
 from kslab.entropy import LinearInequality
@@ -214,7 +214,7 @@ def decode_pair_by_pairs(bits: str) -> tuple[str, str]:
     return bits[:i:2], bits[i + 2 :]
 
 
-def live_by_pairs(prog: str, x: str, y: str) -> bool:
+def live_by_pairs(prog: str, x: str, y: str, cap: int) -> bool:
     """`kolmo._live`, walking a general-mode header a pair at a time."""
 
     if prog[:1] == "0":
@@ -223,7 +223,10 @@ def live_by_pairs(prog: str, x: str, y: str) -> bool:
         return y.startswith(x + prog[2:])
     i = first_unequal_pair(prog)
     if i is None:
-        return True
+        # Open: live while some machine header at least its pairs long, doubled, closes within cap.
+        headers = (n + 1 + 9 * n * record_width(n) for n in range(1, cap))
+        closing = takewhile(lambda bits: 2 * bits + 2 <= cap, headers)
+        return len(prog) < 2 or any(len(prog) // 2 <= bits for bits in closing)
     if prog[i] == "1":
         return False
     try:

@@ -228,14 +228,14 @@ class TestKs:
 
 class TestScanOracle:
     def test_closed_form_matches_exhaustive_scan(self):
-        targets = [""] + ["".join(t) for L in (1, 2, 3) for t in itertools.product("01", repeat=L)]
-        conditions = ["", "0", "1", "10", "110"]
-        for y in targets:
-            for x in conditions:
-                for cap in (0, 1, 3, 6, 8):
+        # The closed form's whole domain of caps, for every y and x of up to 3 bits: 17,550 scans.
+        strings = all_bits(3)
+        for y in strings:
+            for x in strings:
+                for cap in range(MAX_CLOSED_FORM_CAP + 1):
                     fast = ks(y, x, 4, cap)
                     slow = ks_scan(y, x, 4, cap)
-                    assert (fast.value, fast.witness) == (slow.value, slow.witness)
+                    assert (fast.value, fast.witness) == (slow.value, slow.witness), (y, x, cap)
 
     def test_sharded_scan_equals_whole_scan(self):
         for y, x in [("101", ""), ("1101", "11"), ("0000", "01"), ("", "")]:
@@ -291,7 +291,7 @@ class TestScanOracle:
                 y = reference_decode(prog, x, s)
             except ReferenceRunError:
                 continue
-            assert all(_live(prog[:i], x, y) for i in range(len(prog) + 1))
+            assert all(_live(prog[:i], x, y, len(header) + 3) for i in range(len(prog) + 1))
             scan = ks_scan(y, x, s, len(header) + 3, prefix=header)
             brute = brute_scan(y, x, s, len(header) + 3, prefix=header)
             assert (scan.value, scan.witness) == (brute.value, brute.witness)
@@ -300,7 +300,10 @@ class TestScanOracle:
 
     def test_live_matches_the_pair_by_pair_walk(self):
         # Every program up to length 14, then sampled headers: whole, cut
-        # short (not a serialization), with one bit flipped, and broken.
+        # short (not a serialization), with one bit flipped, broken, and
+        # open at and past the whole header's doubled run.  Caps 77 and 78
+        # lie on both sides of the 1-state header's closing (length 78),
+        # and cap 224 at the 2-state one's.
         progs = all_bits(14)
         rng = random.Random(11)
         headers = []
@@ -310,36 +313,49 @@ class TestScanOracle:
             headers += [r, r[:-1], r[:flip] + "01"[r[flip] == "0"] + r[flip + 1 :]]
             cut = 2 * rng.randrange(len(r))
             progs += [doubled(r)[:cut] + "10", doubled(r)[:cut] + "1", doubled(r)[: cut + 1]]
+            progs += [doubled(r), doubled(r) + "1", doubled(r) + "00", doubled(r) + "001"]
         progs += [doubled(header) + "01" + tail for header in headers for tail in ("", "0", "11")]
-        assert {live_by_pairs(doubled(header) + "01", "", "") for header in headers} == {False, True}
-        for y, x in (("101", "1"), ("0110", ""), ("", "")):
-            for prog in progs:
-                assert _live(prog, x, y) == live_by_pairs(prog, x, y), (prog, x, y)
+        assert {live_by_pairs(doubled(header) + "01", "", "", 224) for header in headers} == {False, True}
+        for cap in (77, 78, 224):
+            assert {live_by_pairs(prog, "", "", cap) for prog in progs if prog[:2] == "11"} == {False, True}
+            for y, x in (("101", "1"), ("0110", ""), ("", "")):
+                for prog in progs:
+                    assert _live(prog, x, y, cap) == live_by_pairs(prog, x, y, cap), (prog, x, y, cap)
 
-    @pytest.mark.parametrize("prefix", ["", "0", "10", "11", "whole header"])
+    @pytest.mark.parametrize(
+        "prefix", ["", "0", "10", "11", "whole header", "open 1-state header", "open 2-state header"]
+    )
     def test_the_carried_rule_is_live(self, prefix):
         # The scan's growth step keeps each program's doubled-run end instead
         # of reading it again; it must keep exactly the extensions _live keeps,
-        # with the run end that the pair-by-pair walk finds, to length 22.
+        # with the run end that the pair-by-pair walk finds, to length 22, or
+        # 10 bits past prefix.  An open header 6 bits short of a whole one
+        # grows across the cap it can close within: 78 for 1 state, 224 for 2.
         def run_end(prog):
             i = first_unequal_pair(prog)
             return len(prog) // 2 * 2 if i is None else i
 
         if prefix == "whole header":
             prefix = doubled(serialize_machine(copy_p_spec())) + "01"
-        for y, x in (("1011", "10"), ("0110", "")):
-            level, ends, grown_total = [prefix], [run_end(prefix)], 0
-            for _ in range(len(prefix), max(22, len(prefix) + 10)):
-                grown, grown_ends = kolmo._grow(level, ends, x, y)
-                assert grown == [g for p in level for g in (p + "0", p + "1") if _live(g, x, y)]
-                assert grown_ends == list(map(run_end, grown))
-                level, ends, grown_total = grown, grown_ends, grown_total + len(grown)
-            assert grown_total > 0
+        elif prefix.startswith("open"):
+            states = int(prefix[5])
+            prefix = doubled(serialize_machine(parse_machine(f"states: {states}\n")))[:-6]
+        for cap in (77, 78, 224):
+            for y, x in (("1011", "10"), ("0110", "")):
+                level, ends, grown_total = [prefix], [run_end(prefix)], 0
+                for _ in range(len(prefix), max(22, len(prefix) + 10)):
+                    grown, grown_ends = kolmo._grow(level, ends, x, y, cap)
+                    assert grown == [g for p in level for g in (p + "0", p + "1") if _live(g, x, y, cap)]
+                    assert grown_ends == list(map(run_end, grown))
+                    level, ends, grown_total = grown, grown_ends, grown_total + len(grown)
+                assert (grown_total > 0) == _live(prefix, x, y, cap), cap
 
     def test_open_headers_are_not_decoded(self, monkeypatch):
         # The `11` shards of the benchmark's scans (seed 7, caps 16 and 17):
-        # no header closes below length 78, so no program there is decoded.
-        # Then a shard past a machine's header, whose programs all are.
+        # no header closes below length 78, so they are empty from their
+        # first bit.  Then a shard of open 1-state headers at cap 78, which
+        # decodes only the header that closes there.  Then a shard past a
+        # machine's header, whose programs all are decoded.
         shards = [
             job.args[1:]
             for job in Interpret(Path(__file__).resolve().parents[1], None, 7, False).jobs
@@ -356,8 +372,13 @@ class TestScanOracle:
 
         monkeypatch.setattr(kolmo, "reference_decode", decode)
         for y, x, s, cap, prefix in shards:
+            assert not _live(prefix, x, y, cap)
             assert ks_scan(y, x, s, cap, prefix).value is None
         assert decoded == []
+        r1 = serialize_machine(parse_machine("states: 1\n"))
+        assert ks_scan("", "", 2 * len(r1) + C_SIM, 78, prefix=doubled(r1)[:-8]).witness == doubled(r1) + "01"
+        assert decoded == [doubled(r1) + "01"]
+        decoded.clear()
         r = serialize_machine(copy_p_spec())
         header = doubled(r) + "01"
         scan = ks_scan("0110", "", 2 * len(r) + C_SIM, len(header) + 4, prefix=header)
@@ -376,25 +397,47 @@ class TestScanOracle:
             ks_scan(y, x, s, cap, prefix=prefix)
         assert str(from_scan.value) == str(from_ks.value)
 
-    def test_the_benchmark_scans_are_admitted(self):
-        for cap in (16, 17, 24):
+    def test_the_benchmark_scans_are_admitted(self, monkeypatch):
+        # Below cap 78 no header can close, so no scan holds a live `11`
+        # program and even a limit of 0 admits it: the benchmark's caps,
+        # and a whole scan at the closed form's largest cap.
+        monkeypatch.setattr(kolmo, "_MAX_LIVE", 0)
+        y = "1" * 80
+        for cap in (16, 17, 24, MAX_CLOSED_FORM_CAP):
             assert ks_scan("1", "", 0, cap, prefix="11").value is None
+            whole = ks_scan(y, "", 0, cap)
+            assert whole == scan_combine(ks_scan(y, "", 0, cap, prefix=pfx) for pfx in ("0", "10", "11"))
+            assert whole.value is None
+
+    def test_a_header_lives_while_it_can_close_within_cap(self):
+        # The 1-state machine that halts at once outputs "" from empty p.
+        # Its doubled header closes at length 78: cap 78 finds it from two
+        # bits short of the whole run, cap 77 drops that prefix.
+        r = serialize_machine(parse_machine("states: 1\n"))
+        prefix, s = doubled(r)[:-2], 2 * len(r) + C_SIM
+        scan = ks_scan("", "", s, 78, prefix)
+        assert (scan.value, scan.witness) == (78, doubled(r) + "01")
+        assert ks_scan("", "", s, 77, prefix).value is None
 
     def test_refused_one_live_program_past_the_limit(self, monkeypatch):
-        # The `11` shard's largest length below cap 16 holds 128 live programs, first at length 15.
+        # From cap 78 up the `11` shard keeps its open headers: 128 live
+        # programs at lengths 15 and 16, then 256 at length 17.
         monkeypatch.setattr(kolmo, "_MAX_LIVE", 128)
-        assert ks_scan("1", "", 0, 16, prefix="11").value is None
+        with pytest.raises(ValueError, match="^256 live programs of length 17, limit 128$"):
+            ks_scan("1", "", 0, 78, prefix="11")
         # A whole scan holds the literal and echo programs too, which the
-        # limit does not count: it is admitted exactly when its `11` shard is.
+        # limit does not count: it is refused exactly when its `11` shard is.
         y = "1" * 40
-        whole = ks_scan(y, "", 0, 16)
-        assert whole == scan_combine(ks_scan(y, "", 0, 16, prefix=pfx) for pfx in ("0", "10", "11"))
-        assert whole.value is None
+        with pytest.raises(ValueError, match="^256 live programs of length 17, limit 128$"):
+            ks_scan(y, "", 0, 78)
+        # One program fewer is refused at length 15, at cap 78 and at a cap
+        # past the machine word, which the cap rule must take as well.
         monkeypatch.setattr(kolmo, "_MAX_LIVE", 127)
-        with pytest.raises(ValueError, match="^128 live programs of length 15, limit 127$"):
-            ks_scan("1", "", 0, 16, prefix="11")
-        with pytest.raises(ValueError, match="^128 live programs of length 15, limit 127$"):
-            ks_scan(y, "", 0, 16)
+        for cap in (78, 2**64):
+            with pytest.raises(ValueError, match="^128 live programs of length 15, limit 127$"):
+                ks_scan("1", "", 0, cap, prefix="11")
+            with pytest.raises(ValueError, match="^128 live programs of length 15, limit 127$"):
+                ks_scan(y, "", 0, cap)
 
 
 class TestCache:

@@ -10,6 +10,10 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
 * `serialize_machine` per such machine (microseconds),
 * `ks_scan("1", "", 0, 24, prefix="11")`, whose programs all have an
   open header, so it decodes none (seconds),
+* a whole `ks_scan` of `1`*80 at cap 77, which finds nothing, and the
+  same scan at cap 78, which the live limit refuses (seconds each;
+  `ks_scan_cap77` and `ks_scan_cap78` give the outcome, `NotFound(cap)`
+  or the refusal's message),
 * `reference_decode` per general-mode decode program of the benchmark's
   `interpret` workload at seed 7, the 72 with no time limit of their own
   (microseconds),
@@ -67,7 +71,8 @@ Times, in the checkout DIR (default: this one), best of `REPS` repetitions
   every word of both bits.
 
 Machines come from the benchmark's own rejection sampler, seeded, so every
-checkout times the same inputs.  Prints one JSON object.
+checkout times the same inputs.  Prints one JSON object, each float to 6
+significant digits.
 """
 
 from __future__ import annotations
@@ -136,6 +141,16 @@ def main() -> int:
         "serialize_us": _best(lambda: [serialize_machine(s) for s in specs], REPS) * per_machine,
         "ks_scan_11_cap24_s": _best(lambda: ks_scan("1", "", 0, 24, prefix="11"), KS_SCAN_REPS),
     }
+
+    def scan_outcome(cap):
+        try:
+            return ks_scan("1" * 80, "", 0, cap).describe()
+        except ValueError as exc:
+            return str(exc)
+
+    for cap in (77, 78):
+        result[f"ks_scan_cap{cap}_s"] = _best(lambda: scan_outcome(cap), KS_SCAN_REPS)
+        result[f"ks_scan_cap{cap}"] = scan_outcome(cap)
     decodes = [job.args for job in Interpret(root, None, 7, False).jobs if getattr(job.func, "__name__", "") == "_decode"]
 
     def decode_all():
@@ -248,7 +263,7 @@ def main() -> int:
     result["decide_counter_accept_steps"] = sum(
         v.probe_stats.configurations_visited - v.terminates_within_s for v in verdicts
     )
-    print(json.dumps({k: round(v, 4) if isinstance(v, float) else v for k, v in result.items()}))
+    print(json.dumps({k: float(f"{v:.6g}") if isinstance(v, float) else v for k, v in result.items()}))
     return 0
 
 
